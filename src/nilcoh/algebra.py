@@ -14,6 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gauss import GaussRat
+from .linalg import Subspace
 from .scalar import ScalarExpr, ScalarEvalError, S_ONE
 from .exterior import BigradedElement, mono_conj
 
@@ -116,6 +117,19 @@ class AlgebraSpec:
                     report.skipped_samples.append((label, str(e)))
                 report.samples_checked.append(label)
         return report
+
+    def check(self):
+        """Raise StructureError naming the first failing generator, if any."""
+        report = self.validate()
+        if report.integrability_failures:
+            i, part = report.integrability_failures[0]
+            raise StructureError(
+                f"structure '{self.name}' is not integrable: d f{i} has the "
+                f"(0,2) part {part}"
+            )
+        if report.d2_failures:
+            g, _, dd = report.d2_failures[0]
+            raise StructureError(f"structure '{self.name}' has d^2 != 0: d(d {g}) = {dd}")
 
     def _check_d2(self, report, label):
         for i in range(1, self.n + 1):
@@ -350,30 +364,30 @@ class RealAlgebraSpec:
         """rho_j for all j, plus which e_j lie in the derived algebra."""
         rhos = [self.rho(j) for j in range(1, self.dim + 1)]
         derived = self.derived_algebra()
-        flags = []
-        for j in range(self.dim):
-            vec = [Fraction(1) if m == j else Fraction(0) for m in range(self.dim)]
-            flags.append(_in_span(derived, vec))
+        flags = [
+            derived.contains([GaussRat(int(m == j)) for m in range(self.dim)])
+            for j in range(self.dim)
+        ]
         # does the trace form restrict to zero on [g,g]?  (this, not the
         # per-vector flags, is what torsion-canonical-bundle arguments use)
         vanishes = all(
-            sum(r * x for r, x in zip(rhos, row)) == 0 for row in derived
+            sum(r * x.re for r, x in zip(rhos, row)) == 0 for row in derived.rows
         )
-        return RhoReport(self.name, rhos, flags, len(derived), vanishes)
+        return RhoReport(self.name, rhos, flags, derived.dim, vanishes)
 
     def in_derived(self, vec):
         """Is the given vector (2n rational coordinates) in [g,g]?"""
-        return _in_span(self.derived_algebra(), [Fraction(x) for x in vec])
+        return self.derived_algebra().contains([GaussRat(x) for x in vec])
 
     def derived_algebra(self):
-        """RREF basis of span{[e_i, e_j]} over Q."""
+        """span{[e_i, e_j]} as a canonical Subspace (real entries in Q(i))."""
         vecs = []
         for (_, _), comps in sorted(self.brackets().items()):
-            v = [Fraction(0)] * self.dim
+            v = [GaussRat(0)] * self.dim
             for k, val in comps.items():
-                v[k - 1] = val
+                v[k - 1] = GaussRat(val)
             vecs.append(v)
-        return _rref_q(vecs)
+        return Subspace.from_vectors(self.dim, vecs)
 
     def unimodular(self):
         """tr(ad(e_j)) = 0 for all j."""
@@ -382,44 +396,6 @@ class RealAlgebraSpec:
             if sum(ad[k][k] for k in range(self.dim)) != 0:
                 return False
         return True
-
-
-def _rref_q(rows):
-    m = [list(r) for r in rows]
-    out = []
-    pivots = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r]
-
-
-def _in_span(rref_rows, vec):
-    v = list(vec)
-    col_of = {}
-    for row in rref_rows:
-        piv = next((c for c, x in enumerate(row) if x), None)
-        if piv is not None:
-            col_of[piv] = row
-    for c, row in sorted(col_of.items()):
-        if v[c]:
-            f = v[c]
-            v = [a - f * b for a, b in zip(v, row)]
-    return not any(v)
 
 
 class RhoReport:

@@ -285,27 +285,32 @@ def _iwasawa_sigma_family():
     )
 
 
+# entry name -> builder, in stable presentation order
+_BUILDERS = {
+    "torus2": lambda: _torus(2),
+    "torus3": lambda: _torus(3),
+    "torus4": lambda: _torus(4),
+    "iwasawa": _iwasawa,
+    "iwasawa_x_torus": _iwasawa_x_torus,
+    "example31": _example31,
+    "example45": _example45,
+    "nakamura_x_torus": _nakamura_x_torus,
+    "theorem51_family": _theorem51_family,
+    "section42_example": _section42_example,
+    "frolicher_example": _frolicher_example,
+    "iwasawa_sigma_family": _iwasawa_sigma_family,
+}
+
+
 def catalog():
     """All built-in entries, in stable presentation order."""
-    return [
-        _torus(2),
-        _torus(3),
-        _torus(4),
-        _iwasawa(),
-        _iwasawa_x_torus(),
-        _example31(),
-        _example45(),
-        _nakamura_x_torus(),
-        _theorem51_family(),
-        _section42_example(),
-        _frolicher_example(),
-        _iwasawa_sigma_family(),
-    ]
+    return [build() for build in _BUILDERS.values()]
 
 
 def get(name):
-    for entry in catalog():
-        if entry.name == name:
-            return entry
-    known = ", ".join(e.name for e in catalog())
-    raise CatalogError(f"no catalog entry named {name!r}; known entries: {known}")
+    """The entry called `name`; builds no other entry."""
+    build = _BUILDERS.get(name)
+    if build is None:
+        known = ", ".join(_BUILDERS)
+        raise CatalogError(f"no catalog entry named {name!r}; known entries: {known}")
+    return build()

@@ -15,8 +15,8 @@ import json
 import sys
 
 from . import __version__, catalog, cohomology, dsl, frolicher, symplectic
-from .algebra import DEFAULT_SAMPLES
-from .deform import DeformationError, frame_change, sweep
+from .algebra import DEFAULT_SAMPLES, StructureError
+from .deform import DeformationError, assignment_strings, concretize, sweep
 from .dsl import DslError, parse_gauss
 from .linalg import OperatorCache
 from .scalar import ScalarEvalError
@@ -73,40 +73,38 @@ def _parse_assign(pairs):
 
 
 def _concretize(entry, spec, assign):
-    """Resolve --assign against the family (frame change) or the spec params.
+    """Check --assign against the target's parameters and concretize it.
 
-    Returns a parameter-free AlgebraSpec.  Raises UsageError for key/parameter
-    mismatches and DeformationError for singular frames.
+    A parametric structure takes its own parameters; with an assignment, a
+    parameter-free entry carrying a deformation family is moved by a frame
+    change.  Returns a parameter-free AlgebraSpec.  Raises UsageError for
+    key/parameter mismatches, DeformationError for singular frames and
+    ScalarEvalError for vanishing denominators.
     """
     family = entry.family if entry is not None else None
-    if family is not None and not spec.params and set(family.params) <= set(assign):
-        extra = set(assign) - set(family.params)
-        if extra:
-            raise UsageError(f"unknown assignment keys: {', '.join(sorted(extra))}")
-        return frame_change(family, assign)
     if spec.params:
-        missing = [p for p in spec.params if p not in assign]
-        if missing:
+        if any(p not in assign for p in spec.params):
             raise UsageError(
                 f"the structure has parameters {', '.join(spec.params)}; "
                 "pass --assign for each"
             )
-        extra = set(assign) - set(spec.params)
-        if extra:
-            raise UsageError(f"unknown assignment keys: {', '.join(sorted(extra))}")
-        try:
-            return spec.evaluate(assign)
-        except ScalarEvalError as e:
-            raise DeformationError(str(e)) from None
-    if assign:
-        if family is not None:
-            missing = [p for p in family.params if p not in assign]
+        target = spec
+    elif assign and family is not None:
+        missing = [p for p in family.params if p not in assign]
+        if missing:
             raise UsageError(
                 f"the deformation family has parameters {', '.join(family.params)}; "
                 f"missing: {', '.join(missing)}"
             )
+        target = family
+    elif assign:
         raise UsageError("the structure has no parameters; drop --assign")
-    return spec
+    else:
+        return spec
+    extra = set(assign) - set(target.params)
+    if extra:
+        raise UsageError(f"unknown assignment keys: {', '.join(sorted(extra))}")
+    return concretize(target, assign)
 
 
 def _digest(entry, spec, assign):
@@ -155,7 +153,7 @@ def _report(command, name, digest, assign, results):
         "input": {
             "name": name,
             "digest": digest,
-            "assignment": {k: str(v) for k, v in sorted(assign.items())},
+            "assignment": assignment_strings(assign),
         },
         "results": results,
         "version": __version__,
@@ -215,8 +213,8 @@ def _parse_grid(text):
     ]
 
 
-def _default_family_samples(family):
-    return [{p: v for p in family.params} for v in DEFAULT_SAMPLES]
+def _default_samples(params):
+    return [{p: v for p in params} for v in DEFAULT_SAMPLES]
 
 
 # -- commands ----------------------------------------------------------------
@@ -426,7 +424,7 @@ def _cmd_deform(args):
     elif args.grid:
         samples = _parse_grid(args.grid)
     elif params:
-        samples = [{p: v for p in params} for v in DEFAULT_SAMPLES]
+        samples = _default_samples(params)
     else:
         samples = [{}]
     for s in samples:
@@ -472,7 +470,7 @@ def _cmd_hypotheses(args):
     if entry is None or entry.family is None:
         raise UsageError("hypotheses needs a catalog entry with a deformation family")
     family = entry.family
-    samples = _parse_samples(args.samples) if args.samples else _default_family_samples(family)
+    samples = _parse_samples(args.samples) if args.samples else _default_samples(family.params)
     try:
         rep = check_stability_hypotheses(family, samples)
     except StabilityInputError as e:
@@ -572,7 +570,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"nilcoh: {e}", file=sys.stderr)
         return 2
-    except (DeformationError, ScalarEvalError) as e:
+    except (DeformationError, ScalarEvalError, StructureError) as e:
         print(f"nilcoh: {e}", file=sys.stderr)
         return 1
     except DslError as e:

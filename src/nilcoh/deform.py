@@ -9,13 +9,9 @@ relation into d(eta^i) = sum_j A_ij d(phi^j) + B_ij conj(d(phi^j)).
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
-from .gauss import GaussRat
 from .scalar import ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement
-from .algebra import AlgebraSpec
+from .algebra import AlgebraSpec, StructureError
 from . import linalg
 
 
@@ -83,39 +79,41 @@ def combined_matrix(A, B):
     return top + bot
 
 
-def frame_change(family, assign):
-    """Structure equations of the base rewritten in the deformed coframe.
+def deformed_frame(family, assign):
+    """The deformed structure and a map rewriting base-coframe forms in it.
 
-    Returns a parameter-free AlgebraSpec in the eta-generators.  Raises
-    DeformationError when the frame matrix is singular at the assignment.
+    Returns (spec, to_eta): the parameter-free AlgebraSpec in the
+    eta-generators, and a function taking a form written in the base coframe
+    to the same form written in the deformed coframe.  The frame matrix is
+    inverted once for both.  Raises DeformationError when it is singular at
+    the assignment.
     """
     n = family.base.n
     A, B = family.matrices_at(assign)
-    comb = combined_matrix(A, B)
-    inv = linalg.mat_inverse(comb)
+    inv = linalg.mat_inverse(combined_matrix(A, B))
     if inv is None:
         raise DeformationError(
             f"frame matrix is singular at {_fmt_assign(assign)}"
         )
-    base = family.base.evaluate(assign) if family.base.params else family.base
 
     # phi = inv . eta, so phi^j is row j of inv and phi^jbar is row n+j
-    def phi_in_eta(j, barred):
-        row = inv[n + j if barred else j]
-        out = BigradedElement.zero()
-        for c in range(n):
-            if row[c]:
-                out = out + BigradedElement.gen(c + 1, barred=False, coeff=row[c])
-        for c in range(n):
-            if row[n + c]:
-                out = out + BigradedElement.gen(c + 1, barred=True, coeff=row[n + c])
-        return out
-
     sub = {}
     for j in range(n):
-        sub[(False, j + 1)] = phi_in_eta(j, False)
-        sub[(True, j + 1)] = phi_in_eta(j, True)
+        for barred in (False, True):
+            row = inv[n + j if barred else j]
+            out = BigradedElement.zero()
+            for c in range(2 * n):
+                if row[c]:
+                    out = out + BigradedElement.gen(
+                        c % n + 1, barred=c >= n, coeff=row[c]
+                    )
+            sub[(barred, j + 1)] = out
 
+    def to_eta(element):
+        el = element.evaluate(assign) if element.params() else element
+        return substitute(el, sub)
+
+    base = family.base.evaluate(assign) if family.base.params else family.base
     d_eta = []
     for i in range(n):
         dphi = BigradedElement.zero()
@@ -124,14 +122,24 @@ def frame_change(family, assign):
                 dphi = dphi + base.d_phi[j].scale(A[i][j])
             if B[i][j]:
                 dphi = dphi + base.d_phi[j].conj().scale(B[i][j])
-        d_eta.append(substitute(dphi, sub))
+        d_eta.append(to_eta(dphi))
 
     name = f"{family.name} at {_fmt_assign(assign)}"
-    return AlgebraSpec(
+    spec = AlgebraSpec(
         name, n, (), d_eta,
         flag_invariant_ok=family.base.flag_invariant_ok,
         note=family.base.note,
     )
+    return spec, to_eta
+
+
+def frame_change(family, assign):
+    """Structure equations of the base rewritten in the deformed coframe.
+
+    Returns a parameter-free AlgebraSpec in the eta-generators.  Raises
+    DeformationError when the frame matrix is singular at the assignment.
+    """
+    return deformed_frame(family, assign)[0]
 
 
 def substitute(element, mapping):
@@ -150,29 +158,6 @@ def substitute(element, mapping):
                     break
         out = out + term
     return out
-
-
-def express_in_frame(element, family, assign):
-    """Rewrite a form in base-coframe coordinates in the deformed coframe."""
-    n = family.base.n
-    A, B = family.matrices_at(assign)
-    comb = combined_matrix(A, B)
-    inv = linalg.mat_inverse(comb)
-    if inv is None:
-        raise DeformationError(f"frame matrix is singular at {_fmt_assign(assign)}")
-    sub = {}
-    for j in range(n):
-        for barred in (False, True):
-            row = inv[n + j if barred else j]
-            out = BigradedElement.zero()
-            for c in range(2 * n):
-                if row[c]:
-                    out = out + BigradedElement.gen(
-                        c % n + 1, barred=c >= n, coeff=row[c]
-                    )
-            sub[(barred, j + 1)] = out
-    el = element.evaluate(assign) if element.params() else element
-    return substitute(el, sub)
 
 
 def real_frame_matrix(family, assign):
@@ -199,48 +184,38 @@ def _fmt_assign(assign):
     return ", ".join(f"{k}={v}" for k, v in sorted(assign.items()))
 
 
-def thread_cap():
-    """Worker cap for sweeps; the NILCOH_THREADS variable overrides."""
-    env = os.environ.get("NILCOH_THREADS", "").strip()
-    if env:
-        try:
-            cap = int(env)
-        except ValueError:
-            raise ValueError(f"NILCOH_THREADS must be an integer, got {env!r}")
-        if cap < 1:
-            raise ValueError("NILCOH_THREADS must be at least 1")
-        return cap
-    return min(8, os.cpu_count() or 1)
+def assignment_strings(assign):
+    """{name: str(value)} in name order, as reports print an assignment."""
+    return {k: str(v) for k, v in sorted(assign.items())}
+
+
+def concretize(target, assign):
+    """Parameter-free AlgebraSpec of a target at an assignment.
+
+    A DeformationFamily is moved by frame_change; a parametric AlgebraSpec
+    has its parameters substituted; a parameter-free AlgebraSpec is returned
+    as-is, whatever the assignment.
+    """
+    if isinstance(target, DeformationFamily):
+        return frame_change(target, assign)
+    if target.params:
+        return target.evaluate(assign)
+    return target
 
 
 def sweep(target, assignments, task):
-    """Run task(structure_at_sample) per assignment, deterministically ordered.
+    """Run task(concretize(target, assign)) per assignment, in input order.
 
-    `target` is a DeformationFamily (each sample concretized by frame_change)
-    or an AlgebraSpec (parameters substituted directly; a parameter-free
-    structure is reused as-is, so every row reproduces the base).  Results
-    come back in the order of `assignments` regardless of the worker count;
-    a failing sample contributes {"error": ...} instead of stopping the sweep.
+    `target` is a DeformationFamily or an AlgebraSpec.  A failing sample
+    (singular frame, vanishing denominator, invalid structure) contributes
+    {"error": ...} instead of stopping the sweep.
     """
-    assignments = list(assignments)
-
-    def concretize(assign):
-        if isinstance(target, DeformationFamily):
-            return frame_change(target, assign)
-        if target.params:
-            return target.evaluate(assign)
-        return target
-
-    def run(assign):
+    rows = []
+    for assign in assignments:
+        row = {"assign": assignment_strings(assign)}
         try:
-            return {"assign": {k: str(v) for k, v in sorted(assign.items())},
-                    "result": task(concretize(assign))}
-        except (DeformationError, ScalarEvalError) as e:
-            return {"assign": {k: str(v) for k, v in sorted(assign.items())},
-                    "error": str(e)}
-
-    workers = min(thread_cap(), max(1, len(assignments)))
-    if workers == 1:
-        return [run(a) for a in assignments]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, assignments))
+            row["result"] = task(concretize(target, assign))
+        except (DeformationError, ScalarEvalError, StructureError) as e:
+            row["error"] = str(e)
+        rows.append(row)
+    return rows

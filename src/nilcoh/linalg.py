@@ -312,12 +312,14 @@ def vec_to_element(basis, vec):
 class OperatorCache:
     """Matrices of d, del, delbar, deldelbar on a concrete structure.
 
-    The spec object must expose .n and .d(element); all matrices are built
+    The spec is a parameter-free AlgebraSpec; one that is not integrable or
+    has d^2 != 0 is rejected with StructureError.  All matrices are built
     lazily and memoized.  Matrices act on column vectors; stored as rows.
     """
 
     def __init__(self, spec):
         assert not spec.params, "operator matrices need a fully assigned structure"
+        spec.check()
         self.spec = spec
         self.n = spec.n
         self._bases = {}

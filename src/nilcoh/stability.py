@@ -25,8 +25,9 @@ from __future__ import annotations
 
 from .gauss import ONE, ZERO
 from .linalg import OperatorCache, solve
-from .deform import DeformationError, express_in_frame, frame_change
+from .deform import DeformationError, assignment_strings, deformed_frame
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
+from .symplectic import is_nondegenerate
 
 
 class StabilityInputError(ValueError):
@@ -79,20 +80,6 @@ class HypothesisReport:
         }
 
 
-def _fmt_assign(assign):
-    return {k: str(v) for k, v in sorted(assign.items())}
-
-
-def _omega_is_nondegenerate(base, omega):
-    """Top wedge power of a (2,0)-form has a nonzero full-holomorphic coefficient."""
-    n = base.n
-    if n % 2:
-        return False
-    top = omega.wedge_power(n // 2)
-    coeff = top.coeff((tuple(range(1, n + 1)), ()))
-    return not coeff.is_zero()
-
-
 def _zero_assignment(params):
     return {p: ZERO for p in params}
 
@@ -119,19 +106,19 @@ def check_stability_hypotheses(family, samples, omega=None):
     if base.params:
         base = base.evaluate(_zero_assignment(base.params))
     omega_closed = base.d(omega).is_zero()
-    omega_nondeg = _omega_is_nondegenerate(base, omega)
+    omega_nondeg = is_nondegenerate(omega, base.n)
 
     rows = []
     for assign in samples:
-        row = {"assign": _fmt_assign(assign)}
+        row = {"assign": assignment_strings(assign)}
         try:
-            spec = frame_change(family, assign)
-            omega_t = express_in_frame(omega, family, assign)
+            spec, to_eta = deformed_frame(family, assign)
         except DeformationError as e:
             row["error"] = str(e)
             rows.append(row)
             continue
         ops = OperatorCache(spec)
+        omega_t = to_eta(omega)
 
         row["h20_bott_chern"] = bott_chern(ops, 2, 0).dim
 

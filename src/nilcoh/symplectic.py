@@ -43,6 +43,14 @@ def _top_coeff(element, n):
     return element.coeff((tuple(range(1, n + 1)), ()))
 
 
+def is_nondegenerate(form, n):
+    """Does the (n/2)-th wedge power of a (2,0)-form reach the full
+    holomorphic monomial?  Always false in odd complex dimension n."""
+    if n % 2:
+        return False
+    return not _top_coeff(form.wedge_power(n // 2), n).is_zero()
+
+
 def nondegeneracy_polynomial(ops, closed=None):
     """P(a1..as): top-monomial coefficient of the m-th wedge power.
 
@@ -140,7 +148,7 @@ def find_symplectic(ops, flag_invariant_ok=None):
         for aj, e in zip(point, elems):
             if aj:
                 comb = comb + e.scale(GaussRat(aj))
-        if not _top_coeff(comb.wedge_power(m), n).is_zero():
+        if is_nondegenerate(comb, n):
             witness_coeffs = [GaussRat(aj) for aj in point]
             witness = comb
             break
@@ -197,7 +205,7 @@ def _check_witness(ops, witness):
         raise SymplecticError("witness must be a nonzero (2,0)-form")
     if not ops.spec.d(witness).is_zero():
         raise SymplecticError("witness is not d-closed")
-    if _top_coeff(witness.wedge_power(n // 2), n).is_zero():
+    if not is_nondegenerate(witness, n):
         raise SymplecticError("witness is degenerate")
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from nilcoh.catalog import get
-from nilcoh.deform import frame_change
+from nilcoh.deform import concretize
 from nilcoh.dsl import parse_gauss
 from nilcoh.linalg import OperatorCache
 
@@ -28,14 +28,9 @@ def ops_for(name, **assign):
     key = (name, tuple(sorted(assign.items())))
     if key not in _CACHE:
         entry = get(name)
-        spec = entry.spec
-        if assign:
-            values = {k: parse_gauss(v) for k, v in assign.items()}
-            if entry.family is not None and not spec.params:
-                spec = frame_change(entry.family, values)
-            else:
-                spec = spec.evaluate(values)
-        _CACHE[key] = OperatorCache(spec)
+        values = {k: parse_gauss(v) for k, v in assign.items()}
+        target = entry.family if assign and entry.family is not None else entry.spec
+        _CACHE[key] = OperatorCache(concretize(target, values))
     return _CACHE[key]
 
 

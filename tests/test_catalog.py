@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import validation_for
-from nilcoh.catalog import CatalogError, catalog, get
+from nilcoh.catalog import CatalogEntry, CatalogError, catalog, get
 from nilcoh.deform import frame_change
 from nilcoh.dsl import parse, parse_gauss, pretty
 from nilcoh.gauss import GaussRat
@@ -27,6 +27,7 @@ EXPECTED_ORDER = [
 def test_listing_order_and_freshness():
     names = [e.name for e in catalog()]
     assert names == EXPECTED_ORDER
+    assert [get(name).name for name in names] == names
     a, b = catalog(), catalog()
     assert a is not b and a[0] is not b[0]
 
@@ -36,6 +37,22 @@ def test_get_unknown_name_lists_known_entries():
         get("nope")
     with pytest.raises(CatalogError, match="iwasawa_sigma_family"):
         get("nope")
+
+
+def test_get_builds_only_the_named_entry(monkeypatch):
+    built = []
+    init = CatalogEntry.__init__
+
+    def counting_init(self, *args, **kw):
+        built.append(args[0])
+        init(self, *args, **kw)
+
+    monkeypatch.setattr(CatalogEntry, "__init__", counting_init)
+    assert get("torus2").name == "torus2"
+    assert built == ["torus2"]
+    with pytest.raises(CatalogError):
+        get("nope")
+    assert built == ["torus2"]
 
 
 def test_every_entry_validates():

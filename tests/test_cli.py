@@ -53,6 +53,31 @@ def test_bad_dsl_file_is_usage_error(tmp_path):
     assert proc.stdout == ""
 
 
+def test_non_integrable_structure_is_rejected(tmp_path):
+    p = tmp_path / "bad3.alg"
+    p.write_text('algebra "bad3" dim 3\nd f3 = F1^F2\n')
+    proc = run("cohomology", str(p))
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "nilcoh: structure 'bad3' is not integrable: d f3 has the (0,2) part F1^F2\n"
+    )
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_d_squared_nonzero_is_rejected(tmp_path, flags):
+    p = tmp_path / "d2bad.alg"
+    p.write_text('algebra "d2bad" dim 3\nd f2 = f1^F1\nd f3 = f2^F2\n')
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "nilcoh", "cohomology", str(p),
+         "--theory", "dr", "--degree", "2"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("nilcoh: structure 'd2bad' has d^2 != 0: d(d f3) = ")
+    assert proc.stdout == ""
+
+
 def test_unknown_catalog_name_lists_entries():
     proc = run("cohomology", "@nope")
     assert proc.returncode == 2

@@ -1,7 +1,5 @@
 """Deformation frames: exact change of coframe and parameter sweeps."""
 
-import os
-
 import pytest
 
 from nilcoh.catalog import catalog, get
@@ -11,7 +9,6 @@ from nilcoh.deform import (
     DeformationFamily,
     frame_change,
     sweep,
-    thread_cap,
 )
 from nilcoh.dsl import parse_gauss
 from nilcoh.linalg import OperatorCache
@@ -128,16 +125,6 @@ def test_sweep_on_parameter_free_structure_repeats_base():
     rows = sweep(spec, [{"x": parse_gauss("0")}, {"x": parse_gauss("5")}],
                  lambda s: _eqs(s))
     assert rows[0]["result"] == rows[1]["result"] == ["0", "0", "0", "0"]
-
-
-def test_thread_cap_respects_environment(monkeypatch):
-    monkeypatch.setenv("NILCOH_THREADS", "3")
-    assert thread_cap() == 3
-    monkeypatch.setenv("NILCOH_THREADS", "0")
-    with pytest.raises(ValueError):
-        thread_cap()
-    monkeypatch.delenv("NILCOH_THREADS")
-    assert thread_cap() >= 1
 
 
 def test_sweep_result_independent_of_thread_cap(monkeypatch):
