@@ -300,13 +300,12 @@ def _cmd_frolicher(args):
     concrete = _concretize(entry, spec, assign)
     ops = OperatorCache(concrete)
     page, certificate = frolicher.degeneration_page(ops)
-    last = max(page, args.max_page or page)
-    pages = {}
-    for r in range(1, last + 1):
-        pages[str(r)] = frolicher.spectral_page(ops, r).as_dict()["dims"]
+    pages = certificate["pages"]
+    for r in range(page + 1, (args.max_page or 0) + 1):
+        pages.append(frolicher.spectral_page(ops, r))
     results = {
         "scope": cohomology.invariant_level_banner(concrete),
-        "pages": pages,
+        "pages": {str(pg.r): pg.as_dict()["dims"] for pg in pages},
         "degeneration_page": page,
         "betti": {str(k): v for k, v in certificate["betti"].items()},
         "e_infinity": {

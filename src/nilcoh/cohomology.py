@@ -17,34 +17,57 @@ surfaced as a banner, never silently assumed.
 
 from __future__ import annotations
 
-from .linalg import Subspace, apply_rows, kernel_basis, quotient_representatives, solve
+from functools import reduce
 
-THEORIES = ("de_rham", "dolbeault", "del", "bott_chern", "aeppli")
+from .linalg import ZERO, Subspace, apply_rows, quotient_representatives, solve
+
+# theory -> (operator whose kernel is the numerator, its closedness wording,
+#            the (operator, source-degree shift) pairs whose images span the
+#            denominator).  Operators are named as in OperatorCache.rows.
+THEORY_TABLE = {
+    "de_rham": ("d", "d-closed", (("d", -1),)),
+    "dolbeault": ("delbar", "delbar-closed", (("delbar", (0, -1)),)),
+    "del": ("del", "del-closed", (("del", (-1, 0)),)),
+    "bott_chern": ("d", "del- and delbar-closed", (("dd", (-1, -1)),)),
+    "aeppli": ("dd", "del.delbar-closed", (("del", (-1, 0)), ("delbar", (0, -1)))),
+}
+THEORIES = tuple(THEORY_TABLE)
+
+
+def _shift(key, by):
+    if isinstance(key, int):
+        return key + by
+    return (key[0] + by[0], key[1] + by[1])
+
+
+def _denominator(ops, theory, key):
+    images = [ops.image(op, _shift(key, by)) for op, by in THEORY_TABLE[theory][2]]
+    return reduce(Subspace.add, images)
 
 
 class CohomologyGroup:
-    """One cohomology space: numerator/denominator subspaces plus representatives."""
+    """One cohomology space: numerator/denominator subspaces; representatives
+    are computed the first time they are read."""
 
-    __slots__ = ("theory", "degree", "numerator", "denominator", "reps", "ops")
+    __slots__ = ("theory", "degree", "numerator", "denominator", "dim", "ops", "_reps")
 
     def __init__(self, theory, degree, numerator, denominator, ops):
-        assert numerator.contains_subspace(denominator), (
-            f"{theory} {degree}: denominator escapes numerator"
-        )
+        self.dim = numerator.quotient_dim(denominator, f"{theory} {degree}")
         self.theory = theory
         self.degree = degree
         self.numerator = numerator
         self.denominator = denominator
         self.ops = ops
-        key = degree if isinstance(degree, int) else tuple(degree)
-        self.reps = [
-            ops.to_element(key, v)
-            for v in quotient_representatives(numerator, denominator)
-        ]
+        self._reps = None
 
     @property
-    def dim(self):
-        return self.numerator.dim - self.denominator.dim
+    def reps(self):
+        if self._reps is None:
+            self._reps = [
+                self.ops.to_element(self.degree, v)
+                for v in quotient_representatives(self.numerator.rows, self.denominator)
+            ]
+        return self._reps
 
     def as_dict(self):
         deg = self.degree if isinstance(self.degree, int) else list(self.degree)
@@ -56,36 +79,29 @@ class CohomologyGroup:
         }
 
 
+def _group(ops, theory, key):
+    num = ops.kernel(THEORY_TABLE[theory][0], key)
+    return CohomologyGroup(theory, key, num, _denominator(ops, theory, key), ops)
+
+
 def de_rham(ops, k):
-    ker = ops.kernel(ops.d_total(k), k)
-    img = ops.image(ops.d_total(k - 1), k - 1, k)
-    return CohomologyGroup("de_rham", k, ker, img, ops)
+    return _group(ops, "de_rham", k)
 
 
 def dolbeault(ops, p, q):
-    ker = ops.kernel(ops.delbar_pq(p, q), (p, q))
-    img = ops.image(ops.delbar_pq(p, q - 1), (p, q - 1), (p, q))
-    return CohomologyGroup("dolbeault", (p, q), ker, img, ops)
+    return _group(ops, "dolbeault", (p, q))
 
 
 def del_cohomology(ops, p, q):
-    ker = ops.kernel(ops.del_pq(p, q), (p, q))
-    img = ops.image(ops.del_pq(p - 1, q), (p - 1, q), (p, q))
-    return CohomologyGroup("del", (p, q), ker, img, ops)
+    return _group(ops, "del", (p, q))
 
 
 def bott_chern(ops, p, q):
-    ker = ops.kernel(ops.del_pq(p, q) + ops.delbar_pq(p, q), (p, q))
-    img = ops.image(ops.deldelbar_pq(p - 1, q - 1), (p - 1, q - 1), (p, q))
-    return CohomologyGroup("bott_chern", (p, q), ker, img, ops)
+    return _group(ops, "bott_chern", (p, q))
 
 
 def aeppli(ops, p, q):
-    ker = ops.kernel(ops.deldelbar_pq(p, q), (p, q))
-    img = ops.image(ops.del_pq(p - 1, q), (p - 1, q), (p, q)).add(
-        ops.image(ops.delbar_pq(p, q - 1), (p, q - 1), (p, q))
-    )
-    return CohomologyGroup("aeppli", (p, q), ker, img, ops)
+    return _group(ops, "aeppli", (p, q))
 
 
 def group(ops, theory, degree):
@@ -135,67 +151,31 @@ def class_is_trivial(ops, theory, element):
         degs = {p + q for p, q in element.bidegrees()}
         if len(degs) > 1:
             raise NotInNumerator("mixed total degree")
-        k = degs.pop() if degs else 0
-        key, prev = k, k - 1
-        vec = ops.to_vec(key, element)
-        if any(apply_rows(ops.d_total(k), vec)):
-            raise NotInNumerator("form is not d-closed")
-        op_prev = ops.d_total(prev)
+        key = degs.pop() if degs else 0
     else:
         bidegs = element.bidegrees()
         if len(bidegs) > 1:
             raise NotInNumerator("form is not of pure bidegree")
-        p, q = bidegs.pop() if bidegs else (0, 0)
-        key = (p, q)
-        vec = ops.to_vec(key, element)
-        if theory == "dolbeault":
-            if any(apply_rows(ops.delbar_pq(p, q), vec)):
-                raise NotInNumerator("form is not delbar-closed")
-            prev, op_prev = (p, q - 1), ops.delbar_pq(p, q - 1)
-        elif theory == "del":
-            if any(apply_rows(ops.del_pq(p, q), vec)):
-                raise NotInNumerator("form is not del-closed")
-            prev, op_prev = (p - 1, q), ops.del_pq(p - 1, q)
-        elif theory == "bott_chern":
-            if any(apply_rows(ops.del_pq(p, q), vec)) or any(
-                apply_rows(ops.delbar_pq(p, q), vec)
-            ):
-                raise NotInNumerator("form is not del- and delbar-closed")
-            prev, op_prev = (p - 1, q - 1), ops.deldelbar_pq(p - 1, q - 1)
-        elif theory == "aeppli":
-            if any(apply_rows(ops.deldelbar_pq(p, q), vec)):
-                raise NotInNumerator("form is not del.delbar-closed")
-            # denominator im del + im delbar: solve the stacked system
-            rows_del = ops.del_pq(p - 1, q)
-            rows_dbar = ops.delbar_pq(p, q - 1)
-            na = ops.dims((p - 1, q))
-            nb = ops.dims((p, q - 1))
-            stacked = [
-                list(ra) + list(rb) for ra, rb in zip(rows_del, rows_dbar)
-            ]
-            x = solve(stacked, vec)
-            if x is None:
-                img = ops.image(rows_del, (p - 1, q), key).add(
-                    ops.image(rows_dbar, (p, q - 1), key)
-                )
-                return False, ops.to_element(key, img.reduce(vec))
-            return True, (
-                ops.to_element((p - 1, q), x[:na]),
-                ops.to_element((p, q - 1), x[na : na + nb]),
-            )
-        else:
-            raise ValueError(f"unknown theory {theory!r}")
+        key = bidegs.pop() if bidegs else (0, 0)
+    if theory not in THEORY_TABLE:
+        raise ValueError(f"unknown theory {theory!r}")
+    num_op, closed, images = THEORY_TABLE[theory]
+    vec = ops.to_vec(key, element)
+    if any(apply_rows(ops.rows(num_op, key), vec)):
+        raise NotInNumerator(f"form is not {closed}")
 
-    # single-operator denominators: solve op_prev y = vec
-    ncols = ops.dims(prev)
-    x = solve(op_prev, vec) if ncols else None
+    # solve for all primitives at once: [A | B] (x, y) = vec
+    sources = [_shift(key, by) for _, by in images]
+    mats = [ops.rows(op, src) for (op, _), src in zip(images, sources)]
+    x = solve([[a for row in rows for a in row] for rows in zip(*mats)], vec)
     if x is None:
-        img = ops.image(op_prev, prev, key)
-        residue = img.reduce(vec)
-        if not any(residue):
-            return True, ops.to_element(prev, [0] * ncols)
-        return False, ops.to_element(key, residue)
-    return True, ops.to_element(prev, x)
+        return False, ops.to_element(key, _denominator(ops, theory, key).reduce(vec))
+    prims = []
+    for src in sources:
+        width = ops.dims(src)
+        prims.append(ops.to_element(src, x[:width]))
+        x = x[width:]
+    return True, prims[0] if len(prims) == 1 else tuple(prims)
 
 
 # ---------------------------------------------------------------------------
@@ -240,105 +220,72 @@ class PureFullReport:
         }
 
 
-def _dr_quotient_setup(ops, k):
-    """(kernel, image, reducer pi) for H^k; pi is linear with kernel im d."""
-    ker = ops.kernel(ops.d_total(k), k)
-    img = ops.image(ops.d_total(k - 1), k - 1, k)
-    return ker, img, img.reduce
+def _pure_type_classes(ops, k):
+    """{(p,q): (closed, classes)} over p+q = k in descending p.
 
-
-def _closed_pq_in_total(ops, p, q):
-    """d-closed (p,q)-forms as vectors in Lambda^{p+q} coordinates."""
-    from .gauss import GaussRat
-
-    k = p + q
-    rows = ops.del_pq(p, q) + ops.delbar_pq(p, q)
-    vecs = kernel_basis(rows, ops.dims((p, q)))
-    basis_pq, _ = ops.basis((p, q))
+    closed lists the d-closed (p,q)-forms (the raw kernel basis, in order)
+    as Lambda^k-coordinate vectors; classes is the span of their residues
+    modulo im d, i.e. the subgroup H^{p,q}_J of H^k_dR.
+    """
+    img = ops.image("d", k - 1)
+    amb = ops.dims(k)
     _, idx_total = ops.basis(k)
-    out = []
-    for v in vecs:
-        w = [GaussRat(0)] * ops.dims(k)
-        for m, c in zip(basis_pq, v):
-            w[idx_total[m]] = c
-        out.append(w)
+    out = {}
+    for p in range(min(k, ops.n), max(0, k - ops.n) - 1, -1):
+        basis_pq, _ = ops.basis((p, k - p))
+        closed = []
+        for v in ops.kernel_vectors("d", (p, k - p)):
+            w = [ZERO] * amb
+            for m, c in zip(basis_pq, v):
+                w[idx_total[m]] = c
+            closed.append(w)
+        out[(p, k - p)] = (closed, Subspace.from_vectors(amb, [img.reduce(w) for w in closed]))
     return out
 
 
 def pure_full(ops, k):
     """Stage-k report on the H^{p,q}_J subgroups of H^k_dR."""
-    n = ops.n
-    ker, img, pi = _dr_quotient_setup(ops, k)
-    amb = ops.dims(k)
-    h_image = Subspace.from_vectors(amb, [pi(r) for r in ker.rows])
-
-    cells = [(p, k - p) for p in range(min(k, n), -1, -1) if 0 <= k - p <= n]
-    images = {}
-    reps = {}
-    for (p, q) in cells:
-        vecs = _closed_pq_in_total(ops, p, q)
-        images[(p, q)] = Subspace.from_vectors(amb, [pi(v) for v in vecs])
-        # greedy pure-type representatives whose classes span the subgroup
-        chosen = []
-        span = Subspace.zero(amb)
-        for v in vecs:
-            red = pi(v)
-            if not span.contains(red):
-                chosen.append(ops.to_element((p, q), _restrict(ops, p, q, v)))
-                span = span.add(Subspace.from_vectors(amb, [red]))
-        reps[(p, q)] = chosen
-
-    total = None
-    sum_space = Subspace.zero(amb)
-    for c in cells:
-        sum_space = sum_space.add(images[c])
-        total = images[c] if total is None else total.intersect(images[c])
+    pure = _pure_type_classes(ops, k)
+    cells = list(pure)
+    images = {c: classes for c, (_, classes) in pure.items()}
+    img = ops.image("d", k - 1)
 
     report = PureFullReport()
     report.stage = k
-    report.betti = h_image.dim
+    report.betti = betti(ops, k)
     report.group_dims = {c: images[c].dim for c in cells}
-    report.group_reps = reps
-    report.sum_dim = sum_space.dim
+    # pure-type representatives whose classes span each subgroup
+    report.group_reps = {
+        c: [ops.to_element(k, v) for v in quotient_representatives(closed, img)]
+        for c, (closed, _) in pure.items()
+    }
+    report.sum_dim = reduce(Subspace.add, images.values(), Subspace.zero(ops.dims(k))).dim
     report.pairwise = {
         (a, b): images[a].intersect(images[b]).dim
         for i, a in enumerate(cells)
         for b in cells[i + 1 :]
     }
-    report.total_intersection_dim = total.dim if total is not None else 0
+    report.total_intersection_dim = (
+        reduce(Subspace.intersect, images.values()).dim if cells else 0
+    )
     report.single_group = len(cells) == 1
     # a single-subgroup stage is pure by convention (the intersection over a
     # one-element family is the subgroup itself, which carries no clash)
     report.pure = report.single_group or report.total_intersection_dim == 0
-    report.full = sum_space == h_image
+    # every subgroup lies in H^k_dR, so their sum is all of it iff the
+    # dimensions agree
+    report.full = report.sum_dim == report.betti
     return report
-
-
-def _restrict(ops, p, q, total_vec):
-    """Project a Lambda^{p+q}-coordinate vector back to (p,q) coordinates."""
-    basis_pq, _ = ops.basis((p, q))
-    _, idx_total = ops.basis(p + q)
-    return [total_vec[idx_total[m]] for m in basis_pq]
 
 
 def class_in_pure_sum(ops, k, element):
     """Does the de Rham class of `element` lie in sum_{p+q=k} H^{p,q}_J?"""
-    n = ops.n
-    _, _, pi = _dr_quotient_setup(ops, k)
-    amb = ops.dims(k)
     vec = ops.to_vec(k, element)
     if any(apply_rows(ops.d_total(k), vec)):
         raise NotInNumerator("form is not d-closed")
-    sum_space = Subspace.zero(amb)
-    for p in range(min(k, n), -1, -1):
-        q = k - p
-        if not 0 <= q <= n:
-            continue
-        vecs = _closed_pq_in_total(ops, p, q)
-        sum_space = sum_space.add(
-            Subspace.from_vectors(amb, [pi(v) for v in vecs])
-        )
-    return sum_space.contains(pi(vec))
+    classes = [c for _, c in _pure_type_classes(ops, k).values()]
+    sum_space = reduce(Subspace.add, classes, Subspace.zero(ops.dims(k)))
+    return sum_space.contains(ops.image("d", k - 1).reduce(vec))
 
 
 def invariant_level_banner(spec):

@@ -18,9 +18,11 @@ by leading holomorphic degree; both identities are exposed for testing.
 
 from __future__ import annotations
 
-from .gauss import ONE, ZERO
+from .cohomology import betti
+from .gauss import ZERO
 from .linalg import (
     Subspace,
+    kernel_basis,
     quotient_representatives,
     stacked_kernel_image,
     stacked_kernel_projection,
@@ -30,6 +32,8 @@ from .linalg import (
 def x_space(ops, r, p, q):
     """Zig-zag-solvable (p,q)-forms on page r, as a Subspace of Lambda^{p,q}."""
     assert r >= 1
+    if r == 1:
+        return ops.kernel("delbar", (p, q))
     blocks = [ops.dims((p + j, q - j)) for j in range(r)]
     rows = [(ops.dims((p, q + 1)), {0: ops.delbar_pq(p, q)})]
     for j in range(1, r):
@@ -49,7 +53,7 @@ def y_space(ops, r, p, q):
     """Boundary subspace of Lambda^{p,q} on page r."""
     assert r >= 1
     if r == 1:
-        return ops.image(ops.delbar_pq(p, q - 1), (p, q - 1), (p, q))
+        return ops.image("delbar", (p, q - 1))
     blocks = [ops.dims((p - r + 1 + j, q + r - 2 - j)) for j in range(r)]
     rows = [
         (ops.dims((p - r + 1, q + r - 1)), {0: ops.delbar_pq(p - r + 1, q + r - 2)})
@@ -71,17 +75,22 @@ def y_space(ops, r, p, q):
     return stacked_kernel_image(blocks, rows, out)
 
 
-def spectral_cell(ops, r, p, q):
-    """One page cell: dimension plus the two subspaces and representatives."""
+def _cell(ops, r, p, q):
+    """(cycles, boundaries, dim) of one page cell, containment checked."""
     x = x_space(ops, r, p, q)
     y = y_space(ops, r, p, q)
-    assert x.contains_subspace(y), "boundary space escapes the cycle space"
-    reps = [ops.to_element((p, q), v) for v in quotient_representatives(x, y)]
+    return x, y, x.quotient_dim(y, f"page {r} cell ({p},{q})")
+
+
+def spectral_cell(ops, r, p, q):
+    """One page cell: dimension plus the two subspaces and representatives."""
+    x, y, dim = _cell(ops, r, p, q)
+    reps = [ops.to_element((p, q), v) for v in quotient_representatives(x.rows, y)]
     return {
         "r": r,
         "p": p,
         "q": q,
-        "dim": x.dim - y.dim,
+        "dim": dim,
         "cycles": x,
         "boundaries": y,
         "representatives": reps,
@@ -109,23 +118,8 @@ class SpectralPage:
 
 def spectral_page(ops, r):
     n = ops.n
-    dims = {}
-    for p in range(n + 1):
-        for q in range(n + 1):
-            x = x_space(ops, r, p, q)
-            y = y_space(ops, r, p, q)
-            assert x.contains_subspace(y)
-            dims[(p, q)] = x.dim - y.dim
+    dims = {(p, q): _cell(ops, r, p, q)[2] for p in range(n + 1) for q in range(n + 1)}
     return SpectralPage(r, dims)
-
-
-def _prefix_subspace(amb, m):
-    rows = []
-    for i in range(m):
-        v = [ZERO] * amb
-        v[i] = ONE
-        rows.append(v)
-    return Subspace.from_vectors(amb, rows)
 
 
 def e_infinity(ops):
@@ -134,39 +128,30 @@ def e_infinity(ops):
 
     Independent of the zig-zag route; used to certify stabilization.  The
     total-degree bases list bidegree blocks in descending holomorphic degree,
-    so each F^p is spanned by a coordinate prefix.
+    so each F^p is spanned by a coordinate prefix, and F^p cap ker d is the
+    zero-padded kernel of d on the first columns.
     """
     n = ops.n
     dims = {}
     for k in range(2 * n + 1):
         amb = ops.dims(k)
-        ker = ops.kernel(ops.d_total(k), k)
-        img = ops.image(ops.d_total(k - 1), k - 1, k)
-        prefix = {}
-        pos = 0
-        for p in range(min(k, n), -1, -1):
-            q = k - p
-            if 0 <= q <= n:
-                pos += ops.dims((p, q))
-            prefix[p] = pos
-        for p in range(min(k, n), -1, -1):
-            q = k - p
-            if not 0 <= q <= n:
-                continue
-            big = _prefix_subspace(amb, prefix[p]).intersect(ker).add(img)
-            small = _prefix_subspace(amb, prefix.get(p + 1, 0)).intersect(ker).add(img)
-            dims[(p, q)] = big.dim - small.dim
+        d = ops.d_total(k)
+        img = ops.image("d", k - 1)
+        prev, width = img.dim, 0
+        for p in range(min(k, n), max(0, k - n) - 1, -1):
+            width += ops.dims((p, k - p))
+            closed = [
+                v + [ZERO] * (amb - width)
+                for v in kernel_basis([row[:width] for row in d], width)
+            ]
+            cur = img.add(Subspace.from_vectors(amb, closed)).dim
+            dims[(p, k - p)] = cur - prev
+            prev = cur
     return dims
 
 
 def betti_numbers(ops):
-    n = ops.n
-    out = {}
-    for k in range(2 * n + 1):
-        ker = ops.kernel(ops.d_total(k), k)
-        img = ops.image(ops.d_total(k - 1), k - 1, k)
-        out[k] = ker.dim - img.dim
-    return out
+    return {k: betti(ops, k) for k in range(2 * ops.n + 1)}
 
 
 def degeneration_page(ops, max_page=None):
@@ -176,20 +161,24 @@ def degeneration_page(ops, max_page=None):
     already stable; the dimension certificate (page total = Betti number for
     all k) is equivalent to stabilization because cell dims never increase
     with r and the limit totals are the Betti numbers.
-    Returns (r, certificate dict).
+    Returns (r, certificate dict); the certificate's "pages" lists the
+    pages 1..r it built.
     """
     n = ops.n
     if max_page is None:
         max_page = n + 1
     target = betti_numbers(ops)
+    pages = []
     for r in range(1, max_page + 1):
         page = spectral_page(ops, r)
+        pages.append(page)
         totals = {k: page.total(k) for k in range(2 * n + 1)}
         if totals == target:
             return r, {
                 "page_totals": totals,
                 "betti": target,
                 "e_infinity": e_infinity(ops),
+                "pages": pages,
             }
     raise AssertionError(
         f"no stabilization by page {max_page}; zig-zag routine is inconsistent"

@@ -18,6 +18,11 @@ ZERO = GaussRat(0)
 ONE = GaussRat(1)
 
 
+class InternalError(AssertionError):
+    """An exactness invariant failed: a bug in nilcoh, never a property of
+    the input.  Raised explicitly, so it also fires under `python -O`."""
+
+
 # ---------------------------------------------------------------------------
 # dense RREF and friends (rows are lists of GaussRat)
 
@@ -40,12 +45,14 @@ def rref(rows):
             continue
         m[r], m[pr] = m[pr], m[r]
         inv = ONE / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+        # zero entries stay the shared ZERO: memoised subspaces keep their
+        # rows, which are mostly zeros
+        m[r] = [x * inv if x else ZERO for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c]:
                 f = m[i][c]
                 mi, mr = m[i], m[r]
-                m[i] = [a - f * b for a, b in zip(mi, mr)]
+                m[i] = [a - f * b if b else a for a, b in zip(mi, mr)]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -187,9 +194,10 @@ class Subspace:
             vectors.append(v)
         return Subspace.from_vectors(self.ambient, vectors)
 
-    def quotient_dim(self, sub):
-        """dim(self / sub) for sub a subspace of self (checked)."""
-        assert self.contains_subspace(sub), "quotient denominator not contained in numerator"
+    def quotient_dim(self, sub, what="quotient"):
+        """dim(self / sub); raises InternalError unless sub lies in self."""
+        if not self.contains_subspace(sub):
+            raise InternalError(f"{what}: denominator escapes numerator")
         return self.dim - sub.dim
 
     def __eq__(self, other):
@@ -201,14 +209,15 @@ class Subspace:
         return f"<subspace dim {self.dim} of Q(i)^{self.ambient}>"
 
 
-def quotient_representatives(num, den):
-    """Deterministic representatives of num/den: greedy over num's echelon rows."""
+def quotient_representatives(vectors, den):
+    """Deterministic representatives of (span(vectors) + den) / den: greedy
+    in the given order, keeping each vector outside den + span(kept)."""
     reps = []
     span = den
-    for row in num.rows:
-        if not span.contains(row):
-            reps.append(row)
-            span = span.add(Subspace.from_vectors(num.ambient, [row]))
+    for v in vectors:
+        if not span.contains(v):
+            reps.append(v)
+            span = span.add(Subspace.from_vectors(den.ambient, [v]))
     return reps
 
 
@@ -310,11 +319,13 @@ def vec_to_element(basis, vec):
 
 
 class OperatorCache:
-    """Matrices of d, del, delbar, deldelbar on a concrete structure.
+    """Matrices of d, del, delbar, deldelbar on a concrete structure, and
+    their kernels and images.
 
     The spec is a parameter-free AlgebraSpec; one that is not integrable or
-    has d^2 != 0 is rejected with StructureError.  All matrices are built
-    lazily and memoized.  Matrices act on column vectors; stored as rows.
+    has d^2 != 0 is rejected with StructureError.  Matrices and subspaces
+    are built lazily, once each, and memoized; callers must not mutate them.
+    Matrices act on column vectors; stored as rows.
     """
 
     def __init__(self, spec):
@@ -323,7 +334,13 @@ class OperatorCache:
         self.spec = spec
         self.n = spec.n
         self._bases = {}
-        self._ops = {}
+        self._memo = {}
+
+    def _get(self, key, build):
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     def basis(self, key):
         """key is (p, q) for a bidegree or an int k for a total degree."""
@@ -355,39 +372,55 @@ class OperatorCache:
 
     def d_total(self, k):
         """d: Lambda^k -> Lambda^{k+1}."""
-        op = self._ops.get(("d", k))
-        if op is None:
-            op = self._matrix(k, k + 1, self.spec.d)
-            self._ops[("d", k)] = op
-        return op
+        return self._get(("d", k), lambda: self._matrix(k, k + 1, self.spec.d))
 
     def del_pq(self, p, q):
         """del: (p,q) -> (p+1,q)."""
-        op = self._ops.get(("del", p, q))
-        if op is None:
-            op = self._matrix((p, q), (p + 1, q), lambda e: self.spec.d(e).project(p + 1, q))
-            self._ops[("del", p, q)] = op
-        return op
+        return self._get(("del", (p, q)), lambda: self._matrix(
+            (p, q), (p + 1, q), lambda e: self.spec.d(e).project(p + 1, q)))
 
     def delbar_pq(self, p, q):
         """delbar: (p,q) -> (p,q+1)."""
-        op = self._ops.get(("delbar", p, q))
-        if op is None:
-            op = self._matrix((p, q), (p, q + 1), lambda e: self.spec.d(e).project(p, q + 1))
-            self._ops[("delbar", p, q)] = op
-        return op
+        return self._get(("delbar", (p, q)), lambda: self._matrix(
+            (p, q), (p, q + 1), lambda e: self.spec.d(e).project(p, q + 1)))
 
     def deldelbar_pq(self, p, q):
         """del∘delbar: (p,q) -> (p+1,q+1)."""
-        op = self._ops.get(("dd", p, q))
-        if op is None:
-            op = self._matrix(
-                (p, q),
-                (p + 1, q + 1),
-                lambda e: self.spec.d(self.spec.d(e).project(p, q + 1)).project(p + 1, q + 1),
-            )
-            self._ops[("dd", p, q)] = op
-        return op
+        return self._get(("dd", (p, q)), lambda: self._matrix(
+            (p, q),
+            (p + 1, q + 1),
+            lambda e: self.spec.d(self.spec.d(e).project(p, q + 1)).project(p + 1, q + 1),
+        ))
+
+    def rows(self, op, key):
+        """Matrix rows of op ("d", "del", "delbar" or "dd") on the space key.
+
+        "d" on a bidegree stacks the del rows over the delbar rows, so its
+        kernel is the d-closed (p,q)-forms.
+        """
+        if op == "d" and isinstance(key, int):
+            return self.d_total(key)
+        if op == "d":
+            return self._get(("d", key), lambda: self.del_pq(*key) + self.delbar_pq(*key))
+        return {"del": self.del_pq, "delbar": self.delbar_pq, "dd": self.deldelbar_pq}[op](*key)
+
+    def kernel_vectors(self, op, key):
+        """The kernel_basis vectors of op on key, in kernel_basis order."""
+        return self._get(("kervec", op, key),
+                         lambda: kernel_basis(self.rows(op, key), self.dims(key)))
+
+    def kernel(self, op, key):
+        """ker op on the space key, as a canonical Subspace."""
+        return self._get(("ker", op, key), lambda: Subspace.from_vectors(
+            self.dims(key), self.kernel_vectors(op, key)))
+
+    def image(self, op, key):
+        """op applied to the space key, as a canonical Subspace of the target."""
+        def build():
+            rows = self.rows(op, key)
+            return Subspace.from_vectors(len(rows), [list(col) for col in zip(*rows)])
+
+        return self._get(("im", op, key), build)
 
     def dims(self, key):
         return len(self.basis(key)[0])
@@ -399,16 +432,6 @@ class OperatorCache:
     def to_element(self, key, vec):
         basis, _ = self.basis(key)
         return vec_to_element(basis, vec)
-
-    def kernel(self, op_rows, src_key):
-        return Subspace.from_vectors(
-            self.dims(src_key), kernel_basis(op_rows, self.dims(src_key))
-        )
-
-    def image(self, op_rows, src_key, dst_key):
-        ncols = self.dims(src_key)
-        vectors = [[row[j] for row in op_rows] for j in range(ncols)]
-        return Subspace.from_vectors(self.dims(dst_key), vectors)
 
 
 def apply_rows(op_rows, vec):

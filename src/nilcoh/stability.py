@@ -24,7 +24,7 @@ scope banner as the cohomology reports.
 from __future__ import annotations
 
 from .gauss import ONE, ZERO
-from .linalg import OperatorCache, solve
+from .linalg import InternalError, OperatorCache, solve
 from .deform import DeformationError, assignment_strings, deformed_frame
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import is_nondegenerate
@@ -238,11 +238,14 @@ def _delta_feasibility(ops, omega_t):
     residue = ops.spec.d(gamma)
     for key in pq_keys:
         residue = residue + alphas[key]
-        assert ops.spec.d(alphas[key]).is_zero()
-    assert (residue - omega_t).is_zero()
+        if not ops.spec.d(alphas[key]).is_zero():
+            raise InternalError(f"correction witness: alpha^{key} is not d-closed")
+    if not (residue - omega_t).is_zero():
+        raise InternalError("correction witness: d(gamma) + alpha != omega")
     pi10_gamma = gamma.project(1, 0)
     dd = ops.spec.d(ops.spec.d(pi10_gamma).project(1, 1)).project(2, 1)
-    assert dd.is_zero()
+    if not dd.is_zero():
+        raise InternalError("correction witness: del delbar of gamma^{1,0} is nonzero")
 
     return {
         "feasible": True,

@@ -21,6 +21,7 @@ from .scalar import ScalarExpr
 from .exterior import BigradedElement
 from . import cohomology
 from .cohomology import NotInNumerator, class_is_trivial, invariant_level_banner
+from .linalg import InternalError
 
 
 class SymplecticError(ValueError):
@@ -29,10 +30,7 @@ class SymplecticError(ValueError):
 
 def closed_20_space(ops):
     """Kernel of d restricted to Lambda^{2,0}, as a canonical Subspace."""
-    rows_del = ops.del_pq(2, 0)
-    rows_delbar = ops.delbar_pq(2, 0)
-    stacked = [list(r) for r in rows_del] + [list(r) for r in rows_delbar]
-    return ops.kernel(stacked, (2, 0))
+    return ops.kernel("d", (2, 0))
 
 
 def closed_20_elements(ops):
@@ -154,7 +152,8 @@ def find_symplectic(ops, flag_invariant_ok=None):
             break
 
     # the symbolic and grid routes must agree (degree <= m per variable)
-    assert (witness is None) == poly.is_zero(), "grid and symbolic routes disagree"
+    if (witness is None) != poly.is_zero():
+        raise InternalError("grid and symbolic routes disagree")
 
     if witness is None:
         if flag_invariant_ok:

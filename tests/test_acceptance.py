@@ -313,8 +313,8 @@ def test_property_suites_over_catalog():
         lim = e_infinity(cache)
         for k in range(2 * n + 1):
             total = sum(d for (p, q), d in lim.items() if p + q == k)
-            ker = cache.kernel(cache.d_total(k), k)
-            img = cache.image(cache.d_total(k - 1), k - 1, k)
+            ker = cache.kernel("d", k)
+            img = cache.image("d", k - 1)
             assert total == ker.dim - img.dim, (label, k)
 
         # rank-nullity with an explicit kernel basis, on every matrix

@@ -1,10 +1,12 @@
 """The five cohomology theories and the pure/full stage analysis."""
 
+import subprocess
+import sys
 from math import comb
 
 import pytest
 
-from nilcoh import cohomology
+from nilcoh import cohomology, frolicher, linalg
 from nilcoh.catalog import get
 from nilcoh.cohomology import (
     NotInNumerator,
@@ -199,3 +201,50 @@ def test_invariant_level_banner_three_ways():
         "invariant (Lie-algebra level) computation; the input does not "
         "say whether it equals the cohomology of a compact quotient"
     )
+
+
+def test_exactness_invariants_survive_optimize_flag():
+    script = (
+        "import sys\n"
+        "from nilcoh.cohomology import CohomologyGroup\n"
+        "from nilcoh.linalg import ONE, ZERO, InternalError, Subspace\n"
+        "num = Subspace.zero(2)\n"
+        "den = Subspace.from_vectors(2, [[ONE, ZERO]])\n"
+        "print(sys.flags.optimize)\n"
+        "for check in (lambda: CohomologyGroup('de_rham', 1, num, den, None),\n"
+        "              lambda: num.quotient_dim(den)):\n"
+        "    try:\n"
+        "        check()\n"
+        "    except InternalError as e:\n"
+        "        print(e)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "1\n"
+        "de_rham 1: denominator escapes numerator\n"
+        "quotient: denominator escapes numerator\n"
+    )
+
+
+def test_dimension_tables_compute_no_representatives(ops, monkeypatch):
+    calls = []
+    orig = linalg.quotient_representatives
+
+    def counting(vectors, den):
+        calls.append(den)
+        return orig(vectors, den)
+
+    for module in (linalg, cohomology, frolicher):
+        monkeypatch.setattr(module, "quotient_representatives", counting)
+    cache = ops("iwasawa")
+    for theory in THEORIES[1:]:
+        hodge_table(cache, theory)
+    for k in range(2 * cache.n + 1):
+        betti(cache, k)
+    assert calls == []
+    # representatives are still there for whoever reads them
+    assert [str(r) for r in group(cache, "de_rham", 1).reps] == ["f1", "f2", "F1", "F2"]
+    assert len(calls) == 1

@@ -1,5 +1,10 @@
 """Holomorphic-filtration spectral sequence: pages, limit, degeneration."""
 
+import json
+
+import pytest
+
+from nilcoh import cli, frolicher
 from nilcoh.cohomology import betti, hodge_table
 from nilcoh.frolicher import (
     betti_numbers,
@@ -10,6 +15,8 @@ from nilcoh.frolicher import (
     x_space,
     y_space,
 )
+from nilcoh.gauss import ONE, ZERO
+from nilcoh.linalg import Subspace
 
 
 def test_zero_two_tower_dims(ops):
@@ -89,3 +96,50 @@ def test_spectral_page_report_shape(ops):
         f"({p},{q})" for p in range(3) for q in range(3)
     )
     assert page.total(2) == 6
+
+
+def test_frolicher_command_builds_each_printed_page_once(monkeypatch, capsys):
+    built = []
+    orig = frolicher.spectral_page
+
+    def counting(ops, r):
+        built.append(r)
+        return orig(ops, r)
+
+    monkeypatch.setattr(frolicher, "spectral_page", counting)
+    assert cli.main(["frolicher", "@frolicher_example"]) == 0
+    pages = json.loads(capsys.readouterr().out)["results"]["pages"]
+    assert list(pages) == ["1", "2", "3"]
+    assert built == [1, 2, 3]
+
+
+def _e_infinity_by_intersection(ops):
+    """The limit dims with F^p cap ker d formed by Subspace.intersect."""
+    n = ops.n
+    dims = {}
+    for k in range(2 * n + 1):
+        amb = ops.dims(k)
+        ker = ops.kernel("d", k)
+        img = ops.image("d", k - 1)
+
+        def graded(width):
+            prefix = Subspace.from_vectors(
+                amb, [[ONE if i == j else ZERO for i in range(amb)] for j in range(width)]
+            )
+            return prefix.intersect(ker).add(img).dim
+
+        width = 0
+        for p in range(min(k, n), -1, -1):
+            if 0 <= k - p <= n:
+                below = graded(width)
+                width += ops.dims((p, k - p))
+                dims[(p, k - p)] = graded(width) - below
+    return dims
+
+
+@pytest.mark.parametrize(
+    "name", ["iwasawa", "frolicher_example", "torus3", "nakamura_x_torus"]
+)
+def test_e_infinity_matches_intersection_route(ops, name):
+    cache = ops(name)
+    assert e_infinity(cache) == _e_infinity_by_intersection(cache)

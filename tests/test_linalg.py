@@ -79,9 +79,9 @@ def test_quotient_representatives_are_deterministic():
     amb = 3
     num = Subspace.from_vectors(amb, [_m([[1, 0, 0]])[0], _m([[0, 1, 0]])[0]])
     den = Subspace.from_vectors(amb, [_m([[1, 1, 0]])[0]])
-    reps = quotient_representatives(num, den)
+    reps = quotient_representatives(num.rows, den)
     assert len(reps) == 1
-    assert reps == quotient_representatives(num, den)
+    assert reps == quotient_representatives(num.rows, den)
 
 
 def test_operator_cache_dimensions_and_rank_nullity(ops):
@@ -92,6 +92,18 @@ def test_operator_cache_dimensions_and_rank_nullity(ops):
         op = cache.d_total(k)
         dom = cache.dims(k)
         assert rank_of(op) + len(kernel_basis(op, dom)) == dom
+
+
+def test_operator_cache_memoises_subspaces(ops):
+    cache = ops("example31")
+    assert cache.kernel("d", 2) is cache.kernel("d", 2)
+    assert cache.image("delbar", (1, 0)) is cache.image("delbar", (1, 0))
+    assert cache.image("d", 1).ambient == cache.dims(2)
+    # "d" on a bidegree is del stacked over delbar: the d-closed (p,q)-forms
+    assert cache.rows("d", (1, 1)) == cache.del_pq(1, 1) + cache.delbar_pq(1, 1)
+    assert cache.kernel("d", (1, 1)) == Subspace.from_vectors(
+        cache.dims((1, 1)), kernel_basis(cache.rows("d", (1, 1)), cache.dims((1, 1)))
+    )
 
 
 def test_operators_compose_to_zero(ops):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from nilcoh.cohomology import betti
+from nilcoh.cohomology import betti, bott_chern
 from nilcoh.dsl import parse
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat
@@ -12,6 +12,7 @@ from nilcoh.symplectic import (
     SymplecticError,
     betti_bounds,
     closed_20_elements,
+    closed_20_space,
     find_symplectic,
     nondegeneracy_polynomial,
     real_pair,
@@ -242,3 +243,8 @@ def test_real_pair_torus2():
     assert scaled["compatibility_verified"] is True
     with pytest.raises(SymplecticError, match=r"\(2,0\)-forms"):
         real_pair(spec, g(1).wedge(BigradedElement.gen(2, barred=True)))
+
+
+def test_closed_20_space_is_the_bott_chern_numerator(ops):
+    cache = ops("example31")
+    assert bott_chern(cache, 2, 0).numerator is closed_20_space(cache)
