@@ -16,7 +16,7 @@ from fractions import Fraction
 from .gauss import GaussRat
 from .linalg import Subspace
 from .scalar import ScalarExpr, ScalarEvalError, S_ONE
-from .exterior import BigradedElement, mono_conj
+from .exterior import BigradedElement
 
 # default exact sample points used for pointwise validation of parametric data
 DEFAULT_SAMPLES = (

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .linalg import ZERO, Subspace, apply_rows, quotient_representatives, solve
+from .linalg import Subspace, apply_rows, quotient_representatives, solve
 
 # theory -> (operator whose kernel is the numerator, its closedness wording,
 #            the (operator, source-degree shift) pairs whose images span the
@@ -183,18 +183,35 @@ def class_is_trivial(ops, theory, element):
 
 
 class PureFullReport:
+    """Stage-k verdicts; the pure-type representatives are computed the
+    first time they are read."""
+
     __slots__ = (
         "stage",
         "betti",
         "group_dims",
-        "group_reps",
         "sum_dim",
         "pairwise",
         "total_intersection_dim",
         "single_group",
         "pure",
         "full",
+        "ops",
+        "_closed",
+        "_group_reps",
     )
+
+    @property
+    def group_reps(self):
+        """{(p,q): pure-type representatives whose classes span H^{p,q}_J}."""
+        if self._group_reps is None:
+            img = self.ops.image("d", self.stage - 1)
+            self._group_reps = {
+                c: [self.ops.to_element(self.stage, v)
+                    for v in quotient_representatives(closed, img)]
+                for c, closed in self._closed.items()
+            }
+        return self._group_reps
 
     def as_dict(self):
         return {
@@ -228,18 +245,12 @@ def _pure_type_classes(ops, k):
     modulo im d, i.e. the subgroup H^{p,q}_J of H^k_dR.
     """
     img = ops.image("d", k - 1)
-    amb = ops.dims(k)
-    _, idx_total = ops.basis(k)
     out = {}
     for p in range(min(k, ops.n), max(0, k - ops.n) - 1, -1):
-        basis_pq, _ = ops.basis((p, k - p))
-        closed = []
-        for v in ops.kernel_vectors("d", (p, k - p)):
-            w = [ZERO] * amb
-            for m, c in zip(basis_pq, v):
-                w[idx_total[m]] = c
-            closed.append(w)
-        out[(p, k - p)] = (closed, Subspace.from_vectors(amb, [img.reduce(w) for w in closed]))
+        embed = ops.embedding((p, k - p), k)
+        closed = [apply_rows(embed, v) for v in ops.kernel_vectors("d", (p, k - p))]
+        classes = Subspace.from_vectors(ops.dims(k), [img.reduce(w) for w in closed])
+        out[(p, k - p)] = (closed, classes)
     return out
 
 
@@ -248,17 +259,14 @@ def pure_full(ops, k):
     pure = _pure_type_classes(ops, k)
     cells = list(pure)
     images = {c: classes for c, (_, classes) in pure.items()}
-    img = ops.image("d", k - 1)
 
     report = PureFullReport()
     report.stage = k
+    report.ops = ops
     report.betti = betti(ops, k)
     report.group_dims = {c: images[c].dim for c in cells}
-    # pure-type representatives whose classes span each subgroup
-    report.group_reps = {
-        c: [ops.to_element(k, v) for v in quotient_representatives(closed, img)]
-        for c, (closed, _) in pure.items()
-    }
+    report._closed = {c: closed for c, (closed, _) in pure.items()}
+    report._group_reps = None
     report.sum_dim = reduce(Subspace.add, images.values(), Subspace.zero(ops.dims(k))).dim
     report.pairwise = {
         (a, b): images[a].intersect(images[b]).dim

@@ -9,7 +9,6 @@ equality is exact equality of forms.
 
 from __future__ import annotations
 
-from .gauss import GaussRat
 from .scalar import ScalarExpr, S_ONE
 
 # A Monomial is a pair (holo, anti) of strictly increasing index tuples.
@@ -236,8 +235,3 @@ class BigradedElement:
 
     def __repr__(self):
         return f"<form {self}>"
-
-
-def gaussrat_coeffs(element):
-    """The element's {monomial: GaussRat} map; element must be parameter-free."""
-    return {m: c.const_value() for m, c in element.coeffs.items()}

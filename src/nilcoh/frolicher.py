@@ -21,6 +21,7 @@ from __future__ import annotations
 from .cohomology import betti
 from .gauss import ZERO
 from .linalg import (
+    InternalError,
     Subspace,
     kernel_basis,
     quotient_representatives,
@@ -180,6 +181,6 @@ def degeneration_page(ops, max_page=None):
                 "e_infinity": e_infinity(ops),
                 "pages": pages,
             }
-    raise AssertionError(
+    raise InternalError(
         f"no stabilization by page {max_page}; zig-zag routine is inconsistent"
     )

@@ -9,13 +9,11 @@ largest ambient space in scope is the 70-dimensional middle degree at n=4.
 
 from __future__ import annotations
 
+from bisect import bisect
 from itertools import combinations
 
-from .gauss import GaussRat
-from .exterior import BigradedElement, mono_key
-
-ZERO = GaussRat(0)
-ONE = GaussRat(1)
+from .gauss import ONE, ZERO
+from .exterior import BigradedElement
 
 
 class InternalError(AssertionError):
@@ -24,59 +22,71 @@ class InternalError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# dense RREF and friends (rows are lists of GaussRat)
+# the elimination kernel: rows are sequences of GaussRat, and an echelon
+# state is a pair (rows, pivots) in reduced row echelon form.  _reduce and
+# _insert are the only row operations; everything below composes them.
+
+
+def _reduce(rows, pivots, vec):
+    """Residue of vec against the RREF rows: every pivot column cleared."""
+    v = list(vec)
+    for row, c in zip(rows, pivots):
+        f = v[c]
+        if f:
+            v = [a - f * b if b else a for a, b in zip(v, row)]
+    return v
+
+
+def _insert(rows, pivots, residue):
+    """Add a nonzero residue of _reduce to the echelon state, in place.
+
+    The residue is scaled to a leading 1, its pivot column is cleared from
+    the other rows, and it goes in at its pivot position.  Zero entries stay
+    the shared ZERO: memoised subspaces keep their rows, which are mostly
+    zeros.  Callers pass their own lists, never a memoised subspace's.
+    """
+    c = next(i for i, x in enumerate(residue) if x)
+    inv = ONE / residue[c]
+    new = tuple(x * inv if x else ZERO for x in residue)
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f:
+            rows[i] = tuple(a - f * b if b else a for a, b in zip(row, new))
+    at = bisect(pivots, c)
+    rows.insert(at, new)
+    pivots.insert(at, c)
+
+
+def _extend(rows, pivots, vectors):
+    """Fold vectors into the echelon state; returns it."""
+    for vec in vectors:
+        residue = _reduce(rows, pivots, vec)
+        if any(residue):
+            _insert(rows, pivots, residue)
+    return rows, pivots
 
 
 def rref(rows):
     """Reduced row echelon form. Returns (rows, pivot_columns); zero rows dropped."""
-    m = [list(r) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, len(m)):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = ONE / m[r][c]
-        # zero entries stay the shared ZERO: memoised subspaces keep their
-        # rows, which are mostly zeros
-        m[r] = [x * inv if x else ZERO for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mi, mr = m[i], m[r]
-                m[i] = [a - f * b if b else a for a, b in zip(mi, mr)]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return [tuple(row) for row in m[:r]], pivots
+    return _extend([], [], rows)
+
+
+def apply_rows(op_rows, vec):
+    """op_rows applied to vec: one dot product per row."""
+    out = []
+    for row in op_rows:
+        acc = ZERO
+        for a, b in zip(row, vec):
+            if a and b:
+                acc = acc + a * b
+        out.append(acc)
+    return out
 
 
 def mat_mul(a, b):
     if not a or not b:
         return []
-    nk = len(b)
-    nc = len(b[0])
-    out = []
-    for row in a:
-        acc = [ZERO] * nc
-        for k in range(nk):
-            x = row[k]
-            if x:
-                bk = b[k]
-                for c in range(nc):
-                    if bk[c]:
-                        acc[c] = acc[c] + x * bk[c]
-        out.append(acc)
-    return out
+    return [list(row) for row in zip(*(apply_rows(a, col) for col in zip(*b)))]
 
 
 def mat_inverse(a):
@@ -154,12 +164,7 @@ class Subspace:
 
     def reduce(self, vec):
         """Residue of vec modulo this subspace (canonical representative)."""
-        v = list(vec)
-        for row, c in zip(self.rows, self.pivots):
-            if v[c]:
-                f = v[c]
-                v = [a - f * b for a, b in zip(v, row)]
-        return v
+        return _reduce(self.rows, self.pivots, vec)
 
     def contains(self, vec):
         return not any(self.reduce(vec))
@@ -167,31 +172,29 @@ class Subspace:
     def contains_subspace(self, other):
         return all(self.contains(r) for r in other.rows)
 
+    def _check_ambient(self, other):
+        if self.ambient != other.ambient:
+            raise InternalError(
+                f"ambient mismatch: Q(i)^{self.ambient} and Q(i)^{other.ambient}"
+            )
+
     def add(self, other):
-        assert self.ambient == other.ambient
-        return Subspace.from_vectors(self.ambient, list(self.rows) + list(other.rows))
+        self._check_ambient(other)
+        return Subspace(self.ambient, *_extend(list(self.rows), list(self.pivots), other.rows))
 
     def intersect(self, other):
         """Zassenhaus-free intersection: solve for combinations landing in both."""
-        assert self.ambient == other.ambient
+        self._check_ambient(other)
         if not self.rows or not other.rows:
             return Subspace.zero(self.ambient)
         # x in both <=> x = sum a_i u_i = sum b_j v_j; kernel of [U^T | -V^T]
-        cols = len(self.rows) + len(other.rows)
-        a_rows = []
-        for c in range(self.ambient):
-            a_rows.append(
-                [self.rows[i][c] for i in range(len(self.rows))]
-                + [-other.rows[j][c] for j in range(len(other.rows))]
-            )
-        vectors = []
-        for k in kernel_basis(a_rows, cols):
-            v = [ZERO] * self.ambient
-            for i, aco in enumerate(k[: len(self.rows)]):
-                if aco:
-                    row = self.rows[i]
-                    v = [x + aco * y for x, y in zip(v, row)]
-            vectors.append(v)
+        u_cols = [list(col) for col in zip(*self.rows)]
+        a_rows = [u + [-x for x in v] for u, v in zip(u_cols, zip(*other.rows))]
+        width = len(self.rows)
+        vectors = [
+            apply_rows(u_cols, k[:width])
+            for k in kernel_basis(a_rows, width + len(other.rows))
+        ]
         return Subspace.from_vectors(self.ambient, vectors)
 
     def quotient_dim(self, sub, what="quotient"):
@@ -212,33 +215,33 @@ class Subspace:
 def quotient_representatives(vectors, den):
     """Deterministic representatives of (span(vectors) + den) / den: greedy
     in the given order, keeping each vector outside den + span(kept)."""
+    rows, pivots = list(den.rows), list(den.pivots)
     reps = []
-    span = den
     for v in vectors:
-        if not span.contains(v):
+        residue = _reduce(rows, pivots, v)
+        if any(residue):
             reps.append(v)
-            span = span.add(Subspace.from_vectors(den.ambient, [v]))
+            _insert(rows, pivots, residue)
     return reps
 
 
-def _block_offsets(blocks):
-    offsets = []
-    total = 0
-    for b in blocks:
-        offsets.append(total)
-        total += b
-    return offsets, total
+def assemble_block_rows(blocks, rows_of_blocks):
+    """Rows of a block matrix whose unknowns are consecutive column blocks.
 
-
-def _assemble_block_rows(offsets, total, rows_of_blocks):
+    blocks: list of column counts per unknown block.
+    rows_of_blocks: list of (row_count, {block_index: matrix_rows}) row
+      groups; each matrix has row_count rows and at most blocks[i] columns,
+      filling the first columns of its block.
+    """
+    offsets = [sum(blocks[:i]) for i in range(len(blocks))]
+    total = sum(blocks)
     a_rows = []
     for row_count, mats in rows_of_blocks:
         for r in range(row_count):
             row = [ZERO] * total
             for bi, mat in mats.items():
                 off = offsets[bi]
-                mrow = mat[r]
-                for c, x in enumerate(mrow):
+                for c, x in enumerate(mat[r]):
                     if x:
                         row[off + c] = x
             a_rows.append(row)
@@ -248,16 +251,12 @@ def _assemble_block_rows(offsets, total, rows_of_blocks):
 def stacked_kernel_projection(blocks, rows_of_blocks, project_block):
     """Kernel of a block matrix, projected onto one unknown block.
 
-    blocks: list of column counts per unknown block.
-    rows_of_blocks: list of (row_count, {block_index: matrix_rows}) —
-      each matrix has row_count rows and blocks[i] columns.
+    blocks and rows_of_blocks are as in assemble_block_rows.
     Returns the canonical Subspace of Q(i)^{blocks[project_block]} of values
     the projected unknown takes over the kernel.
     """
-    offsets, total = _block_offsets(blocks)
-    a_rows = _assemble_block_rows(offsets, total, rows_of_blocks)
-    ker = kernel_basis(a_rows, total)
-    off = offsets[project_block]
+    ker = kernel_basis(assemble_block_rows(blocks, rows_of_blocks), sum(blocks))
+    off = sum(blocks[:project_block])
     w = blocks[project_block]
     return Subspace.from_vectors(w, [v[off : off + w] for v in ker])
 
@@ -269,12 +268,9 @@ def stacked_kernel_image(blocks, rows_of_blocks, out_spec):
     map it describes is applied to every kernel vector of the constraints and
     the span of the values is returned as a canonical Subspace.
     """
-    offsets, total = _block_offsets(blocks)
-    a_rows = _assemble_block_rows(offsets, total, rows_of_blocks)
-    ker = kernel_basis(a_rows, total)
-    out_rows = _assemble_block_rows(offsets, total, [out_spec])
-    out_dim = out_spec[0]
-    return Subspace.from_vectors(out_dim, [apply_rows(out_rows, v) for v in ker])
+    ker = kernel_basis(assemble_block_rows(blocks, rows_of_blocks), sum(blocks))
+    out_rows = assemble_block_rows(blocks, [out_spec])
+    return Subspace.from_vectors(out_spec[0], [apply_rows(out_rows, v) for v in ker])
 
 
 # ---------------------------------------------------------------------------
@@ -422,6 +418,18 @@ class OperatorCache:
 
         return self._get(("im", op, key), build)
 
+    def embedding(self, pq, k):
+        """Rows of the inclusion Lambda^{p,q} -> Lambda^k, for k = p + q."""
+        def build():
+            src, _ = self.basis(pq)
+            _, idx = self.basis(k)
+            rows = [[ZERO] * len(src) for _ in range(self.dims(k))]
+            for c, m in enumerate(src):
+                rows[idx[m]][c] = ONE
+            return rows
+
+        return self._get(("embed", pq, k), build)
+
     def dims(self, key):
         return len(self.basis(key)[0])
 
@@ -432,17 +440,6 @@ class OperatorCache:
     def to_element(self, key, vec):
         basis, _ = self.basis(key)
         return vec_to_element(basis, vec)
-
-
-def apply_rows(op_rows, vec):
-    out = []
-    for row in op_rows:
-        acc = ZERO
-        for a, b in zip(row, vec):
-            if a and b:
-                acc = acc + a * b
-        out.append(acc)
-    return out
 
 
 def rank_of(op_rows):

@@ -23,8 +23,8 @@ scope banner as the cohomology reports.
 
 from __future__ import annotations
 
-from .gauss import ONE, ZERO
-from .linalg import InternalError, OperatorCache, solve
+from .gauss import ZERO
+from .linalg import InternalError, OperatorCache, assemble_block_rows, solve
 from .deform import DeformationError, assignment_strings, deformed_frame
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import is_nondegenerate
@@ -166,73 +166,32 @@ def _delta_feasibility(ops, omega_t):
       del(delbar(pi^{1,0} gamma)) = 0.
     Returns a dict with the verdict and witness strings.
     """
-    n = ops.n
-    dim1 = ops.dims(1)
-    dim2 = ops.dims(2)
-    dim3 = ops.dims(3)
-    dim10 = ops.dims((1, 0))
-    dim21 = ops.dims((2, 1))
     pq_keys = [(2, 0), (1, 1), (0, 2)]
-    pq_dims = [ops.dims(k) for k in pq_keys]
-
-    offsets = [0, dim1]
-    for d in pq_dims[:-1]:
-        offsets.append(offsets[-1] + d)
-    ncols = offsets[-1] + pq_dims[-1]
-
-    # embedding column indices: position of each (p,q) basis monomial in Lambda^2
-    _, idx2 = ops.basis(2)
-    embed = [
-        [idx2[m] for m in ops.basis(k)[0]] for k in pq_keys
-    ]
-
-    d1 = ops.d_total(1)
-    d2 = ops.d_total(2)
+    blocks = [ops.dims(1)] + [ops.dims(key) for key in pq_keys]
+    # d(gamma) + sum(alpha) = omega_t, one row per Lambda^2 monomial
+    sum_rows = {0: ops.d_total(1)}
+    groups = [(ops.dims(2), sum_rows)]
+    for i, key in enumerate(pq_keys, 1):
+        sum_rows[i] = ops.embedding(key, 2)
+        # each alpha^{p,q} is d-closed: its del and its delbar vanish
+        closed = ops.rows("d", key)
+        groups.append((len(closed), {i: closed}))
+    # del(delbar(pi^{1,0} gamma)) = 0; the (1,0) coordinates of gamma come
+    # first (total bases list descending p first)
     dd10 = ops.deldelbar_pq(1, 0)
+    groups.append((len(dd10), {0: dd10}))
+    rows = assemble_block_rows(blocks, groups)
     omega_vec = ops.to_vec(2, omega_t)
-
-    a_rows = []
-    b = []
-    # block 1: d(gamma) + sum(alpha) = omega_t, one row per Lambda^2 monomial
-    for i in range(dim2):
-        row = [ZERO] * ncols
-        for j in range(dim1):
-            row[j] = d1[i][j]
-        for blk in range(3):
-            for c, pos in enumerate(embed[blk]):
-                if pos == i:
-                    row[offsets[1 + blk] + c] = ONE
-        a_rows.append(row)
-        b.append(omega_vec[i])
-    # block 2: each alpha^{p,q} is d-closed, one row per Lambda^3 monomial
-    for blk in range(3):
-        for i in range(dim3):
-            row = [ZERO] * ncols
-            for c, pos in enumerate(embed[blk]):
-                row[offsets[1 + blk] + c] = d2[i][pos]
-            if any(row):
-                a_rows.append(row)
-                b.append(ZERO)
-    # block 3: del(delbar(pi^{1,0} gamma)) = 0; the (1,0) coordinates of gamma
-    # are the first dim10 entries (total bases list descending p first)
-    for i in range(dim21):
-        row = [ZERO] * ncols
-        for j in range(dim10):
-            row[j] = dd10[i][j]
-        if any(row):
-            a_rows.append(row)
-            b.append(ZERO)
-
-    x = solve(a_rows, b)
+    x = solve(rows, omega_vec + [ZERO] * (len(rows) - len(omega_vec)))
     if x is None:
         return {"feasible": False}
 
-    gamma_vec = x[:dim1]
-    gamma = ops.to_element(1, gamma_vec)
-    alphas = {}
-    for blk, key in enumerate(pq_keys):
-        lo = offsets[1 + blk]
-        alphas[key] = ops.to_element(key, x[lo : lo + pq_dims[blk]])
+    parts = []
+    for width in blocks:
+        parts.append(x[:width])
+        x = x[width:]
+    gamma = ops.to_element(1, parts[0])
+    alphas = {key: ops.to_element(key, part) for key, part in zip(pq_keys, parts[1:])}
 
     # re-check the witness directly on elements
     residue = ops.spec.d(gamma)

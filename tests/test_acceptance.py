@@ -274,7 +274,7 @@ def test_property_suites_over_catalog():
     for entry in catalog():
         assert validation_for(entry.name).ok, entry.name
 
-    grid_cases = 0
+    grid_cases = unimodular_cases = 0
     for label, cache in structures:
         n = cache.n
 
@@ -311,11 +311,26 @@ def test_property_suites_over_catalog():
 
         # the limit page refines the de Rham numbers
         lim = e_infinity(cache)
+        betti = [
+            cache.kernel("d", k).dim - cache.image("d", k - 1).dim
+            for k in range(2 * n + 1)
+        ]
         for k in range(2 * n + 1):
             total = sum(d for (p, q), d in lim.items() if p + q == k)
-            ker = cache.kernel("d", k)
-            img = cache.image("d", k - 1)
-            assert total == ker.dim - img.dim, (label, k)
+            assert total == betti[k], (label, k)
+
+        # Frolicher and Angella-Tomassini inequalities, and Bott-Chern /
+        # Aeppli duality on unimodular algebras
+        ae = hodge_table(cache, "aeppli")
+        for k in range(2 * n + 1):
+            cells = [(p, k - p) for p in range(n + 1) if 0 <= k - p <= n]
+            assert sum(dol[c] for c in cells) >= betti[k], (label, k)
+            assert sum(bc[c] + ae[c] for c in cells) >= 2 * betti[k], (label, k)
+        if cache.spec.realify().unimodular():
+            unimodular_cases += 1
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    assert bc[(p, q)] == ae[(n - p, n - q)], (label, p, q)
 
         # rank-nullity with an explicit kernel basis, on every matrix
         ops_list = [(cache.d_total(k), cache.dims(k)) for k in range(2 * n + 1)]
@@ -351,6 +366,7 @@ def test_property_suites_over_catalog():
                 verdict = find_symplectic(cache).verdict
                 assert verdict == ("none" if poly.is_zero() else "exists"), label
     assert grid_cases >= 5
+    assert unimodular_cases >= 25
 
     # frame change at the identity sample reproduces the base equations
     for entry in catalog():

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from nilcoh import cohomology, frolicher, linalg
+from nilcoh import cli, cohomology, frolicher, linalg
 from nilcoh.catalog import get
 from nilcoh.cohomology import (
     NotInNumerator,
@@ -212,7 +212,9 @@ def test_exactness_invariants_survive_optimize_flag():
         "den = Subspace.from_vectors(2, [[ONE, ZERO]])\n"
         "print(sys.flags.optimize)\n"
         "for check in (lambda: CohomologyGroup('de_rham', 1, num, den, None),\n"
-        "              lambda: num.quotient_dim(den)):\n"
+        "              lambda: num.quotient_dim(den),\n"
+        "              lambda: den.add(Subspace.full(3)),\n"
+        "              lambda: den.intersect(Subspace.full(3))):\n"
         "    try:\n"
         "        check()\n"
         "    except InternalError as e:\n"
@@ -226,10 +228,14 @@ def test_exactness_invariants_survive_optimize_flag():
         "1\n"
         "de_rham 1: denominator escapes numerator\n"
         "quotient: denominator escapes numerator\n"
+        "ambient mismatch: Q(i)^2 and Q(i)^3\n"
+        "ambient mismatch: Q(i)^2 and Q(i)^3\n"
     )
 
 
-def test_dimension_tables_compute_no_representatives(ops, monkeypatch):
+@pytest.fixture
+def rep_calls(monkeypatch):
+    """quotient_representatives calls, counted in every module that binds it."""
     calls = []
     orig = linalg.quotient_representatives
 
@@ -239,12 +245,30 @@ def test_dimension_tables_compute_no_representatives(ops, monkeypatch):
 
     for module in (linalg, cohomology, frolicher):
         monkeypatch.setattr(module, "quotient_representatives", counting)
+    return calls
+
+
+def test_dimension_tables_compute_no_representatives(ops, rep_calls):
     cache = ops("iwasawa")
     for theory in THEORIES[1:]:
         hodge_table(cache, theory)
     for k in range(2 * cache.n + 1):
         betti(cache, k)
-    assert calls == []
+    assert rep_calls == []
     # representatives are still there for whoever reads them
     assert [str(r) for r in group(cache, "de_rham", 1).reps] == ["f1", "f2", "F1", "F2"]
-    assert len(calls) == 1
+    assert len(rep_calls) == 1
+
+
+def test_stability_verdicts_compute_no_pure_type_representatives(ops, rep_calls, capsys):
+    assert cli.main(["hypotheses", "@example31"]) == 0
+    assert '"full_at_stage_2"' in capsys.readouterr().out
+    assert rep_calls == []
+    # one call per pure-type cell once the representatives are read
+    report = pure_full(ops("iwasawa"), 1)
+    assert rep_calls == []
+    assert {c: [str(r) for r in reps] for c, reps in report.group_reps.items()} == {
+        (1, 0): ["f1", "f2"],
+        (0, 1): ["F1", "F2"],
+    }
+    assert len(rep_calls) == 2

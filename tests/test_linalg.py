@@ -144,3 +144,61 @@ def test_vec_element_round_trip(ops):
 def test_rank_nullity_random(rows):
     a = [list(r) for r in rows]
     assert rank_of(a) + len(kernel_basis(a, 4)) == 4
+
+
+# ---------------------------------------------------------------------------
+# reference routines: the elimination kernel must agree with them exactly
+
+
+def _rref_reference(rows):
+    """Column-by-column Gauss-Jordan elimination with first-nonzero pivots."""
+    m = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(m[0]) if m else 0):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        lead = m[r][c]
+        m[r] = [x / lead for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return [tuple(row) for row in m[: len(pivots)]], pivots
+
+
+def _quotient_representatives_reference(vectors, den):
+    """Greedy in order: keep v outside den + span(kept), one add per kept v."""
+    reps = []
+    span = den
+    for v in vectors:
+        if not span.contains(v):
+            reps.append(v)
+            span = span.add(Subspace.from_vectors(den.ambient, [v]))
+    return reps
+
+
+_ROWS4 = st.lists(st.sampled_from(_V), min_size=4, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ROWS4, max_size=4), st.lists(_ROWS4, min_size=1, max_size=5),
+       st.lists(st.integers(0, 8), max_size=3))
+def test_elimination_kernel_matches_references(den_rows, vectors, repeats):
+    # repeated rows make dependent candidates likely
+    vectors = vectors + [(den_rows + vectors)[i % len(den_rows + vectors)] for i in repeats]
+    rows = den_rows + vectors
+    assert rref(rows) == _rref_reference(rows)
+
+    den = Subspace.from_vectors(4, den_rows)
+    joined = den.add(Subspace.from_vectors(4, vectors))
+    assert (joined.rows, joined.pivots) == _rref_reference(rows)
+
+    kept_rows, kept_pivots = list(den.rows), list(den.pivots)
+    reps = quotient_representatives(vectors, den)
+    assert reps == _quotient_representatives_reference(vectors, den)
+    assert len(reps) == joined.dim - den.dim
+    assert (den.rows, den.pivots) == (kept_rows, kept_pivots)
