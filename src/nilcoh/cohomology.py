@@ -183,22 +183,22 @@ def class_is_trivial(ops, theory, element):
 
 
 class PureFullReport:
-    """Stage-k verdicts; the pure-type representatives are computed the
-    first time they are read."""
+    """Stage-k verdicts; the pure-type representatives and the pairwise
+    intersections are computed the first time they are read."""
 
     __slots__ = (
         "stage",
         "betti",
         "group_dims",
         "sum_dim",
-        "pairwise",
         "total_intersection_dim",
         "single_group",
         "pure",
         "full",
         "ops",
-        "_closed",
+        "_pure",
         "_group_reps",
+        "_pairwise",
     )
 
     @property
@@ -209,9 +209,21 @@ class PureFullReport:
             self._group_reps = {
                 c: [self.ops.to_element(self.stage, v)
                     for v in quotient_representatives(closed, img)]
-                for c, closed in self._closed.items()
+                for c, (closed, _) in self._pure.items()
             }
         return self._group_reps
+
+    @property
+    def pairwise(self):
+        """{((p,q), (r,s)): dim of H^{p,q}_J meet H^{r,s}_J} over pairs of cells."""
+        if self._pairwise is None:
+            cells = list(self._pure)
+            self._pairwise = {
+                (a, b): self._pure[a][1].intersect(self._pure[b][1]).dim
+                for i, a in enumerate(cells)
+                for b in cells[i + 1 :]
+            }
+        return self._pairwise
 
     def as_dict(self):
         return {
@@ -257,26 +269,21 @@ def _pure_type_classes(ops, k):
 def pure_full(ops, k):
     """Stage-k report on the H^{p,q}_J subgroups of H^k_dR."""
     pure = _pure_type_classes(ops, k)
-    cells = list(pure)
     images = {c: classes for c, (_, classes) in pure.items()}
 
     report = PureFullReport()
     report.stage = k
     report.ops = ops
     report.betti = betti(ops, k)
-    report.group_dims = {c: images[c].dim for c in cells}
-    report._closed = {c: closed for c, (closed, _) in pure.items()}
+    report.group_dims = {c: classes.dim for c, classes in images.items()}
+    report._pure = pure
     report._group_reps = None
+    report._pairwise = None
     report.sum_dim = reduce(Subspace.add, images.values(), Subspace.zero(ops.dims(k))).dim
-    report.pairwise = {
-        (a, b): images[a].intersect(images[b]).dim
-        for i, a in enumerate(cells)
-        for b in cells[i + 1 :]
-    }
     report.total_intersection_dim = (
-        reduce(Subspace.intersect, images.values()).dim if cells else 0
+        reduce(Subspace.intersect, images.values()).dim if images else 0
     )
-    report.single_group = len(cells) == 1
+    report.single_group = len(images) == 1
     # a single-subgroup stage is pure by convention (the intersection over a
     # one-element family is the subgroup itself, which carries no clash)
     report.pure = report.single_group or report.total_intersection_dim == 0

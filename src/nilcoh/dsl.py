@@ -51,6 +51,8 @@ _RESERVED = {"algebra", "dim", "param", "flag", "d", "conj", "i", "true", "false
 
 FLAG_NAME = "invariant_cohomology_is_manifold_cohomology"
 
+_MAX_NESTING = 100
+
 
 def _tokenize_line(text, lineno):
     text = text.replace("−", "-")
@@ -90,6 +92,7 @@ class _Parser:
         self.params = []
         self.flag = None
         self.eqs = {}
+        self.depth = 0  # open parentheses in the scalar being parsed
 
     def parse(self):
         for lineno, raw in enumerate(self.lines, start=1):
@@ -284,11 +287,12 @@ class _Parser:
                     raise DslError("division by zero", tok[2], tok[3]) from None
 
     def _scalar_signed(self, t):
-        tok = t.peek()
-        if tok and tok[0] == "OP" and tok[1] == "-":
+        negate = False
+        while (tok := t.peek()) and tok[0] == "OP" and tok[1] == "-":
             t.take()
-            return -self._scalar_signed(t)
-        return self._scalar_power(t)
+            negate = not negate
+        v = self._scalar_power(t)
+        return -v if negate else v
 
     def _scalar_power(self, t):
         v = self._scalar_atom(t)
@@ -326,8 +330,13 @@ class _Parser:
             self._check_param(tok)
             return ScalarExpr.param(text)
         if kind == "OP" and text == "(":
+            # each level costs a few Python frames; fail before the interpreter does
+            if self.depth == _MAX_NESTING:
+                raise DslError(f"parentheses nested deeper than {_MAX_NESTING}", line, col)
+            self.depth += 1
             v = self._scalar_sum(t)
             t.expect_op(")")
+            self.depth -= 1
             return v
         raise DslError(f"unexpected {text!r} in scalar", line, col)
 

@@ -9,6 +9,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 
+class InternalError(AssertionError):
+    """An exactness invariant failed: a bug in nilcoh, never a property of
+    the input.  Raised explicitly, so it also fires under `python -O`."""
+
+
 class GaussRat:
     """Immutable element of Q(i), stored as a pair of Fractions."""
 

@@ -12,13 +12,8 @@ from __future__ import annotations
 from bisect import bisect
 from itertools import combinations
 
-from .gauss import ONE, ZERO
+from .gauss import ONE, ZERO, InternalError
 from .exterior import BigradedElement
-
-
-class InternalError(AssertionError):
-    """An exactness invariant failed: a bug in nilcoh, never a property of
-    the input.  Raised explicitly, so it also fires under `python -O`."""
 
 
 # ---------------------------------------------------------------------------

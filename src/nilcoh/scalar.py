@@ -5,14 +5,25 @@ A parameter t and its conjugate conj(t) are separate symbols; evaluation
 substitutes z for t and conj(z) for conj(t), which is exactly how |t|^2 =
 t*conj(t) acquires its value.  Expressions are normalized as fractions of
 multivariate polynomials so that "is this coefficient zero" is decidable;
-no gcd cancellation is attempted (sizes here never warrant it).  Division
-by a symbolically-zero denominator fails at construction; division that
-only vanishes at specific parameter values fails at evaluation time.
+no gcd cancellation is attempted, so nested fractions expand (a coefficient
+of the four-parameter Iwasawa family reaches 758/798 terms of degree 20).
+Division by a symbolically-zero denominator fails at construction; division
+that only vanishes at specific parameter values fails at evaluation time.
+
+Evaluation does not read the expanded fraction.  Every expression built
+from a parameter also records the operations that built it, as a DAG of
+nodes, and `evaluate` runs that DAG as a straight-line program over Q(i),
+one value per node.  Where the program divides by zero or reads an
+unassigned parameter, evaluation falls back to the expanded fraction, so
+values and error messages are those of the expanded route: when the program
+succeeds, every factor of the expanded denominator (an intermediate
+denominator or the numerator of a divisor) was nonzero, and both routes
+give the same element of Q(i).
 """
 
 from __future__ import annotations
 
-from .gauss import GaussRat
+from .gauss import GaussRat, InternalError
 
 # A polynomial is a dict {monomial: GaussRat}; a monomial is a sorted tuple
 # of ((name, barred), exponent) pairs with exponent > 0.  The empty tuple is
@@ -131,12 +142,90 @@ class ScalarEvalError(ArithmeticError):
     """Raised when evaluation hits a vanishing denominator or a free parameter."""
 
 
+# A node is a tuple (op, a, b).  ("param", name, barred) reads the assignment;
+# ("leaf", num, den) is a node-less operand, evaluated on its expanded form;
+# "add", "mul" and "div" take two operand nodes, "neg" and "conj" take a and
+# leave b None.  Nodes hold nodes, never ScalarExprs, so the expanded
+# intermediate fractions are not kept alive by the DAG.
+
+
+def _operand(e):
+    return e.node if e.node is not None else ("leaf", e.num, e.den)
+
+
+def _node(op, a, b=None):
+    """The node of op on a (and b), or None when neither carries a node."""
+    if a.node is None and (b is None or b.node is None):
+        return None
+    return (op, _operand(a), None if b is None else _operand(b))
+
+
+def _compile(root):
+    """The DAG under root as a straight-line program, operands first.
+
+    Each instruction is (op, a, b) with operand nodes replaced by their
+    positions in the program; a node shared by several parents gets one
+    position.  Iterative, so long sums do not meet the recursion limit.
+    """
+    slot = {}  # id(node) -> position; every node stays alive under root
+    program = []
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if id(node) in slot:
+            stack.pop()
+            continue
+        op, a, b = node
+        if op in ("param", "leaf"):
+            program.append(node)
+        else:
+            pending = [k for k in (a, b) if k is not None and id(k) not in slot]
+            if pending:
+                stack.extend(pending)
+                continue
+            program.append((op, slot[id(a)], None if b is None else slot[id(b)]))
+        slot[id(node)] = len(program) - 1
+        stack.pop()
+    return program
+
+
+def _run(program, assign):
+    """The program's value at assign, or None where a step divides by zero
+    or reads an unassigned parameter."""
+    vals = []
+    push = vals.append
+    for op, a, b in program:
+        if op == "mul":
+            push(vals[a] * vals[b])
+        elif op == "add":
+            push(vals[a] + vals[b])
+        elif op == "div":
+            if vals[b].is_zero():
+                return None
+            push(vals[a] / vals[b])
+        elif op == "neg":
+            push(-vals[a])
+        elif op == "conj":
+            push(vals[a].conj())
+        elif op == "param":
+            z = assign.get(a)
+            if z is None:
+                return None
+            push(z.conj() if b else z)
+        else:
+            try:
+                push(_p_eval(a, assign) / _p_eval(b, assign))
+            except (ScalarEvalError, ZeroDivisionError):
+                return None
+    return vals[-1]
+
+
 class ScalarExpr:
     """A fraction num/den of polynomials over Q(i) in parameter symbols."""
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "node", "_program")
 
-    def __init__(self, num, den=None):
+    def __init__(self, num, den=None, node=None):
         if den is None:
             den = _P_ONE
         if not den:
@@ -152,6 +241,8 @@ class ScalarExpr:
                 den = {k: v * inv for k, v in den.items()}
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
+        object.__setattr__(self, "node", node)
+        object.__setattr__(self, "_program", None)  # compiled on first evaluate
 
     def __setattr__(self, name, value):
         raise AttributeError("ScalarExpr is immutable")
@@ -166,11 +257,11 @@ class ScalarExpr:
 
     @classmethod
     def param(cls, name):
-        return cls({(((name, 0), 1),): GaussRat(1)})
+        return cls({(((name, 0), 1),): GaussRat(1)}, node=("param", name, 0))
 
     @classmethod
     def conj_param(cls, name):
-        return cls({(((name, 1), 1),): GaussRat(1)})
+        return cls({(((name, 1), 1),): GaussRat(1)}, node=("param", name, 1))
 
     # -- predicates ----------------------------------------------------------
 
@@ -178,10 +269,13 @@ class ScalarExpr:
         return not self.num
 
     def is_const(self):
-        return not _p_params(self.num) and not _p_params(self.den)
+        return all(not m for m in self.num) and all(not m for m in self.den)
 
     def const_value(self):
-        assert self.is_const()
+        if not self.is_const():
+            raise InternalError(
+                f"const_value of a scalar in {', '.join(sorted(self.params()))}"
+            )
         return _p_eval(self.num, {}) / _p_eval(self.den, {})
 
     def params(self):
@@ -191,17 +285,19 @@ class ScalarExpr:
 
     def __add__(self, other):
         other = _coerce(other)
+        node = _node("add", self, other)
         if self.den == other.den:
-            return ScalarExpr(_p_add(self.num, other.num), self.den)
+            return ScalarExpr(_p_add(self.num, other.num), self.den, node)
         return ScalarExpr(
             _p_add(_p_mul(self.num, other.den), _p_mul(other.num, self.den)),
             _p_mul(self.den, other.den),
+            node,
         )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ScalarExpr(_p_neg(self.num), self.den)
+        return ScalarExpr(_p_neg(self.num), self.den, _node("neg", self))
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -211,7 +307,11 @@ class ScalarExpr:
 
     def __mul__(self, other):
         other = _coerce(other)
-        return ScalarExpr(_p_mul(self.num, other.num), _p_mul(self.den, other.den))
+        return ScalarExpr(
+            _p_mul(self.num, other.num),
+            _p_mul(self.den, other.den),
+            _node("mul", self, other),
+        )
 
     __rmul__ = __mul__
 
@@ -219,15 +319,25 @@ class ScalarExpr:
         other = _coerce(other)
         if other.is_zero():
             raise ZeroDivisionError("division by symbolically zero scalar")
-        return ScalarExpr(_p_mul(self.num, other.den), _p_mul(self.den, other.num))
+        return ScalarExpr(
+            _p_mul(self.num, other.den),
+            _p_mul(self.den, other.num),
+            _node("div", self, other),
+        )
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def conj(self):
-        return ScalarExpr(_p_conj(self.num), _p_conj(self.den))
+        return ScalarExpr(_p_conj(self.num), _p_conj(self.den), _node("conj", self))
 
     def evaluate(self, assign) -> GaussRat:
+        if self.node is not None:
+            if self._program is None:
+                object.__setattr__(self, "_program", _compile(self.node))
+            value = _run(self._program, assign)
+            if value is not None:
+                return value
         d = _p_eval(self.den, assign)
         if d.is_zero():
             raise ScalarEvalError(f"denominator {_p_str(self.den)} vanishes at the assignment")
@@ -240,6 +350,10 @@ class ScalarExpr:
             other = ScalarExpr.const(other)
         if not isinstance(other, ScalarExpr):
             return NotImplemented
+        if other.is_const():
+            return _equals_const(self, other.const_value())
+        if self.is_const():
+            return _equals_const(other, self.const_value())
         return _p_add(_p_mul(self.num, other.den), _p_neg(_p_mul(other.num, self.den))) == {}
 
     def __hash__(self):
@@ -258,6 +372,14 @@ class ScalarExpr:
 
     def __repr__(self):
         return f"ScalarExpr({self})"
+
+
+def _equals_const(e, c):
+    """num/den == c without cross-multiplying: for c != 0, num = c*den
+    term by term."""
+    if c.is_zero():
+        return not e.num
+    return e.num.keys() == e.den.keys() and all(v == c * e.den[m] for m, v in e.num.items())
 
 
 def _coerce(x):

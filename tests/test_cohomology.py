@@ -208,13 +208,15 @@ def test_exactness_invariants_survive_optimize_flag():
         "import sys\n"
         "from nilcoh.cohomology import CohomologyGroup\n"
         "from nilcoh.linalg import ONE, ZERO, InternalError, Subspace\n"
+        "from nilcoh.scalar import ScalarExpr\n"
         "num = Subspace.zero(2)\n"
         "den = Subspace.from_vectors(2, [[ONE, ZERO]])\n"
         "print(sys.flags.optimize)\n"
         "for check in (lambda: CohomologyGroup('de_rham', 1, num, den, None),\n"
         "              lambda: num.quotient_dim(den),\n"
         "              lambda: den.add(Subspace.full(3)),\n"
-        "              lambda: den.intersect(Subspace.full(3))):\n"
+        "              lambda: den.intersect(Subspace.full(3)),\n"
+        "              lambda: ScalarExpr.param('t').const_value()):\n"
         "    try:\n"
         "        check()\n"
         "    except InternalError as e:\n"
@@ -230,6 +232,7 @@ def test_exactness_invariants_survive_optimize_flag():
         "quotient: denominator escapes numerator\n"
         "ambient mismatch: Q(i)^2 and Q(i)^3\n"
         "ambient mismatch: Q(i)^2 and Q(i)^3\n"
+        "const_value of a scalar in t\n"
     )
 
 
@@ -272,3 +275,24 @@ def test_stability_verdicts_compute_no_pure_type_representatives(ops, rep_calls,
         (0, 1): ["F1", "F2"],
     }
     assert len(rep_calls) == 2
+
+
+def test_stability_verdicts_compute_no_pairwise_intersections(ops, monkeypatch, capsys):
+    calls = []
+    orig = linalg.Subspace.intersect
+
+    def counting(self, other):
+        calls.append(other)
+        return orig(self, other)
+
+    monkeypatch.setattr(linalg.Subspace, "intersect", counting)
+    assert cli.main(["hypotheses", "@example31"]) == 0
+    assert '"full_at_stage_2"' in capsys.readouterr().out
+    # four default samples, two intersections each for the stage-2 verdict
+    assert len(calls) == 8
+    report = pure_full(ops("iwasawa"), 2)
+    calls.clear()
+    assert report.pairwise == {((2, 0), (1, 1)): 0, ((2, 0), (0, 2)): 0, ((1, 1), (0, 2)): 0}
+    assert len(calls) == 3
+    report.as_dict()
+    assert len(calls) == 3

@@ -1,6 +1,8 @@
 """Structure-equation language: parsing, canonical printing, errors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nilcoh import dsl
 from nilcoh.catalog import catalog
@@ -95,3 +97,37 @@ def test_parse_gauss_rejects_parameters():
 def test_comments_and_blank_lines_ignored():
     spec = parse('algebra "x" dim 2\n\n# comment only\nd f2 = f1^F1  # trailing\n')
     assert not spec.d_gen(2, False).is_zero()
+
+
+_HEADER = 'algebra "x" dim 3\nparam t\n'
+_TOKENS = [
+    "algebra", '"x"', "dim", "0", "1", "2", "3", "12", "2i", "i", "param", "t",
+    "s", "flag", FLAG_NAME, "true", "false", "d", "f1", "f2", "f3", "F1", "F2",
+    "f0", "conj", "=", "^", "+", "-", "−", "*", "/", "(", ")", "#", '"', "$",
+]
+_soup = st.lists(
+    st.tuples(st.sampled_from(_TOKENS), st.sampled_from(["", " ", "\n", "\t"])),
+    max_size=25,
+).map(lambda parts: "".join(tok + sep for tok, sep in parts))
+_raw = st.text(alphabet=st.sampled_from('adfFimnpt0123ij"=^+-*/()# \n\t.,−é'), max_size=40)
+
+
+def _parses_or_points_at_the_error(fn, text):
+    try:
+        fn(text)
+    except DslError as e:
+        assert e.line >= 1 and e.col >= 1, str(e)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(["", _HEADER]), st.one_of(_soup, _raw))
+def test_parser_fuzz_raises_only_positioned_dsl_errors(header, body):
+    _parses_or_points_at_the_error(parse, header + body)
+    _parses_or_points_at_the_error(parse_gauss, body)
+
+
+def test_deep_nesting_is_a_dsl_error_not_a_crash():
+    assert parse_gauss("(" * 100 + "1/2" + ")" * 100) == parse_gauss("1/2")
+    with pytest.raises(DslError, match="^line 1, col 101: parentheses nested deeper than 100$"):
+        parse_gauss("(" * 101 + "1" + ")" * 101)
+    assert parse_gauss("-" * 3001 + "i") == parse_gauss("-i")

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcoh import scalar
+from nilcoh.catalog import get
 from nilcoh.dsl import parse_gauss
 from nilcoh.gauss import GaussRat
 from nilcoh.scalar import S_I, S_ONE, S_ZERO, ScalarEvalError, ScalarExpr
@@ -110,3 +112,89 @@ def test_evaluation_is_a_homomorphism(a, b):
 @given(_exprs())
 def test_conj_is_an_involution(a):
     assert a.conj().conj() == a
+
+
+# -- straight-line programs against the expanded fraction ------------------
+
+
+def _expanded(e):
+    """The same fraction without its recorded program: evaluate() then
+    reads the expanded num/den, as it does for node-less expressions."""
+    return ScalarExpr(e.num, e.den)
+
+
+def _outcome(e, assign):
+    try:
+        return e.evaluate(assign)
+    except ScalarEvalError as err:
+        return f"ScalarEvalError: {err}"
+
+
+_small = st.sampled_from([parse_gauss(s) for s in ["0", "1", "-1", "1/2", "i", "-i", "1+i"]])
+
+
+@st.composite
+def _rational_exprs(draw, depth=0):
+    if depth >= 3 or draw(st.booleans()):
+        kind = draw(st.integers(0, 3))
+        if kind == 0:
+            return ScalarExpr.const(draw(_small))
+        if kind == 1:
+            return ScalarExpr.param("t")
+        if kind == 2:
+            return ScalarExpr.conj_param("t")
+        return ScalarExpr.param("s")
+    a = draw(_rational_exprs(depth=depth + 1))
+    op = draw(st.integers(0, 4))
+    if op == 4:
+        return a.conj()
+    b = draw(_rational_exprs(depth=depth + 1))
+    if op == 3:
+        return a / b if not b.is_zero() else a
+    return a + b if op == 0 else a - b if op == 1 else a * b
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_exprs(), _small, _small, st.booleans())
+def test_program_agrees_with_expanded_fraction(e, t, s, s_assigned):
+    assign = {"t": t, "s": s} if s_assigned else {"t": t}
+    assert _outcome(e, assign) == _outcome(_expanded(e), assign)
+
+
+def test_program_failure_falls_back_to_expanded_fraction():
+    a, x = ScalarExpr.param("a"), ScalarExpr.param("X")
+    e = a / (S_ONE / x)  # expands to a*X/1, defined at X = 0
+    assign = {"a": parse_gauss("3"), "X": parse_gauss("0")}
+    assert e.evaluate(assign) == GaussRat(0)
+    # a parameter that cancels need not be assigned
+    assert (x - x + a).evaluate({"a": parse_gauss("2")}) == GaussRat(2)
+    with pytest.raises(ScalarEvalError, match="^unassigned parameter 'a'$"):
+        (a * x).evaluate({"X": parse_gauss("1")})
+
+
+@pytest.mark.parametrize("value", ["1/2", "1/2*i"])
+def test_sigma_samples_skipped_by_validate_fail_the_same_way(value):
+    coeffs = [c for _, c in get("iwasawa_sigma_family").spec.d_phi[2].items()]
+    assign = {p: parse_gauss(value) for p in ("t11", "t12", "t21", "t22")}
+    outcomes = [_outcome(c, assign) for c in coeffs]
+    assert outcomes == [_outcome(_expanded(c), assign) for c in coeffs]
+    assert any(isinstance(o, str) and "vanishes at the assignment" in o for o in outcomes)
+
+
+def test_sigma_evaluation_expands_no_polynomial(monkeypatch):
+    spec = get("iwasawa_sigma_family").spec
+    sizes = []
+    orig = scalar._p_eval
+
+    def counting(poly, assign):
+        sizes.append(len(poly))
+        return orig(poly, assign)
+
+    monkeypatch.setattr(scalar, "_p_eval", counting)
+    assign = {"t11": parse_gauss("1/3"), "t12": parse_gauss("i/4"),
+              "t21": parse_gauss("-1/5+1/6*i"), "t22": parse_gauss("1/6")}
+    concrete = spec.evaluate(assign)
+    assert sizes and max(sizes) <= 1
+    monkeypatch.undo()
+    for (mono, c) in spec.d_phi[2].items():
+        assert concrete.d_phi[2].coeff(mono).const_value() == _expanded(c).evaluate(assign)
