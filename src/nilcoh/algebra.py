@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .gauss import GaussRat
 from .linalg import Subspace
-from .scalar import ScalarExpr, ScalarEvalError, S_ONE
+from .scalar import ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement
 
 # default exact sample points used for pointwise validation of parametric data
@@ -182,44 +182,6 @@ def _grid(params, samples):
     for v in samples:
         for tail in _grid(rest, samples):
             yield {head: v, **tail}
-
-
-def complexify(real):
-    """Inverse of realify for real structures carrying the standard J.
-
-    Rebuilds d(phi^j) = d(e^{2j-1}) + i d(e^{2j}) with the real coframe
-    expanded back as e^{2j-1} = (phi^j + phi^jbar)/2,
-    e^{2j} = -(i/2)(phi^j - phi^jbar).
-    """
-    if real.dim % 2:
-        raise StructureError("complexification needs even real dimension")
-    n = real.dim // 2
-    for j in range(n):
-        for m in range(real.dim):
-            want_odd = Fraction(-1) if m == 2 * j + 1 else Fraction(0)
-            want_even = Fraction(1) if m == 2 * j else Fraction(0)
-            if real.j_mat[m][2 * j] != want_odd or real.j_mat[m][2 * j + 1] != want_even:
-                raise StructureError("complexification needs the standard J")
-
-    def coframe(a):
-        j = (a + 1) // 2
-        f, fbar = BigradedElement.gen(j), BigradedElement.gen(j, barred=True)
-        if a % 2:  # e^{2j-1}
-            return (f + fbar).scale(ScalarExpr.const(GaussRat(Fraction(1, 2))))
-        return (f - fbar).scale(ScalarExpr.const(GaussRat(0, Fraction(-1, 2))))
-
-    i_unit = ScalarExpr.const(GaussRat(0, 1))
-    d_phi = []
-    for j in range(1, n + 1):
-        total = BigradedElement.zero()
-        for a, scale in ((2 * j - 1, S_ONE), (2 * j, i_unit)):
-            for (u, w), c in real.d_e[a - 1].items():
-                term = coframe(u).wedge(coframe(w)).scale(
-                    ScalarExpr.const(GaussRat(c)) * scale
-                )
-                total = total + term
-        d_phi.append(total)
-    return AlgebraSpec(real.name, n, (), d_phi)
 
 
 def _complex_2form_to_real(form, n):

@@ -564,6 +564,9 @@ def _build_parser():
 def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # reports print exact values, however many digits they have
+    digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except UsageError as e:
@@ -581,6 +584,8 @@ def main(argv=None):
     except Exception as e:  # noqa: BLE001 -- the contract maps surprises to 3
         print(f"nilcoh: unexpected error: {type(e).__name__}: {e}", file=sys.stderr)
         return 3
+    finally:
+        sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

@@ -52,6 +52,9 @@ _RESERVED = {"algebra", "dim", "param", "flag", "d", "conj", "i", "true", "false
 FLAG_NAME = "invariant_cohomology_is_manifold_cohomology"
 
 _MAX_NESTING = 100
+_MAX_EXPONENT = 100
+# int() refuses longer digit strings (sys.get_int_max_str_digits)
+_MAX_DIGITS = 4300
 
 
 def _tokenize_line(text, lineno):
@@ -66,6 +69,8 @@ def _tokenize_line(text, lineno):
         if m is None:
             raise DslError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
         kind = m.lastgroup
+        if kind in ("NUMBER", "IMAG") and m.end() - pos > _MAX_DIGITS:
+            raise DslError(f"number longer than {_MAX_DIGITS} digits", lineno, pos + 1)
         if kind != "WS":
             tokens.append((kind, m.group(), lineno, pos + 1))
         pos = m.end()
@@ -296,14 +301,24 @@ class _Parser:
 
     def _scalar_power(self, t):
         v = self._scalar_atom(t)
+        n = 1  # (x^a)^b = x^(a*b): the whole chain counts against the bound
         while t.peek() and t.peek()[0] == "OP" and t.peek()[1] == "^":
             t.take()
             e = t.expect("NUMBER")
-            out = S_ONE
-            for _ in range(int(e[1])):
+            n *= int(e[1])
+            if n > _MAX_EXPONENT:
+                raise DslError(f"exponent {n} exceeds {_MAX_EXPONENT}", e[2], e[3])
+        if n == 1:
+            return v
+        # square-and-multiply
+        out = S_ONE
+        while n:
+            if n & 1:
                 out = out * v
-            v = out
-        return v
+            n >>= 1
+            if n:
+                v = v * v
+        return out
 
     def _scalar_atom(self, t):
         tok = t.take()

@@ -118,9 +118,6 @@ class BigradedElement:
     def bidegrees(self):
         return sorted({mono_bidegree(m) for m in self.coeffs})
 
-    def is_homogeneous(self):
-        return len(self.bidegrees()) <= 1
-
     def coeff(self, m):
         from .scalar import S_ZERO
         return self.coeffs.get(m, S_ZERO)

@@ -7,6 +7,7 @@ whose evaluation yields one).  No floats, ever.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 
 class InternalError(AssertionError):
@@ -15,85 +16,105 @@ class InternalError(AssertionError):
 
 
 class GaussRat:
-    """Immutable element of Q(i), stored as a pair of Fractions."""
+    """Immutable element of Q(i), stored as integers (a + b*i)/q in normal
+    form: q > 0 and gcd(a, b, q) = 1, so every value (zero included) has
+    exactly one representation.  re and im are read as Fractions."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_q")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        re, im = Fraction(re), Fraction(im)
+        dr, di = re.denominator, im.denominator
+        q = dr * di // gcd(dr, di)
+        self._a = re.numerator * (q // dr)
+        self._b = im.numerator * (q // di)
+        self._q = q
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussRat is immutable")
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._q)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._q)
 
     # -- basic predicates ------------------------------------------------
 
     def is_zero(self):
-        return not self.re and not self.im
+        return not self._a and not self._b
 
     def is_real(self):
-        return not self.im
+        return not self._b
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     # -- field operations ------------------------------------------------
 
     def __add__(self, other):
-        other = _coerce(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+        q, r = self._q, other._q
+        if q == r:
+            return _normal(self._a + other._a, self._b + other._b, q)
+        return _normal(self._a * r + other._a * q, self._b * r + other._b * q, q * r)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        return GaussRat(self.re - other.re, self.im - other.im)
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+        q, r = self._q, other._q
+        if q == r:
+            return _normal(self._a - other._a, self._b - other._b, q)
+        return _normal(self._a * r - other._a * q, self._b * r - other._b * q, q * r)
 
     def __rsub__(self, other):
         return _coerce(other) - self
 
     def __neg__(self):
-        return GaussRat(-self.re, -self.im)
+        return _normal(-self._a, -self._b, self._q)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        return GaussRat(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+        a, b, c, d = self._a, self._b, other._a, other._b
+        return _normal(a * c - b * d, a * d + b * c, self._q * other._q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
-        n = other.re * other.re + other.im * other.im
+        if other.__class__ is not GaussRat:
+            other = _coerce(other)
+        a, b, c, d = self._a, self._b, other._a, other._b
+        n = c * c + d * d
         if not n:
             raise ZeroDivisionError("division by zero in Q(i)")
-        return GaussRat(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        r = other._q
+        return _normal(r * (a * c + b * d), r * (b * c - a * d), self._q * n)
 
     def __rtruediv__(self, other):
         return _coerce(other) / self
 
     def conj(self):
-        return GaussRat(self.re, -self.im)
+        return _normal(self._a, -self._b, self._q)
 
     def norm2(self) -> Fraction:
         """|z|^2, an ordinary rational."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._q * self._q)
 
     # -- comparisons / hashing --------------------------------------------
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if other.__class__ is not GaussRat:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = GaussRat(other)
-        if not isinstance(other, GaussRat):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self._a == other._a and self._b == other._b and self._q == other._q
 
     def __hash__(self):
+        if self._q == 1:  # an int hashes as the equal Fraction does
+            return hash((self._a, self._b))
         return hash((self.re, self.im))
 
     # -- printing ----------------------------------------------------------
@@ -103,15 +124,16 @@ class GaussRat:
         if self.is_zero():
             return "0"
         parts = []
-        if self.re:
+        if self._a:
             parts.append(str(self.re))
-        if self.im:
-            if self.im == 1:
+        if self._b:
+            im = self.im
+            if im == 1:
                 im_s = "i"
-            elif self.im == -1:
+            elif im == -1:
                 im_s = "-i"
             else:
-                im_s = f"{self.im}*i"
+                im_s = f"{im}*i"
             if parts and not im_s.startswith("-"):
                 parts.append("+" + im_s)
             else:
@@ -120,6 +142,20 @@ class GaussRat:
 
     def __repr__(self):
         return f"GaussRat({self})"
+
+
+_new = object.__new__
+
+
+def _normal(a, b, q):
+    """GaussRat (a + b*i)/q for q > 0, brought into normal form."""
+    if q != 1:
+        g = gcd(a, b, q)
+        if g != 1:
+            a, b, q = a // g, b // g, q // g
+    z = _new(GaussRat)
+    z._a, z._b, z._q = a, b, q
+    return z
 
 
 def _coerce(x):

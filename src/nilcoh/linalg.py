@@ -13,22 +13,50 @@ from bisect import bisect
 from itertools import combinations
 
 from .gauss import ONE, ZERO, InternalError
-from .exterior import BigradedElement
+from .exterior import BigradedElement, _merge_count, mono_key
 
 
 # ---------------------------------------------------------------------------
-# the elimination kernel: rows are sequences of GaussRat, and an echelon
-# state is a pair (rows, pivots) in reduced row echelon form.  _reduce and
-# _insert are the only row operations; everything below composes them.
+# the elimination kernel: a sparse row is a dict {column: nonzero GaussRat},
+# and an echelon state is a pair (rows, pivots) of sparse rows in reduced row
+# echelon form.  _reduce and _insert are the only row operations; everything
+# below composes them.  Dense vectors (sequences of GaussRat) appear only at
+# the public boundary: rref, kernel_basis, Subspace.rows and the operators.
+
+
+def _sparse(vec):
+    """Sparse row of a dense vector.  Most zeros are the shared ZERO, which
+    is skipped without a call to GaussRat.__bool__."""
+    return {j: x for j, x in enumerate(vec) if x is not ZERO and x}
+
+
+def _dense(row, width):
+    """Dense list of a sparse row."""
+    return [row.get(j, ZERO) for j in range(width)]
+
+
+def _axpy(v, f, row):
+    """v -= f * row in place, dropping entries that cancel."""
+    for j, b in row.items():
+        x = v.get(j)
+        if x is None:
+            v[j] = -(f * b)
+        else:
+            x = x - f * b
+            if x:
+                v[j] = x
+            else:
+                del v[j]
 
 
 def _reduce(rows, pivots, vec):
-    """Residue of vec against the RREF rows: every pivot column cleared."""
-    v = list(vec)
+    """Residue of the sparse vec against the RREF rows: every pivot column
+    cleared.  vec itself is left as it is."""
+    v = dict(vec)
     for row, c in zip(rows, pivots):
-        f = v[c]
-        if f:
-            v = [a - f * b if b else a for a, b in zip(v, row)]
+        f = v.get(c)
+        if f is not None:
+            _axpy(v, f, row)
     return v
 
 
@@ -36,44 +64,85 @@ def _insert(rows, pivots, residue):
     """Add a nonzero residue of _reduce to the echelon state, in place.
 
     The residue is scaled to a leading 1, its pivot column is cleared from
-    the other rows, and it goes in at its pivot position.  Zero entries stay
-    the shared ZERO: memoised subspaces keep their rows, which are mostly
-    zeros.  Callers pass their own lists, never a memoised subspace's.
+    the other rows, and it goes in at its pivot position.  Rows that change
+    are replaced, never edited: memoised subspaces share their row dicts.
+    Callers pass their own lists, never a memoised subspace's.
     """
-    c = next(i for i, x in enumerate(residue) if x)
+    c = min(residue)
     inv = ONE / residue[c]
-    new = tuple(x * inv if x else ZERO for x in residue)
+    new = {j: x * inv for j, x in residue.items()}
     for i, row in enumerate(rows):
-        f = row[c]
-        if f:
-            rows[i] = tuple(a - f * b if b else a for a, b in zip(row, new))
+        f = row.get(c)
+        if f is not None:
+            row = dict(row)
+            _axpy(row, f, new)
+            rows[i] = row
     at = bisect(pivots, c)
     rows.insert(at, new)
     pivots.insert(at, c)
 
 
 def _extend(rows, pivots, vectors):
-    """Fold vectors into the echelon state; returns it."""
+    """Fold sparse vectors into the echelon state; returns it."""
     for vec in vectors:
         residue = _reduce(rows, pivots, vec)
-        if any(residue):
+        if residue:
             _insert(rows, pivots, residue)
     return rows, pivots
 
 
+def _kernel(rows, ncols):
+    """Canonical kernel basis of the sparse rows, one sparse vector per free
+    column in column order."""
+    red, pivots = _extend([], [], rows)
+    entries = {}  # free column -> [(pivot column, entry)]
+    for row, pc in zip(red, pivots):
+        for j, x in row.items():
+            if j != pc:
+                entries.setdefault(j, []).append((pc, x))
+    pivset = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc not in pivset:
+            v = {fc: ONE}
+            for pc, x in entries.get(fc, ()):
+                v[pc] = -x
+            basis.append(v)
+    return basis
+
+
+def _apply(rows, vec):
+    """Sparse rows applied to a sparse vector: a sparse vector."""
+    out = {}
+    for i, row in enumerate(rows):
+        acc = ZERO
+        for j, x in vec.items():
+            a = row.get(j)
+            if a is not None:
+                acc = acc + a * x
+        if acc:
+            out[i] = acc
+    return out
+
+
 def rref(rows):
     """Reduced row echelon form. Returns (rows, pivot_columns); zero rows dropped."""
-    return _extend([], [], rows)
+    rows = list(rows)
+    width = len(rows[0]) if rows else 0
+    red, pivots = _extend([], [], map(_sparse, rows))
+    return [tuple(_dense(r, width)) for r in red], pivots
 
 
 def apply_rows(op_rows, vec):
-    """op_rows applied to vec: one dot product per row."""
+    """op_rows applied to vec: one dot product per row over vec's nonzeros."""
+    nonzero = _sparse(vec).items()
     out = []
     for row in op_rows:
         acc = ZERO
-        for a, b in zip(row, vec):
-            if a and b:
-                acc = acc + a * b
+        for j, x in nonzero:
+            a = row[j]
+            if a:
+                acc = acc + a * x
         out.append(acc)
     return out
 
@@ -115,34 +184,30 @@ def solve(a_rows, b):
 
 def kernel_basis(a_rows, ncols):
     """Canonical kernel basis of the map x -> A x (A given by rows)."""
-    red, pivots = rref(a_rows)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for fc in free:
-        v = [ZERO] * ncols
-        v[fc] = ONE
-        for row, pc in zip(red, pivots):
-            if row[fc]:
-                v[pc] = -row[fc]
-        basis.append(v)
-    return basis
+    return [_dense(v, ncols) for v in _kernel(map(_sparse, a_rows), ncols)]
 
 
 class Subspace:
-    """A subspace of Q(i)^dim in canonical (RREF) form."""
+    """A subspace of Q(i)^dim in canonical (RREF) form.
 
-    __slots__ = ("ambient", "rows", "pivots")
+    The echelon rows are kept once, sparse; rows gives them as dense tuples.
+    """
+
+    __slots__ = ("ambient", "_rows", "pivots")
 
     def __init__(self, ambient, rows, pivots):
         self.ambient = ambient
-        self.rows = rows
+        self._rows = rows
         self.pivots = pivots
 
     @classmethod
+    def span(cls, ambient, vectors):
+        """Span of sparse vectors."""
+        return cls(ambient, *_extend([], [], vectors))
+
+    @classmethod
     def from_vectors(cls, ambient, vectors):
-        rows, pivots = rref(list(vectors))
-        return cls(ambient, rows, pivots)
+        return cls.span(ambient, map(_sparse, vectors))
 
     @classmethod
     def zero(cls, ambient):
@@ -150,22 +215,25 @@ class Subspace:
 
     @classmethod
     def full(cls, ambient):
-        eye = [tuple(ONE if i == j else ZERO for j in range(ambient)) for i in range(ambient)]
-        return cls(ambient, eye, list(range(ambient)))
+        return cls(ambient, [{i: ONE} for i in range(ambient)], list(range(ambient)))
+
+    @property
+    def rows(self):
+        return [tuple(_dense(r, self.ambient)) for r in self._rows]
 
     @property
     def dim(self):
-        return len(self.rows)
+        return len(self._rows)
 
     def reduce(self, vec):
         """Residue of vec modulo this subspace (canonical representative)."""
-        return _reduce(self.rows, self.pivots, vec)
+        return _dense(_reduce(self._rows, self.pivots, _sparse(vec)), len(vec))
 
     def contains(self, vec):
-        return not any(self.reduce(vec))
+        return not _reduce(self._rows, self.pivots, _sparse(vec))
 
     def contains_subspace(self, other):
-        return all(self.contains(r) for r in other.rows)
+        return not any(_reduce(self._rows, self.pivots, r) for r in other._rows)
 
     def _check_ambient(self, other):
         if self.ambient != other.ambient:
@@ -175,22 +243,27 @@ class Subspace:
 
     def add(self, other):
         self._check_ambient(other)
-        return Subspace(self.ambient, *_extend(list(self.rows), list(self.pivots), other.rows))
+        return Subspace(self.ambient, *_extend(list(self._rows), list(self.pivots), other._rows))
 
     def intersect(self, other):
         """Zassenhaus-free intersection: solve for combinations landing in both."""
         self._check_ambient(other)
-        if not self.rows or not other.rows:
+        if not self._rows or not other._rows:
             return Subspace.zero(self.ambient)
         # x in both <=> x = sum a_i u_i = sum b_j v_j; kernel of [U^T | -V^T]
-        u_cols = [list(col) for col in zip(*self.rows)]
-        a_rows = [u + [-x for x in v] for u, v in zip(u_cols, zip(*other.rows))]
-        width = len(self.rows)
+        width = len(self._rows)
+        a_rows = [{} for _ in range(self.ambient)]
+        for i, row in enumerate(self._rows):
+            for j, x in row.items():
+                a_rows[j][i] = x
+        for i, row in enumerate(other._rows, start=width):
+            for j, x in row.items():
+                a_rows[j][i] = -x
         vectors = [
-            apply_rows(u_cols, k[:width])
-            for k in kernel_basis(a_rows, width + len(other.rows))
+            _apply(a_rows, {i: f for i, f in k.items() if i < width})
+            for k in _kernel(a_rows, width + len(other._rows))
         ]
-        return Subspace.from_vectors(self.ambient, vectors)
+        return Subspace.span(self.ambient, vectors)
 
     def quotient_dim(self, sub, what="quotient"):
         """dim(self / sub); raises InternalError unless sub lies in self."""
@@ -201,7 +274,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self.rows == other.rows
+        return self.ambient == other.ambient and self._rows == other._rows
 
     def __repr__(self):
         return f"<subspace dim {self.dim} of Q(i)^{self.ambient}>"
@@ -210,14 +283,29 @@ class Subspace:
 def quotient_representatives(vectors, den):
     """Deterministic representatives of (span(vectors) + den) / den: greedy
     in the given order, keeping each vector outside den + span(kept)."""
-    rows, pivots = list(den.rows), list(den.pivots)
+    rows, pivots = list(den._rows), list(den.pivots)
     reps = []
     for v in vectors:
-        residue = _reduce(rows, pivots, v)
-        if any(residue):
+        residue = _reduce(rows, pivots, _sparse(v))
+        if residue:
             reps.append(v)
             _insert(rows, pivots, residue)
     return reps
+
+
+def _block_rows(blocks, rows_of_blocks):
+    """Sparse rows of a block matrix (arguments as in assemble_block_rows)."""
+    offsets = [sum(blocks[:i]) for i in range(len(blocks))]
+    a_rows = []
+    for row_count, mats in rows_of_blocks:
+        for r in range(row_count):
+            row = {}
+            for bi, mat in mats.items():
+                off = offsets[bi]
+                for c, x in _sparse(mat[r]).items():
+                    row[off + c] = x
+            a_rows.append(row)
+    return a_rows
 
 
 def assemble_block_rows(blocks, rows_of_blocks):
@@ -228,19 +316,8 @@ def assemble_block_rows(blocks, rows_of_blocks):
       groups; each matrix has row_count rows and at most blocks[i] columns,
       filling the first columns of its block.
     """
-    offsets = [sum(blocks[:i]) for i in range(len(blocks))]
     total = sum(blocks)
-    a_rows = []
-    for row_count, mats in rows_of_blocks:
-        for r in range(row_count):
-            row = [ZERO] * total
-            for bi, mat in mats.items():
-                off = offsets[bi]
-                for c, x in enumerate(mat[r]):
-                    if x:
-                        row[off + c] = x
-            a_rows.append(row)
-    return a_rows
+    return [_dense(row, total) for row in _block_rows(blocks, rows_of_blocks)]
 
 
 def stacked_kernel_projection(blocks, rows_of_blocks, project_block):
@@ -250,10 +327,12 @@ def stacked_kernel_projection(blocks, rows_of_blocks, project_block):
     Returns the canonical Subspace of Q(i)^{blocks[project_block]} of values
     the projected unknown takes over the kernel.
     """
-    ker = kernel_basis(assemble_block_rows(blocks, rows_of_blocks), sum(blocks))
+    ker = _kernel(_block_rows(blocks, rows_of_blocks), sum(blocks))
     off = sum(blocks[:project_block])
     w = blocks[project_block]
-    return Subspace.from_vectors(w, [v[off : off + w] for v in ker])
+    return Subspace.span(
+        w, [{j - off: x for j, x in v.items() if off <= j < off + w} for v in ker]
+    )
 
 
 def stacked_kernel_image(blocks, rows_of_blocks, out_spec):
@@ -263,9 +342,9 @@ def stacked_kernel_image(blocks, rows_of_blocks, out_spec):
     map it describes is applied to every kernel vector of the constraints and
     the span of the values is returned as a canonical Subspace.
     """
-    ker = kernel_basis(assemble_block_rows(blocks, rows_of_blocks), sum(blocks))
-    out_rows = assemble_block_rows(blocks, [out_spec])
-    return Subspace.from_vectors(out_spec[0], [apply_rows(out_rows, v) for v in ker])
+    ker = _kernel(_block_rows(blocks, rows_of_blocks), sum(blocks))
+    out_rows = _block_rows(blocks, [out_spec])
+    return Subspace.span(out_spec[0], [_apply(out_rows, v) for v in ker])
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +393,13 @@ class OperatorCache:
     their kernels and images.
 
     The spec is a parameter-free AlgebraSpec; one that is not integrable or
-    has d^2 != 0 is rejected with StructureError.  Matrices and subspaces
-    are built lazily, once each, and memoized; callers must not mutate them.
-    Matrices act on column vectors; stored as rows.
+    has d^2 != 0 is rejected with StructureError.  d is assembled from the
+    structure constants by the Leibniz rule; since the structure is
+    integrable, d maps Lambda^{p,q} into Lambda^{p+1,q} + Lambda^{p,q+1}, so
+    del and delbar are bidegree blocks of d and del.delbar is their product.
+    Matrices and subspaces are built lazily, once each, and memoized;
+    callers must not mutate them.  Matrices act on column vectors; stored as
+    dense rows.
     """
 
     def __init__(self, spec):
@@ -326,6 +409,13 @@ class OperatorCache:
         self.n = spec.n
         self._bases = {}
         self._memo = {}
+        # generator token -> [(token pair of a 2-form monomial, coefficient)]
+        self._d_gen = {
+            (int(barred), i): [(mono_key(m), c.const_value())
+                               for m, c in spec.d_gen(i, barred).coeffs.items()]
+            for i in range(1, spec.n + 1)
+            for barred in (False, True)
+        }
 
     def _get(self, key, build):
         value = self._memo.get(key)
@@ -346,42 +436,61 @@ class OperatorCache:
             self._bases[key] = b
         return b
 
-    def _matrix(self, src_key, dst_key, transform):
-        src, _ = self.basis(src_key)
-        dst, dst_idx = self.basis(dst_key)
-        cols = []
-        for m in src:
-            img = transform(BigradedElement.monomial(*m))
-            col = [ZERO] * len(dst)
-            for mm, c in img.coeffs.items():
-                col[dst_idx[mm]] = c.const_value()
-            cols.append(col)
-        # store as rows (dst x src)
-        return [
-            [cols[j][i] for j in range(len(src))] for i in range(len(dst))
-        ]
+    def _block(self, p, q):
+        """Slice of the (p,q) block in the basis of Lambda^{p+q}."""
+        start = sum(self.dims((r, p + q - r)) for r in range(min(p + q, self.n), p, -1))
+        return slice(start, start + self.dims((p, q)))
+
+    def _matrix(self, op, key):
+        """Dense rows of op on the space key: d on a total degree by the
+        Leibniz rule, del and delbar as blocks of it, del.delbar as a product."""
+        if op == "d":
+            src, _ = self.basis(key)
+            dst, dst_idx = self.basis(key + 1)
+            row_of = {mono_key(m): r for m, r in dst_idx.items()}
+            rows = [[ZERO] * len(src) for _ in dst]
+            for c, m in enumerate(src):
+                toks = mono_key(m)
+                for pos, tok in enumerate(toks):
+                    rest = toks[:pos] + toks[pos + 1:]
+                    for pair, coeff in self._d_gen[tok]:
+                        sign, merged = _merge_count(pair, rest)
+                        if sign:
+                            row = rows[row_of[merged]]
+                            # d(t_1..t_k) = sum_pos (-1)^pos d(t_pos) ^ rest
+                            row[c] = row[c] + coeff if sign == (-1) ** pos else row[c] - coeff
+            return rows
+        p, q = key
+        if op in ("del", "delbar"):
+            tgt = (p + 1, q) if op == "del" else (p, q + 1)
+            cols = self._block(p, q)
+            return [row[cols] for row in self.d_total(p + q)[self._block(*tgt)]]
+        # op == "dd": del_{(p,q+1)} . delbar_{(p,q)}
+        right = [_sparse(row) for row in self.delbar_pq(p, q)]
+        width = self.dims((p, q))
+        rows = []
+        for left in self.del_pq(p, q + 1):
+            acc = {}
+            for k, x in _sparse(left).items():
+                _axpy(acc, -x, right[k])
+            rows.append(_dense(acc, width))
+        return rows
 
     def d_total(self, k):
         """d: Lambda^k -> Lambda^{k+1}."""
-        return self._get(("d", k), lambda: self._matrix(k, k + 1, self.spec.d))
+        return self._get(("d", k), lambda: self._matrix("d", k))
 
     def del_pq(self, p, q):
         """del: (p,q) -> (p+1,q)."""
-        return self._get(("del", (p, q)), lambda: self._matrix(
-            (p, q), (p + 1, q), lambda e: self.spec.d(e).project(p + 1, q)))
+        return self._get(("del", (p, q)), lambda: self._matrix("del", (p, q)))
 
     def delbar_pq(self, p, q):
         """delbar: (p,q) -> (p,q+1)."""
-        return self._get(("delbar", (p, q)), lambda: self._matrix(
-            (p, q), (p, q + 1), lambda e: self.spec.d(e).project(p, q + 1)))
+        return self._get(("delbar", (p, q)), lambda: self._matrix("delbar", (p, q)))
 
     def deldelbar_pq(self, p, q):
         """del∘delbar: (p,q) -> (p+1,q+1)."""
-        return self._get(("dd", (p, q)), lambda: self._matrix(
-            (p, q),
-            (p + 1, q + 1),
-            lambda e: self.spec.d(self.spec.d(e).project(p, q + 1)).project(p + 1, q + 1),
-        ))
+        return self._get(("dd", (p, q)), lambda: self._matrix("dd", (p, q)))
 
     def rows(self, op, key):
         """Matrix rows of op ("d", "del", "delbar" or "dd") on the space key.
@@ -409,7 +518,11 @@ class OperatorCache:
         """op applied to the space key, as a canonical Subspace of the target."""
         def build():
             rows = self.rows(op, key)
-            return Subspace.from_vectors(len(rows), [list(col) for col in zip(*rows)])
+            cols = [{} for _ in range(self.dims(key))]
+            for i, row in enumerate(rows):
+                for j, x in _sparse(row).items():
+                    cols[j][i] = x
+            return Subspace.span(len(rows), cols)
 
         return self._get(("im", op, key), build)
 

@@ -4,12 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from nilcoh.algebra import AlgebraSpec, StructureError, complexify
+from nilcoh.algebra import AlgebraSpec, StructureError
 from nilcoh.catalog import catalog, get
 from nilcoh.deform import frame_change, real_frame_matrix, substitute
 from nilcoh.dsl import parse, parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat
+from nilcoh.scalar import S_ONE, ScalarExpr
 
 
 def test_validate_symbolic_ok():
@@ -79,6 +80,44 @@ def test_realify_matches_hand_derived_table():
     ]
     got = [{k: c for k, c in real.d_e[a].items()} for a in range(8)]
     assert got == [{k: Fraction(c) for k, c in row.items()} for row in expected]
+
+
+def complexify(real):
+    """Reference inverse of realify for real structures carrying the standard J.
+
+    Rebuilds d(phi^j) = d(e^{2j-1}) + i d(e^{2j}) with the real coframe
+    expanded back as e^{2j-1} = (phi^j + phi^jbar)/2,
+    e^{2j} = -(i/2)(phi^j - phi^jbar).
+    """
+    if real.dim % 2:
+        raise StructureError("complexification needs even real dimension")
+    n = real.dim // 2
+    for j in range(n):
+        for m in range(real.dim):
+            want_odd = Fraction(-1) if m == 2 * j + 1 else Fraction(0)
+            want_even = Fraction(1) if m == 2 * j else Fraction(0)
+            if real.j_mat[m][2 * j] != want_odd or real.j_mat[m][2 * j + 1] != want_even:
+                raise StructureError("complexification needs the standard J")
+
+    def coframe(a):
+        j = (a + 1) // 2
+        f, fbar = BigradedElement.gen(j), BigradedElement.gen(j, barred=True)
+        if a % 2:  # e^{2j-1}
+            return (f + fbar).scale(ScalarExpr.const(GaussRat(Fraction(1, 2))))
+        return (f - fbar).scale(ScalarExpr.const(GaussRat(0, Fraction(-1, 2))))
+
+    i_unit = ScalarExpr.const(GaussRat(0, 1))
+    d_phi = []
+    for j in range(1, n + 1):
+        total = BigradedElement.zero()
+        for a, scale in ((2 * j - 1, S_ONE), (2 * j, i_unit)):
+            for (u, w), c in real.d_e[a - 1].items():
+                term = coframe(u).wedge(coframe(w)).scale(
+                    ScalarExpr.const(GaussRat(c)) * scale
+                )
+                total = total + term
+        d_phi.append(total)
+    return AlgebraSpec(real.name, n, (), d_phi)
 
 
 def test_complexify_inverts_realify_on_every_entry():

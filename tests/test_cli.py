@@ -1,11 +1,18 @@
-"""End-to-end command-line checks through real subprocesses."""
+"""End-to-end command-line checks through real subprocesses, and a fuzz of
+the parameter options through cli.main in process."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from nilcoh import cli
 
 BASE = [sys.executable, "-m", "nilcoh"]
 
@@ -262,3 +269,46 @@ def test_byte_determinism_across_thread_caps(threads):
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzz: --assign, --samples and --grid text through cli.main in process
+
+_VALUE_TOKENS = [
+    "0", "1", "2", "12", "1/2", "i", "2i", "i/3", "t", "t11", "conj(t)", "(", ")",
+    "+", "-", "*", "/", "^", "100", "101", "1000000000", "9" * 4300, "1/0",
+    "=", ";", "|", ",", " ", ".", "#", "é",
+]
+_value = st.lists(st.sampled_from(_VALUE_TOKENS), max_size=10).map("".join)
+_name = st.sampled_from(["t", "t11", "t22", "s", "", "i", "t=t", " t "])
+
+
+def _exit_code(argv):
+    """(exit code, stderr) of one cli.main call; argparse errors exit 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as e:
+            rc = e.code
+    return rc, err.getvalue()
+
+
+@settings(max_examples=100, deadline=None)
+@given(_name, _value, _name, _value, st.sampled_from([";", "; ", "|", ""]))
+@example("t", "9" * 4300 + "*" + "9" * 4300, "t", "0", ";")  # 8600 digits to print
+@example("t", "12^100^100", "t", "1/2", ";")  # a chain of exponents
+def test_cli_fuzz_parameter_text_exits_0_1_or_2(name, value, name2, value2, sep):
+    argvs = [
+        ["validate", "@example31", f"--assign={name}={value}"],
+        ["cohomology", "@example31", f"--assign={name}={value}",
+         "--theory", "bc", "--degree", "2,0"],
+        ["deform", "@example31", f"--samples={name}={value}{sep}{name2}={value2}",
+         "--tasks", "validate"],
+        ["deform", "@iwasawa_x_torus", f"--grid={name}={value}|{value2}{sep}{name2}={value2}",
+         "--tasks", "validate"],
+    ]
+    for argv in argvs:
+        rc, err = _exit_code(argv)
+        assert rc in (0, 1, 2), (argv, rc, err)
+        assert "Traceback" not in err, err

@@ -1,5 +1,7 @@
 """Structure-equation language: parsing, canonical printing, errors."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -131,3 +133,24 @@ def test_deep_nesting_is_a_dsl_error_not_a_crash():
     with pytest.raises(DslError, match="^line 1, col 101: parentheses nested deeper than 100$"):
         parse_gauss("(" * 101 + "1" + ")" * 101)
     assert parse_gauss("-" * 3001 + "i") == parse_gauss("-i")
+
+
+def test_exponents_are_bounded_and_squared():
+    # past the bound is a positioned error; the parser never multiplies it out
+    with pytest.raises(DslError, match="^line 1, col 3: exponent 101 exceeds 100$"):
+        parse_gauss("2^101")
+    with pytest.raises(DslError, match="^line 1, col 6: exponent 110 exceeds 100$"):
+        parse_gauss("2^10^11")  # a chain counts as the product of its exponents
+    t0 = time.perf_counter()
+    with pytest.raises(DslError, match="^line 1, col 7: exponent 1000000000 exceeds 100$"):
+        parse_gauss("(1+i)^1000000000")
+    assert time.perf_counter() - t0 < 1
+    with pytest.raises(DslError, match="^line 1, col 1: number longer than 4300 digits$"):
+        parse_gauss("9" * 4301)
+    assert parse_gauss("(1+i)^100") == parse_gauss("-1125899906842624")
+    assert parse_gauss("2^10^10") == parse_gauss(str(2 ** 100))
+    assert parse_gauss("(1/2+i)^0") == parse_gauss("1")
+    assert parse_gauss("2^0^99999") == parse_gauss("1")
+    powered = parse('algebra "p" dim 3\nparam t\nd f3 = (1+t)^5*f1^f2\n')
+    expanded = parse('algebra "p" dim 3\nparam t\nd f3 = (1+t)*(1+t)*(1+t)*(1+t)*(1+t)*f1^f2\n')
+    assert powered.d_gen(3, False) == expanded.d_gen(3, False)

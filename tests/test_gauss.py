@@ -1,6 +1,7 @@
 """Exact Gaussian-rational arithmetic."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -85,3 +86,61 @@ def test_field_inverse_and_conj_involution(a):
 def test_conj_is_multiplicative(a, b):
     assert (a * b).conj() == a.conj() * b.conj()
     assert (a + b).conj() == a.conj() + b.conj()
+
+
+# ---------------------------------------------------------------------------
+# reference: a pair of Fractions, the representation GaussRat used to have
+
+
+def _str_reference(re, im):
+    if not re and not im:
+        return "0"
+    parts = [str(re)] if re else []
+    if im:
+        im_s = "i" if im == 1 else "-i" if im == -1 else f"{im}*i"
+        parts.append("+" + im_s if parts and not im_s.startswith("-") else im_s)
+    return "".join(parts)
+
+
+def _normal_form(z):
+    return z._q > 0 and gcd(z._a, z._b, z._q) == 1
+
+
+_small = st.one_of(_fracs, st.integers(-3, 3).map(Fraction))
+
+
+@given(_small, _small, _small, _small)
+def test_int_backed_scalar_matches_fraction_pair_reference(ar, ai, br, bi):
+    a, b = GaussRat(ar, ai), GaussRat(br, bi)
+    pair = lambda z: (z.re, z.im)  # noqa: E731
+    assert type(a.re) is Fraction and type(a.im) is Fraction
+    assert pair(a) == (ar, ai) and pair(b) == (br, bi)
+    assert pair(a + b) == (ar + br, ai + bi)
+    assert pair(a - b) == (ar - br, ai - bi)
+    assert pair(-a) == (-ar, -ai)
+    assert pair(a * b) == (ar * br - ai * bi, ar * bi + ai * br)
+    assert pair(a.conj()) == (ar, -ai)
+    assert a.norm2() == ar * ar + ai * ai and type(a.norm2()) is Fraction
+    n = br * br + bi * bi
+    if n:
+        assert pair(a / b) == ((ar * br + ai * bi) / n, (ai * br - ar * bi) / n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a / b
+    assert (a == b) == ((ar, ai) == (br, bi))
+    assert hash(a) == hash((ar, ai))
+    assert (hash(a) == hash(b)) or a != b
+    assert str(a) == _str_reference(ar, ai)
+    assert bool(a) == (ar != 0 or ai != 0) == (not a.is_zero())
+    assert a.is_real() == (ai == 0)
+    # mixed with int and Fraction operands, on either side
+    assert pair(a + 1) == pair(1 + a) == (ar + 1, ai)
+    assert pair(2 * a) == pair(a * 2) == (2 * ar, 2 * ai)
+    assert pair(br - a) == (br - ar, -ai)
+    assert (a == ar) == (ai == 0)
+    # normal form: q > 0, gcd(a, b, q) = 1, so zero has the single form 0/1
+    for z in (a, b, a + b, a - b, a * b, a.conj(), -a, a - a, a * 0):
+        assert _normal_form(z)
+    assert (a - a)._a == (a - a)._b == 0 and (a - a)._q == 1
+    if n:
+        assert _normal_form(a / b)

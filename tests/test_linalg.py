@@ -3,8 +3,12 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcoh.catalog import catalog
+from nilcoh.deform import DeformationError
 from nilcoh.dsl import parse_gauss
+from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat, ONE, ZERO
+from nilcoh.scalar import ScalarEvalError
 from nilcoh.linalg import (
     OperatorCache,
     Subspace,
@@ -202,3 +206,54 @@ def test_elimination_kernel_matches_references(den_rows, vectors, repeats):
     assert reps == _quotient_representatives_reference(vectors, den)
     assert len(reps) == joined.dim - den.dim
     assert (den.rows, den.pivots) == (kept_rows, kept_pivots)
+
+
+# ---------------------------------------------------------------------------
+# reference assembly: d through AlgebraSpec.d and BigradedElement on every
+# source monomial, projected to the operator's target bidegree
+
+
+def _assembly_reference(cache, src_key, dst_key, transform):
+    src, _ = cache.basis(src_key)
+    dst, dst_idx = cache.basis(dst_key)
+    rows = [[ZERO] * len(src) for _ in dst]
+    for j, m in enumerate(src):
+        for mm, c in transform(BigradedElement.monomial(*m)).coeffs.items():
+            rows[dst_idx[mm]][j] = c.const_value()
+    return rows
+
+
+def _catalog_samples(ops):
+    """Every catalog entry, at the base and at regular samples of its parameters."""
+    for entry in catalog():
+        params = entry.spec.params or (entry.family.params if entry.family else ())
+        assigns = [{}] if not entry.spec.params else []
+        assigns += [{p: s for p in params} for s in ("1/2", "(1+i)/3") if params]
+        for assign in assigns:
+            try:
+                yield f"{entry.name}{assign}", ops(entry.name, **assign)
+            except (DeformationError, ScalarEvalError):
+                continue  # a singular sample
+
+
+def test_assembly_matches_reference_on_catalog_samples(ops):
+    checked = 0
+    for label, cache in _catalog_samples(ops):
+        d, n = cache.spec.d, cache.n
+        for k in range(-1, 2 * n + 1):
+            assert cache.d_total(k) == _assembly_reference(cache, k, k + 1, d), (label, k)
+        for p in range(-1, n + 1):
+            for q in range(-1, n + 1):
+                want = {
+                    "del": _assembly_reference(
+                        cache, (p, q), (p + 1, q), lambda e: d(e).project(p + 1, q)),
+                    "delbar": _assembly_reference(
+                        cache, (p, q), (p, q + 1), lambda e: d(e).project(p, q + 1)),
+                    "dd": _assembly_reference(
+                        cache, (p, q), (p + 1, q + 1),
+                        lambda e: d(d(e).project(p, q + 1)).project(p + 1, q + 1)),
+                }
+                for op, rows in want.items():
+                    assert cache.rows(op, (p, q)) == rows, (label, op, p, q)
+        checked += 1
+    assert checked >= 20
