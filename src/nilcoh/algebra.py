@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .gauss import GaussRat
+from .gauss import GaussRat, InternalError
 from .linalg import Subspace
 from .scalar import ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement
@@ -219,7 +219,8 @@ def _complex_2form_to_real(form, n):
     for key, val in out.items():
         if val.is_zero():
             continue
-        assert val.is_real(), f"non-real structure constant {val} at e^{key}"
+        if not val.is_real():
+            raise InternalError(f"non-real structure constant {val} at e^{key}")
         real_out[key] = val.re
     return real_out
 
@@ -326,30 +327,26 @@ class RealAlgebraSpec:
         """rho_j for all j, plus which e_j lie in the derived algebra."""
         rhos = [self.rho(j) for j in range(1, self.dim + 1)]
         derived = self.derived_algebra()
-        flags = [
-            derived.contains([GaussRat(int(m == j)) for m in range(self.dim)])
-            for j in range(self.dim)
-        ]
+        flags = [derived.contains({j: GaussRat(1)}) for j in range(self.dim)]
         # does the trace form restrict to zero on [g,g]?  (this, not the
         # per-vector flags, is what torsion-canonical-bundle arguments use)
         vanishes = all(
-            sum(r * x.re for r, x in zip(rhos, row)) == 0 for row in derived.rows
+            sum(rhos[j] * x.re for j, x in row.items()) == 0 for row in derived.rows
         )
         return RhoReport(self.name, rhos, flags, derived.dim, vanishes)
 
     def in_derived(self, vec):
         """Is the given vector (2n rational coordinates) in [g,g]?"""
-        return self.derived_algebra().contains([GaussRat(x) for x in vec])
+        vec = {j: GaussRat(x) for j, x in enumerate(vec) if x}
+        return self.derived_algebra().contains(vec)
 
     def derived_algebra(self):
         """span{[e_i, e_j]} as a canonical Subspace (real entries in Q(i))."""
-        vecs = []
-        for (_, _), comps in sorted(self.brackets().items()):
-            v = [GaussRat(0)] * self.dim
-            for k, val in comps.items():
-                v[k - 1] = GaussRat(val)
-            vecs.append(v)
-        return Subspace.from_vectors(self.dim, vecs)
+        vecs = [
+            {k - 1: GaussRat(val) for k, val in comps.items()}
+            for _, comps in sorted(self.brackets().items())
+        ]
+        return Subspace.span(self.dim, vecs)
 
     def unimodular(self):
         """tr(ad(e_j)) = 0 for all j."""

@@ -179,6 +179,8 @@ def _parse_samples(text):
             name, sep, value = pair.partition("=")
             if not sep or not name.strip():
                 raise UsageError(f"--samples wants name=value pairs, got {pair!r}")
+            if name.strip() in assign:
+                raise UsageError(f"--samples assigns {name.strip()} twice in {chunk!r}")
             try:
                 assign[name.strip()] = parse_gauss(value.strip())
             except DslError as e:
@@ -199,6 +201,8 @@ def _parse_grid(text):
         name, sep, values = chunk.partition("=")
         if not sep or not name.strip():
             raise UsageError(f"--grid wants name=v1|v2|..., got {chunk!r}")
+        if name.strip() in (n for n, _ in axes):
+            raise UsageError(f"--grid repeats the axis {name.strip()}")
         try:
             vals = [parse_gauss(v.strip()) for v in values.split("|")]
         except DslError as e:
@@ -215,6 +219,21 @@ def _parse_grid(text):
 
 def _default_samples(params):
     return [{p: v for p in params} for v in DEFAULT_SAMPLES]
+
+
+def _check_samples(samples, params):
+    """Every sample assigns exactly the given parameters.  Samples of a
+    parameter-free target are not checked: each of its rows repeats it."""
+    if not params:
+        return
+    for s in samples:
+        missing = [p for p in params if p not in s]
+        unknown = sorted(set(s) - set(params))
+        text = ", ".join(f"{k}={v}" for k, v in sorted(s.items()))
+        if missing:
+            raise UsageError(f"sample {{{text}}} misses parameters: {', '.join(missing)}")
+        if unknown:
+            raise UsageError(f"sample {{{text}}} has unknown parameters: {', '.join(unknown)}")
 
 
 # -- commands ----------------------------------------------------------------
@@ -295,6 +314,11 @@ def _cmd_cohomology(args):
 
 
 def _cmd_frolicher(args):
+    if args.max_page is not None and args.max_page > frolicher.MAX_PAGE:
+        raise UsageError(
+            f"--max-page {args.max_page} is above {frolicher.MAX_PAGE}; every page "
+            "past n+1 equals page n+1"
+        )
     name, entry, spec = _load_target(args.target)
     assign = _parse_assign(args.assign)
     concrete = _concretize(entry, spec, assign)
@@ -426,13 +450,7 @@ def _cmd_deform(args):
         samples = _default_samples(params)
     else:
         samples = [{}]
-    for s in samples:
-        missing = [p for p in params if p not in s]
-        if missing:
-            raise UsageError(
-                f"sample {{{', '.join(f'{k}={v}' for k, v in sorted(s.items()))}}} "
-                f"misses parameters: {', '.join(missing)}"
-            )
+    _check_samples(samples, params)
     tasks = _parse_tasks(args.tasks)
     per_sample = [t for t in tasks if t[0] != "hypotheses"]
     rows = sweep(target, samples, lambda s: _run_tasks(per_sample, s))
@@ -470,6 +488,7 @@ def _cmd_hypotheses(args):
         raise UsageError("hypotheses needs a catalog entry with a deformation family")
     family = entry.family
     samples = _parse_samples(args.samples) if args.samples else _default_samples(family.params)
+    _check_samples(samples, family.params)
     try:
         rep = check_stability_hypotheses(family, samples)
     except StabilityInputError as e:
@@ -519,7 +538,8 @@ def _build_parser():
     p = sub.add_parser("frolicher", help="spectral sequence pages and degeneration")
     common(p)
     p.add_argument("--max-page", type=int, default=None,
-                   help="tabulate pages 1..N (default: through degeneration)")
+                   help=f"tabulate pages 1..N, N <= {frolicher.MAX_PAGE} "
+                        "(default: through degeneration)")
     p.set_defaults(fn=_cmd_frolicher)
 
     p = sub.add_parser("symplectic",
@@ -575,7 +595,7 @@ def main(argv=None):
     except (DeformationError, ScalarEvalError, StructureError) as e:
         print(f"nilcoh: {e}", file=sys.stderr)
         return 1
-    except DslError as e:
+    except (DslError, symplectic.SymplecticError) as e:
         print(f"nilcoh: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

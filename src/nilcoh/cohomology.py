@@ -19,7 +19,14 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .linalg import Subspace, apply_rows, quotient_representatives, solve
+from .linalg import (
+    Subspace,
+    apply_rows,
+    assemble_block_rows,
+    quotient_representatives,
+    solve,
+    split_blocks,
+)
 
 # theory -> (operator whose kernel is the numerator, its closedness wording,
 #            the (operator, source-degree shift) pairs whose images span the
@@ -161,20 +168,17 @@ def class_is_trivial(ops, theory, element):
         raise ValueError(f"unknown theory {theory!r}")
     num_op, closed, images = THEORY_TABLE[theory]
     vec = ops.to_vec(key, element)
-    if any(apply_rows(ops.rows(num_op, key), vec)):
+    if apply_rows(ops.rows(num_op, key), vec):
         raise NotInNumerator(f"form is not {closed}")
 
     # solve for all primitives at once: [A | B] (x, y) = vec
     sources = [_shift(key, by) for _, by in images]
-    mats = [ops.rows(op, src) for (op, _), src in zip(images, sources)]
-    x = solve([[a for row in rows for a in row] for rows in zip(*mats)], vec)
+    blocks = [ops.dims(src) for src in sources]
+    mats = {i: ops.rows(op, src) for i, ((op, _), src) in enumerate(zip(images, sources))}
+    x = solve(assemble_block_rows(blocks, [mats]), vec, sum(blocks))
     if x is None:
         return False, ops.to_element(key, _denominator(ops, theory, key).reduce(vec))
-    prims = []
-    for src in sources:
-        width = ops.dims(src)
-        prims.append(ops.to_element(src, x[:width]))
-        x = x[width:]
+    prims = [ops.to_element(src, part) for src, part in zip(sources, split_blocks(x, blocks))]
     return True, prims[0] if len(prims) == 1 else tuple(prims)
 
 
@@ -261,7 +265,7 @@ def _pure_type_classes(ops, k):
     for p in range(min(k, ops.n), max(0, k - ops.n) - 1, -1):
         embed = ops.embedding((p, k - p), k)
         closed = [apply_rows(embed, v) for v in ops.kernel_vectors("d", (p, k - p))]
-        classes = Subspace.from_vectors(ops.dims(k), [img.reduce(w) for w in closed])
+        classes = Subspace.span(ops.dims(k), [img.reduce(w) for w in closed])
         out[(p, k - p)] = (closed, classes)
     return out
 
@@ -296,7 +300,7 @@ def pure_full(ops, k):
 def class_in_pure_sum(ops, k, element):
     """Does the de Rham class of `element` lie in sum_{p+q=k} H^{p,q}_J?"""
     vec = ops.to_vec(k, element)
-    if any(apply_rows(ops.d_total(k), vec)):
+    if apply_rows(ops.d_total(k), vec):
         raise NotInNumerator("form is not d-closed")
     classes = [c for _, c in _pure_type_classes(ops, k).values()]
     sum_space = reduce(Subspace.add, classes, Subspace.zero(ops.dims(k)))

@@ -72,11 +72,12 @@ def _as_scalar(x):
 
 
 def combined_matrix(A, B):
-    """[[A, B], [conj B, conj A]] mapping (phi, phibar) coords to (eta, etabar)."""
+    """Rows of [[A, B], [conj B, conj A]], mapping (phi, phibar) coords to
+    (eta, etabar)."""
     n = len(A)
     top = [list(A[i]) + list(B[i]) for i in range(n)]
     bot = [[x.conj() for x in B[i]] + [x.conj() for x in A[i]] for i in range(n)]
-    return top + bot
+    return [{j: x for j, x in enumerate(row) if x} for row in top + bot]
 
 
 def deformed_frame(family, assign):
@@ -100,13 +101,9 @@ def deformed_frame(family, assign):
     sub = {}
     for j in range(n):
         for barred in (False, True):
-            row = inv[n + j if barred else j]
             out = BigradedElement.zero()
-            for c in range(2 * n):
-                if row[c]:
-                    out = out + BigradedElement.gen(
-                        c % n + 1, barred=c >= n, coeff=row[c]
-                    )
+            for c, x in inv[n + j if barred else j].items():
+                out = out + BigradedElement.gen(c % n + 1, barred=c >= n, coeff=x)
             sub[(barred, j + 1)] = out
 
     def to_eta(element):

@@ -14,25 +14,16 @@ from itertools import combinations
 
 from .gauss import ONE, ZERO, InternalError
 from .exterior import BigradedElement, _merge_count, mono_key
+from .scalar import ScalarExpr
 
 
 # ---------------------------------------------------------------------------
-# the elimination kernel: a sparse row is a dict {column: nonzero GaussRat},
-# and an echelon state is a pair (rows, pivots) of sparse rows in reduced row
-# echelon form.  _reduce and _insert are the only row operations; everything
-# below composes them.  Dense vectors (sequences of GaussRat) appear only at
-# the public boundary: rref, kernel_basis, Subspace.rows and the operators.
-
-
-def _sparse(vec):
-    """Sparse row of a dense vector.  Most zeros are the shared ZERO, which
-    is skipped without a call to GaussRat.__bool__."""
-    return {j: x for j, x in enumerate(vec) if x is not ZERO and x}
-
-
-def _dense(row, width):
-    """Dense list of a sparse row."""
-    return [row.get(j, ZERO) for j in range(width)]
+# the elimination kernel.  A vector is a sparse row, a dict {column: nonzero
+# GaussRat} with no zero stored; a matrix is a list of sparse rows.  An
+# echelon state is a pair (rows, pivots) in reduced row echelon form.
+# _reduce and _insert are the only row operations; everything below composes
+# them.  No routine edits a row it was given: memoised matrices and
+# subspaces share their row dicts.
 
 
 def _axpy(v, f, row):
@@ -50,8 +41,7 @@ def _axpy(v, f, row):
 
 
 def _reduce(rows, pivots, vec):
-    """Residue of the sparse vec against the RREF rows: every pivot column
-    cleared.  vec itself is left as it is."""
+    """Residue of vec against the RREF rows: every pivot column cleared."""
     v = dict(vec)
     for row, c in zip(rows, pivots):
         f = v.get(c)
@@ -65,8 +55,8 @@ def _insert(rows, pivots, residue):
 
     The residue is scaled to a leading 1, its pivot column is cleared from
     the other rows, and it goes in at its pivot position.  Rows that change
-    are replaced, never edited: memoised subspaces share their row dicts.
-    Callers pass their own lists, never a memoised subspace's.
+    are replaced, never edited.  Callers pass their own lists, never a
+    memoised subspace's.
     """
     c = min(residue)
     inv = ONE / residue[c]
@@ -83,18 +73,25 @@ def _insert(rows, pivots, residue):
 
 
 def _extend(rows, pivots, vectors):
-    """Fold sparse vectors into the echelon state; returns it."""
+    """Fold vectors into the echelon state (rows, pivots), in place."""
     for vec in vectors:
         residue = _reduce(rows, pivots, vec)
         if residue:
             _insert(rows, pivots, residue)
-    return rows, pivots
 
 
-def _kernel(rows, ncols):
-    """Canonical kernel basis of the sparse rows, one sparse vector per free
-    column in column order."""
-    red, pivots = _extend([], [], rows)
+def rref(rows):
+    """Reduced row echelon form of a list of rows: (rows, pivot columns),
+    zero rows dropped."""
+    red, pivots = [], []
+    _extend(red, pivots, rows)
+    return red, pivots
+
+
+def kernel_basis(rows, ncols):
+    """Canonical kernel basis of x -> A x (A given by a list of rows): one
+    vector per free column, in column order."""
+    red, pivots = rref(rows)
     entries = {}  # free column -> [(pivot column, entry)]
     for row, pc in zip(red, pivots):
         for j, x in row.items():
@@ -111,8 +108,8 @@ def _kernel(rows, ncols):
     return basis
 
 
-def _apply(rows, vec):
-    """Sparse rows applied to a sparse vector: a sparse vector."""
+def apply_rows(rows, vec):
+    """The matrix rows applied to vec: one dot product per row."""
     out = {}
     for i, row in enumerate(rows):
         acc = ZERO
@@ -125,89 +122,54 @@ def _apply(rows, vec):
     return out
 
 
-def rref(rows):
-    """Reduced row echelon form. Returns (rows, pivot_columns); zero rows dropped."""
-    rows = list(rows)
-    width = len(rows[0]) if rows else 0
-    red, pivots = _extend([], [], map(_sparse, rows))
-    return [tuple(_dense(r, width)) for r in red], pivots
-
-
-def apply_rows(op_rows, vec):
-    """op_rows applied to vec: one dot product per row over vec's nonzeros."""
-    nonzero = _sparse(vec).items()
+def mat_mul(a, b):
+    """Product of two matrices given by rows."""
     out = []
-    for row in op_rows:
-        acc = ZERO
-        for j, x in nonzero:
-            a = row[j]
-            if a:
-                acc = acc + a * x
+    for row in a:
+        acc = {}
+        for k, x in row.items():
+            _axpy(acc, -x, b[k])
         out.append(acc)
     return out
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    return [list(row) for row in zip(*(apply_rows(a, col) for col in zip(*b)))]
 
 
 def mat_inverse(a):
     """Exact inverse of a square matrix, or None if singular."""
     n = len(a)
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)] for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    red, pivots = rref([{**row, n + i: ONE} for i, row in enumerate(a)])
     if pivots != list(range(n)):
         return None
-    return [list(row[n:]) for row in red]
+    return [{j - n: x for j, x in row.items() if j >= n} for row in red]
 
 
-def solve(a_rows, b):
+def solve(rows, b, ncols):
     """One exact solution x of A x = b (free variables set to 0), or None.
 
-    A is given as a list of rows; b as a vector of matching length.
+    A is given by its rows over ncols unknowns; b is indexed by row.
     """
-    if not a_rows:
-        return None if any(b) else []
-    ncols = len(a_rows[0])
-    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
+    aug = [dict(row) for row in rows]
+    for i, x in b.items():
+        aug[i][ncols] = x
     red, pivots = rref(aug)
-    for row, c in zip(red, pivots):
-        if c == ncols:  # pivot in the rhs column: inconsistent
-            return None
-    x = [ZERO] * ncols
-    for row, c in zip(red, pivots):
-        x[c] = row[ncols]
-    return x
-
-
-def kernel_basis(a_rows, ncols):
-    """Canonical kernel basis of the map x -> A x (A given by rows)."""
-    return [_dense(v, ncols) for v in _kernel(map(_sparse, a_rows), ncols)]
+    if pivots and pivots[-1] == ncols:  # pivot in the rhs column: inconsistent
+        return None
+    return {c: row[ncols] for row, c in zip(red, pivots) if ncols in row}
 
 
 class Subspace:
-    """A subspace of Q(i)^dim in canonical (RREF) form.
+    """A subspace of Q(i)^dim in canonical (RREF) form."""
 
-    The echelon rows are kept once, sparse; rows gives them as dense tuples.
-    """
-
-    __slots__ = ("ambient", "_rows", "pivots")
+    __slots__ = ("ambient", "rows", "pivots")
 
     def __init__(self, ambient, rows, pivots):
         self.ambient = ambient
-        self._rows = rows
+        self.rows = rows
         self.pivots = pivots
 
     @classmethod
     def span(cls, ambient, vectors):
-        """Span of sparse vectors."""
-        return cls(ambient, *_extend([], [], vectors))
-
-    @classmethod
-    def from_vectors(cls, ambient, vectors):
-        return cls.span(ambient, map(_sparse, vectors))
+        """Span of a list of vectors."""
+        return cls(ambient, *rref(vectors))
 
     @classmethod
     def zero(cls, ambient):
@@ -218,22 +180,18 @@ class Subspace:
         return cls(ambient, [{i: ONE} for i in range(ambient)], list(range(ambient)))
 
     @property
-    def rows(self):
-        return [tuple(_dense(r, self.ambient)) for r in self._rows]
-
-    @property
     def dim(self):
-        return len(self._rows)
+        return len(self.rows)
 
     def reduce(self, vec):
         """Residue of vec modulo this subspace (canonical representative)."""
-        return _dense(_reduce(self._rows, self.pivots, _sparse(vec)), len(vec))
+        return _reduce(self.rows, self.pivots, vec)
 
     def contains(self, vec):
-        return not _reduce(self._rows, self.pivots, _sparse(vec))
+        return not self.reduce(vec)
 
     def contains_subspace(self, other):
-        return not any(_reduce(self._rows, self.pivots, r) for r in other._rows)
+        return not any(self.reduce(r) for r in other.rows)
 
     def _check_ambient(self, other):
         if self.ambient != other.ambient:
@@ -243,25 +201,27 @@ class Subspace:
 
     def add(self, other):
         self._check_ambient(other)
-        return Subspace(self.ambient, *_extend(list(self._rows), list(self.pivots), other._rows))
+        rows, pivots = list(self.rows), list(self.pivots)
+        _extend(rows, pivots, other.rows)
+        return Subspace(self.ambient, rows, pivots)
 
     def intersect(self, other):
         """Zassenhaus-free intersection: solve for combinations landing in both."""
         self._check_ambient(other)
-        if not self._rows or not other._rows:
+        if not self.rows or not other.rows:
             return Subspace.zero(self.ambient)
         # x in both <=> x = sum a_i u_i = sum b_j v_j; kernel of [U^T | -V^T]
-        width = len(self._rows)
+        width = len(self.rows)
         a_rows = [{} for _ in range(self.ambient)]
-        for i, row in enumerate(self._rows):
+        for i, row in enumerate(self.rows):
             for j, x in row.items():
                 a_rows[j][i] = x
-        for i, row in enumerate(other._rows, start=width):
+        for i, row in enumerate(other.rows, start=width):
             for j, x in row.items():
                 a_rows[j][i] = -x
         vectors = [
-            _apply(a_rows, {i: f for i, f in k.items() if i < width})
-            for k in _kernel(a_rows, width + len(other._rows))
+            apply_rows(a_rows, {i: f for i, f in k.items() if i < width})
+            for k in kernel_basis(a_rows, width + len(other.rows))
         ]
         return Subspace.span(self.ambient, vectors)
 
@@ -274,7 +234,7 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return self.ambient == other.ambient and self._rows == other._rows
+        return self.ambient == other.ambient and self.rows == other.rows
 
     def __repr__(self):
         return f"<subspace dim {self.dim} of Q(i)^{self.ambient}>"
@@ -283,41 +243,45 @@ class Subspace:
 def quotient_representatives(vectors, den):
     """Deterministic representatives of (span(vectors) + den) / den: greedy
     in the given order, keeping each vector outside den + span(kept)."""
-    rows, pivots = list(den._rows), list(den.pivots)
+    rows, pivots = list(den.rows), list(den.pivots)
     reps = []
     for v in vectors:
-        residue = _reduce(rows, pivots, _sparse(v))
+        residue = _reduce(rows, pivots, v)
         if residue:
             reps.append(v)
             _insert(rows, pivots, residue)
     return reps
 
 
-def _block_rows(blocks, rows_of_blocks):
-    """Sparse rows of a block matrix (arguments as in assemble_block_rows)."""
+def assemble_block_rows(blocks, rows_of_blocks):
+    """Rows of a block matrix whose unknowns are consecutive column blocks.
+
+    blocks: list of column counts per unknown block.
+    rows_of_blocks: list of {block_index: matrix_rows} row groups; the
+      matrices of a group have the same number of rows, and each has at most
+      blocks[i] columns, filling the first columns of its block.
+    """
     offsets = [sum(blocks[:i]) for i in range(len(blocks))]
     a_rows = []
-    for row_count, mats in rows_of_blocks:
-        for r in range(row_count):
+    for mats in rows_of_blocks:
+        offs = [offsets[bi] for bi in mats]
+        for parts in zip(*mats.values(), strict=True):
             row = {}
-            for bi, mat in mats.items():
-                off = offsets[bi]
-                for c, x in _sparse(mat[r]).items():
+            for off, part in zip(offs, parts):
+                for c, x in part.items():
                     row[off + c] = x
             a_rows.append(row)
     return a_rows
 
 
-def assemble_block_rows(blocks, rows_of_blocks):
-    """Rows of a block matrix whose unknowns are consecutive column blocks.
-
-    blocks: list of column counts per unknown block.
-    rows_of_blocks: list of (row_count, {block_index: matrix_rows}) row
-      groups; each matrix has row_count rows and at most blocks[i] columns,
-      filling the first columns of its block.
-    """
-    total = sum(blocks)
-    return [_dense(row, total) for row in _block_rows(blocks, rows_of_blocks)]
+def split_blocks(vec, blocks):
+    """The per-block vectors of vec over consecutive column blocks."""
+    starts = [sum(blocks[:i]) for i in range(len(blocks))]
+    parts = [{} for _ in blocks]
+    for j, x in vec.items():
+        b = bisect(starts, j) - 1
+        parts[b][j - starts[b]] = x
+    return parts
 
 
 def stacked_kernel_projection(blocks, rows_of_blocks, project_block):
@@ -327,24 +291,22 @@ def stacked_kernel_projection(blocks, rows_of_blocks, project_block):
     Returns the canonical Subspace of Q(i)^{blocks[project_block]} of values
     the projected unknown takes over the kernel.
     """
-    ker = _kernel(_block_rows(blocks, rows_of_blocks), sum(blocks))
-    off = sum(blocks[:project_block])
-    w = blocks[project_block]
+    ker = kernel_basis(assemble_block_rows(blocks, rows_of_blocks), sum(blocks))
     return Subspace.span(
-        w, [{j - off: x for j, x in v.items() if off <= j < off + w} for v in ker]
+        blocks[project_block], [split_blocks(v, blocks)[project_block] for v in ker]
     )
 
 
 def stacked_kernel_image(blocks, rows_of_blocks, out_spec):
     """Image of a block-row map over the kernel of a block constraint matrix.
 
-    out_spec is a single (row_count, {block_index: matrix_rows}) entry; the
-    map it describes is applied to every kernel vector of the constraints and
-    the span of the values is returned as a canonical Subspace.
+    out_spec is a single {block_index: matrix_rows} row group; the map it
+    describes is applied to every kernel vector of the constraints and the
+    span of the values is returned as a canonical Subspace.
     """
-    ker = _kernel(_block_rows(blocks, rows_of_blocks), sum(blocks))
-    out_rows = _block_rows(blocks, [out_spec])
-    return Subspace.span(out_spec[0], [_apply(out_rows, v) for v in ker])
+    ker = kernel_basis(assemble_block_rows(blocks, rows_of_blocks), sum(blocks))
+    out_rows = assemble_block_rows(blocks, [out_spec])
+    return Subspace.span(len(out_rows), [apply_rows(out_rows, v) for v in ker])
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +335,6 @@ def basis_total(n, k):
     return out
 
 
-def element_to_vec(basis, index, element):
-    v = [ZERO] * len(basis)
-    for m, c in element.coeffs.items():
-        v[index[m]] = c.const_value()
-    return v
-
-
-def vec_to_element(basis, vec):
-    from .scalar import ScalarExpr
-
-    return BigradedElement(
-        {m: ScalarExpr.const(x) for m, x in zip(basis, vec) if x}
-    )
-
-
 class OperatorCache:
     """Matrices of d, del, delbar, deldelbar on a concrete structure, and
     their kernels and images.
@@ -398,8 +345,8 @@ class OperatorCache:
     integrable, d maps Lambda^{p,q} into Lambda^{p+1,q} + Lambda^{p,q+1}, so
     del and delbar are bidegree blocks of d and del.delbar is their product.
     Matrices and subspaces are built lazily, once each, and memoized;
-    callers must not mutate them.  Matrices act on column vectors; stored as
-    dense rows.
+    callers must not mutate them.  Matrices act on column vectors and are
+    stored as lists of sparse rows.
     """
 
     def __init__(self, spec):
@@ -442,13 +389,13 @@ class OperatorCache:
         return slice(start, start + self.dims((p, q)))
 
     def _matrix(self, op, key):
-        """Dense rows of op on the space key: d on a total degree by the
-        Leibniz rule, del and delbar as blocks of it, del.delbar as a product."""
+        """Rows of op on the space key: d on a total degree by the Leibniz
+        rule, del and delbar as blocks of it, del.delbar as a product."""
         if op == "d":
             src, _ = self.basis(key)
             dst, dst_idx = self.basis(key + 1)
             row_of = {mono_key(m): r for m, r in dst_idx.items()}
-            rows = [[ZERO] * len(src) for _ in dst]
+            rows = [{} for _ in dst]
             for c, m in enumerate(src):
                 toks = mono_key(m)
                 for pos, tok in enumerate(toks):
@@ -457,24 +404,20 @@ class OperatorCache:
                         sign, merged = _merge_count(pair, rest)
                         if sign:
                             row = rows[row_of[merged]]
+                            x = row.get(c, ZERO)
                             # d(t_1..t_k) = sum_pos (-1)^pos d(t_pos) ^ rest
-                            row[c] = row[c] + coeff if sign == (-1) ** pos else row[c] - coeff
-            return rows
+                            row[c] = x + coeff if sign == (-1) ** pos else x - coeff
+            return [{j: x for j, x in row.items() if x} for row in rows]
         p, q = key
         if op in ("del", "delbar"):
             tgt = (p + 1, q) if op == "del" else (p, q + 1)
             cols = self._block(p, q)
-            return [row[cols] for row in self.d_total(p + q)[self._block(*tgt)]]
+            return [
+                {j - cols.start: x for j, x in row.items() if cols.start <= j < cols.stop}
+                for row in self.d_total(p + q)[self._block(*tgt)]
+            ]
         # op == "dd": del_{(p,q+1)} . delbar_{(p,q)}
-        right = [_sparse(row) for row in self.delbar_pq(p, q)]
-        width = self.dims((p, q))
-        rows = []
-        for left in self.del_pq(p, q + 1):
-            acc = {}
-            for k, x in _sparse(left).items():
-                _axpy(acc, -x, right[k])
-            rows.append(_dense(acc, width))
-        return rows
+        return mat_mul(self.del_pq(p, q + 1), self.delbar_pq(p, q))
 
     def d_total(self, k):
         """d: Lambda^k -> Lambda^{k+1}."""
@@ -511,7 +454,7 @@ class OperatorCache:
 
     def kernel(self, op, key):
         """ker op on the space key, as a canonical Subspace."""
-        return self._get(("ker", op, key), lambda: Subspace.from_vectors(
+        return self._get(("ker", op, key), lambda: Subspace.span(
             self.dims(key), self.kernel_vectors(op, key)))
 
     def image(self, op, key):
@@ -520,7 +463,7 @@ class OperatorCache:
             rows = self.rows(op, key)
             cols = [{} for _ in range(self.dims(key))]
             for i, row in enumerate(rows):
-                for j, x in _sparse(row).items():
+                for j, x in row.items():
                     cols[j][i] = x
             return Subspace.span(len(rows), cols)
 
@@ -531,7 +474,7 @@ class OperatorCache:
         def build():
             src, _ = self.basis(pq)
             _, idx = self.basis(k)
-            rows = [[ZERO] * len(src) for _ in range(self.dims(k))]
+            rows = [{} for _ in range(self.dims(k))]
             for c, m in enumerate(src):
                 rows[idx[m]][c] = ONE
             return rows
@@ -542,12 +485,12 @@ class OperatorCache:
         return len(self.basis(key)[0])
 
     def to_vec(self, key, element):
-        basis, idx = self.basis(key)
-        return element_to_vec(basis, idx, element)
+        _, idx = self.basis(key)
+        return {idx[m]: c.const_value() for m, c in element.coeffs.items()}
 
     def to_element(self, key, vec):
         basis, _ = self.basis(key)
-        return vec_to_element(basis, vec)
+        return BigradedElement({basis[j]: ScalarExpr.const(x) for j, x in vec.items()})
 
 
 def rank_of(op_rows):

@@ -24,7 +24,7 @@ scope banner as the cohomology reports.
 from __future__ import annotations
 
 from .gauss import ZERO
-from .linalg import InternalError, OperatorCache, assemble_block_rows, solve
+from .linalg import InternalError, OperatorCache, assemble_block_rows, solve, split_blocks
 from .deform import DeformationError, assignment_strings, deformed_frame
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import is_nondegenerate
@@ -123,9 +123,7 @@ def check_stability_hypotheses(family, samples, omega=None):
         row["h20_bott_chern"] = bott_chern(ops, 2, 0).dim
 
         dd10 = ops.deldelbar_pq(1, 0)
-        row["del_delbar_zero_on_one_zero_forms"] = all(
-            x.is_zero() for r in dd10 for x in r
-        )
+        row["del_delbar_zero_on_one_zero_forms"] = not any(dd10)
 
         pf = pure_full(ops, 2)
         row["full_at_stage_2"] = pf.full
@@ -170,26 +168,19 @@ def _delta_feasibility(ops, omega_t):
     blocks = [ops.dims(1)] + [ops.dims(key) for key in pq_keys]
     # d(gamma) + sum(alpha) = omega_t, one row per Lambda^2 monomial
     sum_rows = {0: ops.d_total(1)}
-    groups = [(ops.dims(2), sum_rows)]
+    groups = [sum_rows]
     for i, key in enumerate(pq_keys, 1):
         sum_rows[i] = ops.embedding(key, 2)
         # each alpha^{p,q} is d-closed: its del and its delbar vanish
-        closed = ops.rows("d", key)
-        groups.append((len(closed), {i: closed}))
+        groups.append({i: ops.rows("d", key)})
     # del(delbar(pi^{1,0} gamma)) = 0; the (1,0) coordinates of gamma come
     # first (total bases list descending p first)
-    dd10 = ops.deldelbar_pq(1, 0)
-    groups.append((len(dd10), {0: dd10}))
-    rows = assemble_block_rows(blocks, groups)
-    omega_vec = ops.to_vec(2, omega_t)
-    x = solve(rows, omega_vec + [ZERO] * (len(rows) - len(omega_vec)))
+    groups.append({0: ops.deldelbar_pq(1, 0)})
+    x = solve(assemble_block_rows(blocks, groups), ops.to_vec(2, omega_t), sum(blocks))
     if x is None:
         return {"feasible": False}
 
-    parts = []
-    for width in blocks:
-        parts.append(x[:width])
-        x = x[width:]
+    parts = split_blocks(x, blocks)
     gamma = ops.to_element(1, parts[0])
     alphas = {key: ops.to_element(key, part) for key, part in zip(pq_keys, parts[1:])}
 

@@ -24,8 +24,14 @@ from .cohomology import NotInNumerator, class_is_trivial, invariant_level_banner
 from .linalg import InternalError
 
 
+# the largest witness grid {0..m}^s searched; at n <= 4 the grid has at
+# most 3^6 = 729 points
+GRID_LIMIT = 4096
+
+
 class SymplecticError(ValueError):
-    """Structure outside the op's domain (odd dimension, bad witness)."""
+    """Structure outside the op's domain (odd dimension, bad witness, a
+    witness grid above GRID_LIMIT)."""
 
 
 def closed_20_space(ops):
@@ -133,8 +139,13 @@ def find_symplectic(ops, flag_invariant_ok=None):
         )
     m = n // 2
     closed = closed_20_space(ops)
+    s = closed.dim
+    if (m + 1) ** s > GRID_LIMIT:
+        raise SymplecticError(
+            f"the witness grid {{0..{m}}}^{s} has {(m + 1) ** s} points, above "
+            f"the limit of {GRID_LIMIT}"
+        )
     elems = [ops.to_element((2, 0), v) for v in closed.rows]
-    s = len(elems)
     poly = nondegeneracy_polynomial(ops, closed)
 
     witness_coeffs = None

@@ -1,5 +1,5 @@
 """End-to-end command-line checks through real subprocesses, and a fuzz of
-the parameter options through cli.main in process."""
+the parameter, task, degree and stage options through cli.main in process."""
 
 import contextlib
 import io
@@ -17,12 +17,12 @@ from nilcoh import cli
 BASE = [sys.executable, "-m", "nilcoh"]
 
 
-def run(*args, env_extra=None):
+def run(*args, env_extra=None, timeout=None):
     env = dict(os.environ)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
-        BASE + list(args), capture_output=True, text=True, env=env
+        BASE + list(args), capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -312,3 +312,78 @@ def test_cli_fuzz_parameter_text_exits_0_1_or_2(name, value, name2, value2, sep)
         rc, err = _exit_code(argv)
         assert rc in (0, 1, 2), (argv, rc, err)
         assert "Traceback" not in err, err
+
+
+# ---------------------------------------------------------------------------
+# fuzz: --tasks, --degree and --stage text through cli.main in process
+
+_TASK_TOKENS = [
+    "validate", "cohomology", "symplectic", "purefull", "hypotheses", "bc", "dr",
+    "dolbeault", "del", "aeppli", "x", "=", ":", ";", ",", " ", "0", "1", "2", "-1",
+    "9" * 30, "9" * 4400, "é",
+]
+_task_text = st.lists(st.sampled_from(_TASK_TOKENS), max_size=8).map("".join)
+_small_int_text = st.sampled_from(["0", "1", "2", "3", "-1", "-7", "8", "9" * 30, "9" * 4400,
+                                   "1.5", "", " 2", "x", "2,0", ","])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_task_text, _small_int_text, _small_int_text,
+       st.sampled_from(["dr", "dolbeault", "del", "bc", "aeppli", "all"]))
+@example("purefull=99999999999", "99999", "2", "dr")
+@example("cohomology=bc:99999999999,-3", "-99999,99999", "-5", "bc")
+def test_cli_fuzz_task_degree_stage_text_exits_0_1_or_2(tasks, first, second, theory):
+    argvs = [
+        ["deform", "@example31", "--samples", "t=0", "--tasks", tasks],
+        ["cohomology", "@iwasawa", "--theory", theory, "--degree", f"{first},{second}"],
+        ["cohomology", "@iwasawa", "--theory", theory, "--degree", first],
+        ["purefull", "@iwasawa", "--stage", first, "--stage", second],
+    ]
+    for argv in argvs:
+        rc, err = _exit_code(argv)
+        assert rc in (0, 1, 2), (argv, rc, err)
+        assert "Traceback" not in err, err
+
+
+# ---------------------------------------------------------------------------
+# bounded work at the input edges
+
+
+def test_sample_names_are_checked_alike_for_deform_and_hypotheses():
+    rc, err = _exit_code(
+        ["deform", "@example31", "--samples", "t=0,zz=1", "--tasks", "validate"])
+    assert (rc, err) == (2, "nilcoh: sample {t=0, zz=1} has unknown parameters: zz\n")
+    rc, err = _exit_code(["hypotheses", "@example31", "--samples", "s=0"])
+    assert (rc, err) == (2, "nilcoh: sample {s=0} misses parameters: t\n")
+    rc, err = _exit_code(["hypotheses", "@example31", "--samples", "t=0, t=1/2"])
+    assert (rc, err) == (2, "nilcoh: --samples assigns t twice in 't=0, t=1/2'\n")
+    # a repeated grid axis would double the sweep per repeat
+    with pytest.raises(cli.UsageError, match="repeats the axis t"):
+        cli._parse_grid("; ".join(["t=0|1/2"] * 12))
+    rc, err = _exit_code(
+        ["deform", "@example31", "--grid", "t=0|1/2; t=0", "--tasks", "validate"])
+    assert (rc, err) == (2, "nilcoh: --grid repeats the axis t\n")
+
+
+_TORUS6 = 'algebra "torus6" dim 6\n'
+
+
+def test_symplectic_witness_grid_is_bounded(tmp_path):
+    path = tmp_path / "torus6.txt"
+    path.write_text(_TORUS6)
+    reason = "nilcoh: the witness grid {0..3}^15 has 1073741824 points, above the limit of 4096\n"
+    for args in (("symplectic", str(path)), ("deform", str(path), "--tasks", "symplectic")):
+        proc = run(*args, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", reason), args
+
+
+def test_frolicher_max_page_is_bounded():
+    rc, err = _exit_code(["frolicher", "@iwasawa", "--max-page", "17"])
+    assert (rc, err) == (
+        2, "nilcoh: --max-page 17 is above 16; every page past n+1 equals page n+1\n")
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["frolicher", "@iwasawa", "--max-page", "16"]) == 0
+    pages = json.loads(out.getvalue())["results"]["pages"]
+    assert sorted(pages, key=int) == [str(r) for r in range(1, 17)]
+    assert all(pages[str(r)] == pages["4"] for r in range(5, 17))

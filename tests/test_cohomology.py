@@ -206,17 +206,21 @@ def test_invariant_level_banner_three_ways():
 def test_exactness_invariants_survive_optimize_flag():
     script = (
         "import sys\n"
+        "from nilcoh.algebra import _complex_2form_to_real\n"
         "from nilcoh.cohomology import CohomologyGroup\n"
-        "from nilcoh.linalg import ONE, ZERO, InternalError, Subspace\n"
+        "from nilcoh.exterior import BigradedElement\n"
+        "from nilcoh.linalg import ONE, InternalError, Subspace\n"
         "from nilcoh.scalar import ScalarExpr\n"
         "num = Subspace.zero(2)\n"
-        "den = Subspace.from_vectors(2, [[ONE, ZERO]])\n"
+        "den = Subspace.span(2, [{0: ONE}])\n"
         "print(sys.flags.optimize)\n"
         "for check in (lambda: CohomologyGroup('de_rham', 1, num, den, None),\n"
         "              lambda: num.quotient_dim(den),\n"
         "              lambda: den.add(Subspace.full(3)),\n"
         "              lambda: den.intersect(Subspace.full(3)),\n"
-        "              lambda: ScalarExpr.param('t').const_value()):\n"
+        "              lambda: ScalarExpr.param('t').const_value(),\n"
+        "              lambda: _complex_2form_to_real(\n"
+        "                  BigradedElement.monomial((1, 2), ()), 2)):\n"
         "    try:\n"
         "        check()\n"
         "    except InternalError as e:\n"
@@ -233,6 +237,7 @@ def test_exactness_invariants_survive_optimize_flag():
         "ambient mismatch: Q(i)^2 and Q(i)^3\n"
         "ambient mismatch: Q(i)^2 and Q(i)^3\n"
         "const_value of a scalar in t\n"
+        "non-real structure constant i at e^(1, 4)\n"
     )
 
 

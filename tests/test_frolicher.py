@@ -15,7 +15,7 @@ from nilcoh.frolicher import (
     x_space,
     y_space,
 )
-from nilcoh.gauss import ONE, ZERO
+from nilcoh.gauss import ONE
 from nilcoh.linalg import Subspace
 
 
@@ -123,9 +123,7 @@ def _e_infinity_by_intersection(ops):
         img = ops.image("d", k - 1)
 
         def graded(width):
-            prefix = Subspace.from_vectors(
-                amb, [[ONE if i == j else ZERO for i in range(amb)] for j in range(width)]
-            )
+            prefix = Subspace.span(amb, [{j: ONE} for j in range(width)])
             return prefix.intersect(ker).add(img).dim
 
         width = 0
