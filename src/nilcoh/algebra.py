@@ -12,11 +12,12 @@ convention is J e_{2j-1} = -e_{2j}, J e_{2j} = e_{2j-1}.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 from .gauss import GaussRat, InternalError
 from .linalg import Subspace
 from .scalar import ScalarExpr, ScalarEvalError
-from .exterior import BigradedElement
+from .exterior import BigradedElement, substitute
 
 # default exact sample points used for pointwise validation of parametric data
 DEFAULT_SAMPLES = (
@@ -34,9 +35,9 @@ class StructureError(ValueError):
 class AlgebraSpec:
     """Structure equations d(phi^i) = (2-form), i = 1..n, over Q(i)[params]."""
 
-    __slots__ = ("name", "n", "params", "d_phi", "flag_invariant_ok", "note")
+    __slots__ = ("name", "n", "params", "d_phi", "flag_invariant_ok", "_validation")
 
-    def __init__(self, name, n, params, d_phi, flag_invariant_ok=None, note=""):
+    def __init__(self, name, n, params, d_phi, flag_invariant_ok=None):
         if len(d_phi) != n:
             raise StructureError(f"expected {n} structure equations, got {len(d_phi)}")
         for i, el in enumerate(d_phi, start=1):
@@ -48,7 +49,7 @@ class AlgebraSpec:
         object.__setattr__(self, "params", tuple(params))
         object.__setattr__(self, "d_phi", tuple(d_phi))
         object.__setattr__(self, "flag_invariant_ok", flag_invariant_ok)
-        object.__setattr__(self, "note", note)
+        object.__setattr__(self, "_validation", None)
 
     def __setattr__(self, *_):
         raise AttributeError("AlgebraSpec is immutable")
@@ -89,18 +90,23 @@ class AlgebraSpec:
             (),
             d_phi,
             flag_invariant_ok=self.flag_invariant_ok,
-            note=self.note,
         )
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, samples=DEFAULT_SAMPLES):
+    def validate(self):
         """Check integrability (no (0,2) parts) and d^2 = 0.
 
         Parameter-free data is checked symbolically.  Parametric data is
-        checked at every point of the cartesian grid samples^params; sample
-        points where a denominator vanishes are recorded and skipped.
+        checked at every point of the cartesian grid DEFAULT_SAMPLES^params;
+        sample points where a denominator vanishes are recorded and skipped.
+        The report is computed once and kept: the spec is immutable.
         """
+        if self._validation is None:
+            object.__setattr__(self, "_validation", self._validate())
+        return self._validation
+
+    def _validate(self):
         report = ValidationReport(self.name)
         for i, el in enumerate(self.d_phi, start=1):
             bad = el.project(0, 2)
@@ -109,7 +115,8 @@ class AlgebraSpec:
         if not self.params:
             self._check_d2(report, label="")
         else:
-            for assign in _grid(self.params, samples):
+            for values in product(DEFAULT_SAMPLES, repeat=len(self.params)):
+                assign = dict(zip(self.params, values))
                 label = ", ".join(f"{k}={v}" for k, v in sorted(assign.items()))
                 try:
                     self.evaluate(assign)._check_d2(report, label=label)
@@ -152,18 +159,9 @@ class AlgebraSpec:
         if self.params:
             raise StructureError("realification needs a fully assigned structure")
         n = self.n
-        d_e = []
-        for j in range(1, n + 1):
-            dpj = self.d_phi[j - 1]
-            dpj_bar = dpj.conj()
-            half = ScalarExpr.const(GaussRat(Fraction(1, 2)))
-            neg_half_i = ScalarExpr.const(GaussRat(0, Fraction(-1, 2)))
-            d_e.append((dpj + dpj_bar).scale(half))
-            d_e.append((dpj - dpj_bar).scale(neg_half_i))
-        # expand each complex 2-form in the real coframe
         real_eqs = []
-        for de in d_e:
-            real_eqs.append(_complex_2form_to_real(de, n))
+        for dpj in self.d_phi:
+            real_eqs.extend(real_parts(dpj, n))
         # J on vectors (calibrated): J e_{2j-1} = -e_{2j}, J e_{2j} = e_{2j-1}
         dim = 2 * n
         j_mat = [[Fraction(0)] * dim for _ in range(dim)]
@@ -173,70 +171,43 @@ class AlgebraSpec:
         return RealAlgebraSpec(self.name, dim, real_eqs, j_mat)
 
 
-def _grid(params, samples):
-    """Cartesian product of sample values over the parameter names."""
-    if not params:
-        yield {}
-        return
-    head, rest = params[0], params[1:]
-    for v in samples:
-        for tail in _grid(rest, samples):
-            yield {head: v, **tail}
+def _real_coframe(n):
+    """phi^j -> e^{2j-1} + i e^{2j}, phi^jbar -> e^{2j-1} - i e^{2j}, with
+    e^k the k-th unbarred generator of a 2n-generator algebra."""
+    i_unit = ScalarExpr.const(GaussRat(0, 1))
+    coframe = {}
+    for j in range(1, n + 1):
+        re, im = BigradedElement.gen(2 * j - 1), BigradedElement.gen(2 * j, coeff=i_unit)
+        coframe[(False, j)] = re + im
+        coframe[(True, j)] = re - im
+    return coframe
 
 
-def _complex_2form_to_real(form, n):
-    """Expand a complex invariant 2-form in the real coframe e^1..e^{2n}.
+def _complex_form_to_real(form, n):
+    """Expand a complex invariant form in the real coframe e^1..e^{2n}.
 
-    phi^j = e^{2j-1} + i e^{2j};  phi^jbar = e^{2j-1} - i e^{2j}.
-    Returns {(a, b): Fraction} with a < b; raises if any coefficient
-    fails to be real (the input must come from realified data).
+    Returns {(a, b, ...): Fraction} with a < b < ...; raises if any
+    coefficient fails to be real (the input must be a real form).
     """
     out = {}
-    for (holo, anti), coeff in form.coeffs.items():
-        c = coeff.const_value()
-        # each complex generator expands to two real terms
-        factors = []
-        for j in holo:
-            factors.append(((2 * j - 1, GaussRat(1)), (2 * j, GaussRat(0, 1))))
-        for j in anti:
-            factors.append(((2 * j - 1, GaussRat(1)), (2 * j, GaussRat(0, -1))))
-        # distribute
-        expansion = [((), GaussRat(1))]
-        for opts in factors:
-            nxt = []
-            for idxs, co in expansion:
-                for e_idx, e_co in opts:
-                    nxt.append((idxs + (e_idx,), co * e_co))
-            expansion = nxt
-        for idxs, co in expansion:
-            # wedge-sort indices, drop repeats
-            sign, key = _sort_sign(idxs)
-            if sign == 0:
-                continue
-            val = c * co * GaussRat(sign)
-            out[key] = out.get(key, GaussRat(0)) + val
-    real_out = {}
-    for key, val in out.items():
-        if val.is_zero():
-            continue
+    for (idxs, _), c in substitute(form, _real_coframe(n)).items():
+        val = c.const_value()
         if not val.is_real():
-            raise InternalError(f"non-real structure constant {val} at e^{key}")
-        real_out[key] = val.re
-    return real_out
+            raise InternalError(f"non-real structure constant {val} at e^{idxs}")
+        out[idxs] = val.re
+    return out
 
 
-def _sort_sign(idxs):
-    """Bubble-sort sign of an index tuple; (0, None) when an index repeats."""
-    lst = list(idxs)
-    sign = 1
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-            elif lst[j] == lst[j + 1]:
-                return 0, None
-    return sign, tuple(lst)
+def real_parts(form, n):
+    """The real forms (form + conj form)/2 and -(i/2)(form - conj form),
+    each expanded in the real coframe e^1..e^{2n}."""
+    conj = form.conj()
+    half = ScalarExpr.const(GaussRat(Fraction(1, 2)))
+    neg_half_i = ScalarExpr.const(GaussRat(0, Fraction(-1, 2)))
+    return (
+        _complex_form_to_real((form + conj).scale(half), n),
+        _complex_form_to_real((form - conj).scale(neg_half_i), n),
+    )
 
 
 class ValidationReport:
@@ -302,30 +273,30 @@ class RealAlgebraSpec:
                 c.setdefault((i, j), {})[k] = -a
         return c
 
-    def ad(self, j):
-        """Matrix of ad(e_j) = [e_j, -] acting on column vectors (0-based)."""
-        mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        c = self.brackets()
-        for (a, b), comps in c.items():
-            for k, val in comps.items():
-                if a == j:
-                    mat[k - 1][b - 1] += val  # [e_j, e_b]
-                elif b == j:
-                    mat[k - 1][a - 1] -= val  # [e_a, e_j] = -[e_j, e_a]
-        return mat
+    def rho(self):
+        """rho_j = tr(J o ad e_j) for j = 1..dim, in one pass over the brackets.
 
-    def rho(self, j):
-        """Trace of J composed with ad(e_j)."""
-        ad = self.ad(j)
-        t = Fraction(0)
-        for r in range(self.dim):
-            for k in range(self.dim):
-                t += self.j_mat[r][k] * ad[k][r]
-        return t
+        tr(J ad e_j) = sum_{r,k} J[r][k] e^k([e_j, e_r]), over the nonzero
+        entries of J.
+        """
+        j_entries = [
+            (r, k, x)
+            for r, row in enumerate(self.j_mat, start=1)
+            for k, x in enumerate(row, start=1)
+            if x
+        ]
+        rhos = [Fraction(0)] * self.dim
+        for (a, b), comps in self.brackets().items():
+            for r, k, x in j_entries:
+                if r == b:  # [e_a, e_b]
+                    rhos[a - 1] += x * comps.get(k, 0)
+                if r == a:  # [e_b, e_a] = -[e_a, e_b]
+                    rhos[b - 1] -= x * comps.get(k, 0)
+        return rhos
 
     def rho_report(self):
         """rho_j for all j, plus which e_j lie in the derived algebra."""
-        rhos = [self.rho(j) for j in range(1, self.dim + 1)]
+        rhos = self.rho()
         derived = self.derived_algebra()
         flags = [derived.contains({j: GaussRat(1)}) for j in range(self.dim)]
         # does the trace form restrict to zero on [g,g]?  (this, not the
@@ -350,11 +321,11 @@ class RealAlgebraSpec:
 
     def unimodular(self):
         """tr(ad(e_j)) = 0 for all j."""
-        for j in range(1, self.dim + 1):
-            ad = self.ad(j)
-            if sum(ad[k][k] for k in range(self.dim)) != 0:
-                return False
-        return True
+        traces = [Fraction(0)] * (self.dim + 1)
+        for (a, b), comps in self.brackets().items():
+            traces[a] += comps.get(b, 0)  # e^b([e_a, e_b])
+            traces[b] -= comps.get(a, 0)  # e^a([e_b, e_a])
+        return not any(traces)
 
 
 class RhoReport:

@@ -57,12 +57,12 @@ def _wedge(a, b):
     return a.wedge(b)
 
 
-def _family(name, base, params, b_entries, omega=None, note=""):
+def _family(name, base, params, b_entries, omega=None):
     """Deformation eta = phi + sum B[i][j] phi^{jbar} (A stays the identity)."""
     A, B = DeformationFamily.identity_matrices(base.n)
     for (i, j), expr in b_entries.items():
         B[i][j] = expr
-    return DeformationFamily(name, base, params, A, B, omega=omega, note=note)
+    return DeformationFamily(name, base, params, A, B, omega=omega)
 
 
 _T = ScalarExpr.param("t")
@@ -127,9 +127,9 @@ def _example31():
     )
     omega = (_wedge(_gen(1), _gen(2)) + _wedge(_gen(1), _gen(3))
              + _wedge(_gen(1), _gen(4)) + _wedge(_gen(2), _gen(4)))
+    # eta^2 = phi^2 + t phi^{2bar}; admissible for |t| < 1
     entry.family = _family(
         "example31", entry.spec, ("t",), {(1, 1): _T}, omega=omega,
-        note="eta^2 = phi^2 + t phi^{2bar}; admissible for |t| < 1",
     )
     return entry
 
@@ -149,9 +149,9 @@ def _example45():
     )
     omega = (_wedge(_gen(1), _gen(2)) + _wedge(_gen(1), _gen(3))
              + _wedge(_gen(1), _gen(4)) + _wedge(_gen(2), _gen(4)))
+    # eta^1 = phi^1 + t phi^{1bar}; admissible for |t| < 1
     entry.family = _family(
         "example45", entry.spec, ("t",), {(0, 0): _T}, omega=omega,
-        note="eta^1 = phi^1 + t phi^{1bar}; admissible for |t| < 1",
     )
     return entry
 
@@ -169,9 +169,9 @@ def _nakamura_x_torus():
         "computations are not declared to match the compact quotient",
         src,
     )
+    # eta^3 = phi^3 - t phi^{1bar}
     entry.family = _family(
         "nakamura_x_torus", entry.spec, ("t",), {(2, 0): -_T},
-        note="eta^3 = phi^3 - t phi^{1bar}",
     )
     return entry
 
@@ -189,11 +189,10 @@ def _theorem51_family():
         "arbitrarily small deformations acquire one",
         src,
     )
+    # eta^1 = phi^1 + t phi^{1bar} - i t phi^{2bar}; admissible for |t| < 1
     entry.family = _family(
         "theorem51_family", entry.spec, ("t",),
         {(0, 0): _T, (0, 1): -(_I * _T)},
-        note="eta^1 = phi^1 + t phi^{1bar} - i t phi^{2bar}; "
-             "admissible for |t| < 1",
     )
     return entry
 
@@ -212,9 +211,9 @@ def _section42_example():
         src,
     )
     omega = _wedge(_gen(1), _gen(4)) + _wedge(_gen(2), _gen(3))
+    # eta^3 = phi^3 + t phi^{1bar}
     entry.family = _family(
         "section42_example", entry.spec, ("t",), {(2, 0): _T}, omega=omega,
-        note="eta^3 = phi^3 + t phi^{1bar}",
     )
     return entry
 

@@ -65,6 +65,8 @@ def _parse_assign(pairs):
         name, sep, value = raw.partition("=")
         if not sep or not name:
             raise UsageError(f"--assign wants name=value, got {raw!r}")
+        if name in assign:
+            raise UsageError(f"--assign assigns {name} twice")
         try:
             assign[name] = parse_gauss(value)
         except DslError as e:
@@ -319,6 +321,8 @@ def _cmd_frolicher(args):
             f"--max-page {args.max_page} is above {frolicher.MAX_PAGE}; every page "
             "past n+1 equals page n+1"
         )
+    if args.max_page is not None and args.max_page < 1:
+        raise UsageError(f"--max-page {args.max_page} is below 1")
     name, entry, spec = _load_target(args.target)
     assign = _parse_assign(args.assign)
     concrete = _concretize(entry, spec, assign)
@@ -538,8 +542,8 @@ def _build_parser():
     p = sub.add_parser("frolicher", help="spectral sequence pages and degeneration")
     common(p)
     p.add_argument("--max-page", type=int, default=None,
-                   help=f"tabulate pages 1..N, N <= {frolicher.MAX_PAGE} "
-                        "(default: through degeneration)")
+                   help=f"tabulate pages 1..N, 1 <= N <= {frolicher.MAX_PAGE}; the "
+                        "pages through degeneration are always printed")
     p.set_defaults(fn=_cmd_frolicher)
 
     p = sub.add_parser("symplectic",

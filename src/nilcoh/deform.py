@@ -9,9 +9,11 @@ relation into d(eta^i) = sum_j A_ij d(phi^j) + B_ij conj(d(phi^j)).
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from .scalar import ScalarExpr, ScalarEvalError
-from .exterior import BigradedElement
-from .algebra import AlgebraSpec, StructureError
+from .exterior import BigradedElement, substitute
+from .algebra import AlgebraSpec, StructureError, real_parts
 from . import linalg
 
 
@@ -27,9 +29,9 @@ class DeformationFamily:
     the stability checks transport it along the family.
     """
 
-    __slots__ = ("name", "base", "params", "A", "B", "omega", "note")
+    __slots__ = ("name", "base", "params", "A", "B", "omega")
 
-    def __init__(self, name, base, params, A, B, omega=None, note=""):
+    def __init__(self, name, base, params, A, B, omega=None):
         n = base.n
         assert len(A) == n and len(B) == n
         assert all(len(r) == n for r in A) and all(len(r) == n for r in B)
@@ -42,7 +44,6 @@ class DeformationFamily:
         self.A = tuple(tuple(_as_scalar(x) for x in row) for row in A)
         self.B = tuple(tuple(_as_scalar(x) for x in row) for row in B)
         self.omega = omega
-        self.note = note
 
     @classmethod
     def identity_matrices(cls, n):
@@ -125,7 +126,6 @@ def deformed_frame(family, assign):
     spec = AlgebraSpec(
         name, n, (), d_eta,
         flag_invariant_ok=family.base.flag_invariant_ok,
-        note=family.base.note,
     )
     return spec, to_eta
 
@@ -139,24 +139,6 @@ def frame_change(family, assign):
     return deformed_frame(family, assign)[0]
 
 
-def substitute(element, mapping):
-    """Replace each generator by the 1-form mapping[(barred, index)]."""
-    out = BigradedElement.zero()
-    for (holo, anti), coeff in element.coeffs.items():
-        term = BigradedElement.one().scale(coeff)
-        for i in holo:
-            term = term.wedge(mapping[(False, i)])
-            if term.is_zero():
-                break
-        if not term.is_zero():
-            for i in anti:
-                term = term.wedge(mapping[(True, i)])
-                if term.is_zero():
-                    break
-        out = out + term
-    return out
-
-
 def real_frame_matrix(family, assign):
     """Real 2n x 2n matrix S with eps_t = S eps_0 on the real coframes.
 
@@ -166,14 +148,15 @@ def real_frame_matrix(family, assign):
     """
     A, B = family.matrices_at(assign)
     n = len(A)
-    S = [[None] * (2 * n) for _ in range(2 * n)]
+    S = []
     for i in range(n):
+        # eta^i = eps^{2i-1} + i eps^{2i}: rows 2i-1 and 2i of S
+        eta = BigradedElement.zero()
         for k in range(n):
-            a, b = A[i][k], B[i][k]
-            S[2 * i][2 * k] = a.re + b.re
-            S[2 * i][2 * k + 1] = -a.im + b.im
-            S[2 * i + 1][2 * k] = a.im + b.im
-            S[2 * i + 1][2 * k + 1] = a.re - b.re
+            eta = eta + BigradedElement.gen(k + 1, coeff=A[i][k])
+            eta = eta + BigradedElement.gen(k + 1, barred=True, coeff=B[i][k])
+        for part in real_parts(eta, n):
+            S.append([part.get((m,), Fraction(0)) for m in range(1, 2 * n + 1)])
     return S
 
 

@@ -232,3 +232,22 @@ class BigradedElement:
 
     def __repr__(self):
         return f"<form {self}>"
+
+
+def substitute(element, mapping):
+    """Pull a form back along a generator map: replace each generator by the
+    1-form mapping[(barred, index)]."""
+    out = BigradedElement.zero()
+    for (holo, anti), coeff in element.coeffs.items():
+        term = BigradedElement.one().scale(coeff)
+        for i in holo:
+            term = term.wedge(mapping[(False, i)])
+            if term.is_zero():
+                break
+        if not term.is_zero():
+            for i in anti:
+                term = term.wedge(mapping[(True, i)])
+                if term.is_zero():
+                    break
+        out = out + term
+    return out

@@ -137,7 +137,7 @@ def betti_numbers(ops):
     return {k: betti(ops, k) for k in range(2 * ops.n + 1)}
 
 
-def degeneration_page(ops, max_page=None):
+def degeneration_page(ops):
     """Smallest r whose page totals equal the Betti numbers in every degree.
 
     Differentials on page r move by (r, 1-r), so every page beyond n+1 is
@@ -148,11 +148,9 @@ def degeneration_page(ops, max_page=None):
     pages 1..r it built.
     """
     n = ops.n
-    if max_page is None:
-        max_page = n + 1
     target = betti_numbers(ops)
     pages = []
-    for r in range(1, max_page + 1):
+    for r in range(1, n + 2):
         page = spectral_page(ops, r)
         pages.append(page)
         totals = {k: page.total(k) for k in range(2 * n + 1)}
@@ -164,5 +162,5 @@ def degeneration_page(ops, max_page=None):
                 "pages": pages,
             }
     raise InternalError(
-        f"no stabilization by page {max_page}; zig-zag routine is inconsistent"
+        f"no stabilization by page {n + 1}; zig-zag routine is inconsistent"
     )

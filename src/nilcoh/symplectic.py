@@ -13,11 +13,11 @@ cross-asserted on every call.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import product
 
 from .gauss import GaussRat
 from .scalar import ScalarExpr
+from .algebra import real_parts
 from .exterior import BigradedElement
 from . import cohomology
 from .cohomology import NotInNumerator, class_is_trivial, invariant_level_banner
@@ -86,7 +86,6 @@ class SymplecticReport:
         "witness",
         "grid_points_checked",
         "grid_side",
-        "upgrade_flag",
         "banner",
         "statement",
     )
@@ -115,15 +114,13 @@ class SymplecticReport:
         return d
 
 
-def find_symplectic(ops, flag_invariant_ok=None):
+def find_symplectic(ops):
     """Decide existence of a closed non-degenerate invariant (2,0)-form.
 
-    The flag (when not given) is read off ops.spec; it only affects the
-    wording of the emitted statement, never the verdict.
+    The flag of ops.spec only affects the wording of the emitted statement,
+    never the verdict.
     """
     spec = ops.spec
-    if flag_invariant_ok is None:
-        flag_invariant_ok = spec.flag_invariant_ok
     banner = invariant_level_banner(spec)
     n = ops.n
     if n % 2:
@@ -167,7 +164,7 @@ def find_symplectic(ops, flag_invariant_ok=None):
         raise InternalError("grid and symbolic routes disagree")
 
     if witness is None:
-        if flag_invariant_ok:
+        if spec.flag_invariant_ok:
             statement = (
                 "no complex symplectic structure on the compact quotient "
                 "(non-existence transfers under the declared flag)"
@@ -184,11 +181,10 @@ def find_symplectic(ops, flag_invariant_ok=None):
             verdict="none",
             grid_points_checked=checked,
             grid_side=m + 1,
-            upgrade_flag=flag_invariant_ok,
             banner=banner,
             statement=statement,
         )
-    if flag_invariant_ok:
+    if spec.flag_invariant_ok:
         statement = "complex symplectic structure exists on the compact quotient"
     else:
         statement = "invariant complex symplectic structure exists"
@@ -201,7 +197,6 @@ def find_symplectic(ops, flag_invariant_ok=None):
         witness=witness,
         grid_points_checked=checked,
         grid_side=m + 1,
-        upgrade_flag=flag_invariant_ok,
         banner=banner,
         statement=statement,
     )
@@ -292,49 +287,35 @@ def betti_bounds(ops):
 def real_pair(spec, omega):
     """Split a (2,0)-form into its real and imaginary invariant 2-forms.
 
-    Writing phi^j = e^{2j-1} + i e^{2j}, the form expands over the real
-    coframe; the returned pair (re, im) satisfies im = re(J., .) for the
-    engine's J convention (the sign is pinned by the rho-trace calibration;
-    relabeling J -> -J recovers the opposite-sign convention).  The
-    compatibility identity is verified exactly and reported.
+    Both parts are expanded in the real coframe of AlgebraSpec.realify; the
+    returned pair (re, im) satisfies im = re(J., .) for the engine's J
+    convention (the sign is pinned by the rho-trace calibration; relabeling
+    J -> -J recovers the opposite-sign convention).  The compatibility
+    identity is verified exactly and reported.
     """
     if set(omega.bidegrees()) - {(2, 0)}:
         raise SymplecticError("real pair is defined for (2,0)-forms")
-    n = spec.n
-    dim = 2 * n
-    mre = [[Fraction(0)] * dim for _ in range(dim)]
-    mim = [[Fraction(0)] * dim for _ in range(dim)]
-    for (holo, _anti), c in omega.items():
-        j, k = holo
-        cval = c.const_value()
-        u, v = 2 * j - 2, 2 * j - 1  # 0-based indices of e^{2j-1}, e^{2j}
-        w, x = 2 * k - 2, 2 * k - 1
-        i_c = GaussRat(0, 1) * cval
-        for (a, b), coeff in (
-            ((u, w), cval),
-            ((v, x), -cval),
-            ((u, x), i_c),
-            ((v, w), i_c),
-        ):
-            mre[a][b] += coeff.re
-            mre[b][a] -= coeff.re
-            mim[a][b] += coeff.im
-            mim[b][a] -= coeff.im
+    re, im = real_parts(omega, spec.n)
     j_mat = spec.realify().j_mat
+    dim = len(j_mat)
+
+    def pairing(form):
+        """form(e_a, e_b) over all ordered pairs (0-based) with a nonzero value."""
+        out = {}
+        for (a, b), v in form.items():
+            out[(a - 1, b - 1)], out[(b - 1, a - 1)] = v, -v
+        return out
+
+    mre, mim = pairing(re), pairing(im)
     compat = all(
-        mim[a][b] == sum(j_mat[c][a] * mre[c][b] for c in range(dim))
+        mim.get((a, b), 0) == sum(j_mat[c][a] * mre.get((c, b), 0) for c in range(dim))
         for a in range(dim)
         for b in range(dim)
     )
-    def entries(m):
-        return {
-            f"e{a + 1}^e{b + 1}": str(m[a][b])
-            for a in range(dim)
-            for b in range(a + 1, dim)
-            if m[a][b]
-        }
+    def entries(form):
+        return {f"e{a}^e{b}": str(v) for (a, b), v in sorted(form.items())}
     return {
-        "re": entries(mre),
-        "im": entries(mim),
+        "re": entries(re),
+        "im": entries(im),
         "compatibility_verified": compat,
     }

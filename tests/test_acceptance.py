@@ -6,7 +6,6 @@ for its criterion.
 """
 
 import json
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -405,15 +404,13 @@ BATTERY = [
 ]
 
 
-def _run_battery(threads):
-    env = dict(os.environ, NILCOH_THREADS=threads)
+def _run_battery():
     chunks = []
     for args in BATTERY:
         proc = subprocess.run(
             [sys.executable, "-m", "nilcoh", *args],
             capture_output=True,
             text=True,
-            env=env,
         )
         assert proc.returncode in (0, 1), (args, proc.stderr)
         json.loads(proc.stdout)  # every report is valid JSON
@@ -421,8 +418,8 @@ def _run_battery(threads):
     return "".join(chunks)
 
 
-def test_reports_byte_identical_across_thread_caps():
-    single = _run_battery("1")
-    wide = _run_battery("8")
-    assert single == wide
-    assert _run_battery("8") == wide  # and across identical re-runs
+def test_reports_byte_identical_across_reruns():
+    first = _run_battery()
+    second = _run_battery()
+    assert first == second
+    assert _run_battery() == second

@@ -6,7 +6,7 @@ import pytest
 
 from nilcoh.algebra import AlgebraSpec, StructureError
 from nilcoh.catalog import catalog, get
-from nilcoh.deform import frame_change, real_frame_matrix, substitute
+from nilcoh.deform import combined_matrix, frame_change, real_frame_matrix, substitute
 from nilcoh.dsl import parse, parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat
@@ -121,10 +121,19 @@ def complexify(real):
 
 
 def test_complexify_inverts_realify_on_every_entry():
+    specs = []
     for entry in catalog():
         spec = entry.spec
         if spec.params:
             spec = spec.evaluate({p: GaussRat(0) for p in spec.params})
+        specs.append(spec)
+    # deformed samples, whose structure constants are not all real
+    for name, t in [("nakamura_x_torus", "2+3i"), ("example31", "i/2"),
+                    ("theorem51_family", "1/3-i/4")]:
+        specs.append(frame_change(get(name).family, {"t": parse_gauss(t)}))
+    specs.append(get("iwasawa_x_torus").spec.evaluate(
+        {"t11": parse_gauss("i/2"), "t22": parse_gauss("1/3+i/5")}))
+    for spec in specs:
         back = complexify(spec.realify())
         assert back.n == spec.n
         for j in range(1, spec.n + 1):
@@ -155,6 +164,37 @@ def test_rho_traces_and_derived_algebra_at_paper_sample():
         S = real_frame_matrix(family, {"t": t})
         for j in (0, 1):
             assert real.in_derived([S[m][j] for m in range(8)])
+
+
+def test_real_frame_matrix_is_the_real_form_of_the_combined_matrix():
+    # Reference: eps = Q M P e.  P writes (phi, phibar) in the real coframe,
+    # phi^k = e^{2k-1} + i e^{2k}; M = combined_matrix(A, B) takes (phi,
+    # phibar) to (eta, etabar); Q takes (eta, etabar) to the deformed real
+    # coframe, eps^{2k-1} = (eta^k + eta^kbar)/2, eps^{2k} = -(i/2)(eta^k - eta^kbar).
+    half, i = GaussRat(Fraction(1, 2)), GaussRat(0, 1)
+    for name, t in [("example31", "i/2"), ("nakamura_x_torus", "2+3i"),
+                    ("theorem51_family", "1/3-i/4")]:
+        family = get(name).family
+        assign = {"t": parse_gauss(t)}
+        A, B = family.matrices_at(assign)
+        n = len(A)
+        dim = 2 * n
+        M = [[row.get(c, GaussRat(0)) for c in range(dim)] for row in combined_matrix(A, B)]
+        P = [[GaussRat(0)] * dim for _ in range(dim)]
+        Q = [[GaussRat(0)] * dim for _ in range(dim)]
+        for k in range(n):
+            P[k][2 * k], P[k][2 * k + 1] = GaussRat(1), i
+            P[n + k][2 * k], P[n + k][2 * k + 1] = GaussRat(1), -i
+            Q[2 * k][k], Q[2 * k][n + k] = half, half
+            Q[2 * k + 1][k], Q[2 * k + 1][n + k] = -i * half, i * half
+
+        def mul(X, Y):
+            return [[sum((X[r][m] * Y[m][c] for m in range(dim)), GaussRat(0))
+                     for c in range(dim)] for r in range(dim)]
+
+        reference = mul(mul(Q, M), P)
+        assert all(x.is_real() for row in reference for x in row)
+        assert real_frame_matrix(family, assign) == [[x.re for x in row] for row in reference]
 
 
 def test_rho_report_dict_shape():

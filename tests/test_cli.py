@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilcoh import cli
+from nilcoh import algebra, cli
 
 BASE = [sys.executable, "-m", "nilcoh"]
 
@@ -257,6 +257,8 @@ def test_table_format():
     assert any(line.startswith("results.entries[0].name = torus2") for line in lines)
 
 
+# Nothing in nilcoh reads NILCOH_THREADS, but bench/run.py still sets it: the
+# report must not depend on it.
 @pytest.mark.parametrize("threads", ["1", "8"])
 def test_byte_determinism_across_thread_caps(threads):
     args = (
@@ -387,3 +389,47 @@ def test_frolicher_max_page_is_bounded():
     pages = json.loads(out.getvalue())["results"]["pages"]
     assert sorted(pages, key=int) == [str(r) for r in range(1, 17)]
     assert all(pages[str(r)] == pages["4"] for r in range(5, 17))
+
+
+def test_frolicher_max_page_below_one_is_refused():
+    for page in ("0", "-3"):
+        rc, err = _exit_code(["frolicher", "@frolicher_example", "--max-page", page])
+        assert (rc, err) == (2, f"nilcoh: --max-page {page} is below 1\n")
+    # the pages through the degeneration page are printed whatever N is
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["frolicher", "@frolicher_example", "--max-page", "1"]) == 0
+    assert sorted(json.loads(out.getvalue())["results"]["pages"]) == ["1", "2", "3"]
+
+
+def test_assign_refuses_a_repeated_name():
+    rc, err = _exit_code(["validate", "@example31", "--assign", "t=0", "--assign", "t=1/2"])
+    assert (rc, err) == (2, "nilcoh: --assign assigns t twice\n")
+
+
+@pytest.fixture
+def validation_calls(monkeypatch):
+    """ValidationReport constructions and AlgebraSpec.d calls, counted."""
+    calls = {"reports": 0, "d": 0}
+    init, d = algebra.ValidationReport.__init__, algebra.AlgebraSpec.d
+
+    def counting_init(self, name):
+        calls["reports"] += 1
+        init(self, name)
+
+    def counting_d(self, element):
+        calls["d"] += 1
+        return d(self, element)
+
+    monkeypatch.setattr(algebra.ValidationReport, "__init__", counting_init)
+    monkeypatch.setattr(algebra.AlgebraSpec, "d", counting_d)
+    return calls
+
+
+def test_each_concrete_structure_is_validated_once(validation_calls):
+    # the validate task and the operator cache share one report per sample:
+    # d(d phi) for 4 generators and their conjugates, two d calls each
+    rc, _ = _exit_code(["deform", "@example31", "--samples", "t=0; t=1/2; t=i/2",
+                        "--tasks", "validate; symplectic"])
+    assert rc == 0
+    assert validation_calls == {"reports": 3, "d": 48}

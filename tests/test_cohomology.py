@@ -206,7 +206,7 @@ def test_invariant_level_banner_three_ways():
 def test_exactness_invariants_survive_optimize_flag():
     script = (
         "import sys\n"
-        "from nilcoh.algebra import _complex_2form_to_real\n"
+        "from nilcoh.algebra import _complex_form_to_real\n"
         "from nilcoh.cohomology import CohomologyGroup\n"
         "from nilcoh.exterior import BigradedElement\n"
         "from nilcoh.linalg import ONE, InternalError, Subspace\n"
@@ -219,7 +219,7 @@ def test_exactness_invariants_survive_optimize_flag():
         "              lambda: den.add(Subspace.full(3)),\n"
         "              lambda: den.intersect(Subspace.full(3)),\n"
         "              lambda: ScalarExpr.param('t').const_value(),\n"
-        "              lambda: _complex_2form_to_real(\n"
+        "              lambda: _complex_form_to_real(\n"
         "                  BigradedElement.monomial((1, 2), ()), 2)):\n"
         "    try:\n"
         "        check()\n"
