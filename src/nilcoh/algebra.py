@@ -16,7 +16,7 @@ from itertools import product
 
 from .gauss import GaussRat, InternalError
 from .linalg import Subspace
-from .scalar import ScalarExpr, ScalarEvalError
+from .scalar import S_I, ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement, substitute
 
 # default exact sample points used for pointwise validation of parametric data
@@ -174,10 +174,9 @@ class AlgebraSpec:
 def _real_coframe(n):
     """phi^j -> e^{2j-1} + i e^{2j}, phi^jbar -> e^{2j-1} - i e^{2j}, with
     e^k the k-th unbarred generator of a 2n-generator algebra."""
-    i_unit = ScalarExpr.const(GaussRat(0, 1))
     coframe = {}
     for j in range(1, n + 1):
-        re, im = BigradedElement.gen(2 * j - 1), BigradedElement.gen(2 * j, coeff=i_unit)
+        re, im = BigradedElement.gen(2 * j - 1), BigradedElement.gen(2 * j, coeff=S_I)
         coframe[(False, j)] = re + im
         coframe[(True, j)] = re - im
     return coframe

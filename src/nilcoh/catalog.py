@@ -1,15 +1,15 @@
 """Built-in structure equations and deformation families.
 
-Every entry carries its structure equations as DSL source (the canonical
-input format), an optional deformation family, and a short mathematical
-summary.  Entries marked unverified transcribe coefficient formulas whose
-published source is ambiguous; they validate as complex structures but
-their provenance is not certified by the golden tests.
+Every entry carries its structure equations, an optional deformation
+family, and a short mathematical summary.  Entries marked unverified
+transcribe coefficient formulas whose published source is ambiguous; they
+validate as complex structures but their provenance is not certified by the
+golden tests.
 """
 
 from __future__ import annotations
 
-from .scalar import ScalarExpr
+from .scalar import S_I, ScalarExpr
 from . import dsl
 from .algebra import AlgebraSpec
 from .deform import DeformationFamily
@@ -21,14 +21,13 @@ class CatalogError(KeyError):
 
 
 class CatalogEntry:
-    __slots__ = ("name", "summary", "source", "spec", "family", "unverified")
+    __slots__ = ("name", "summary", "spec", "family", "unverified")
 
     def __init__(self, name, summary, source=None, spec=None,
                  family=None, unverified=False):
         self.name = name
         self.summary = summary
         self.spec = dsl.parse(source) if spec is None else spec
-        self.source = dsl.pretty(self.spec) if source is None else source
         self.family = family
         self.unverified = unverified
         assert self.spec.name == name
@@ -66,7 +65,6 @@ def _family(name, base, params, b_entries, omega=None):
 
 
 _T = ScalarExpr.param("t")
-_I = ScalarExpr.const(dsl.parse_gauss("i"))
 
 
 def _torus(n):
@@ -192,7 +190,7 @@ def _theorem51_family():
     # eta^1 = phi^1 + t phi^{1bar} - i t phi^{2bar}; admissible for |t| < 1
     entry.family = _family(
         "theorem51_family", entry.spec, ("t",),
-        {(0, 0): _T, (0, 1): -(_I * _T)},
+        {(0, 0): _T, (0, 1): -(S_I * _T)},
     )
     return entry
 

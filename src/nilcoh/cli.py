@@ -457,17 +457,18 @@ def _cmd_deform(args):
     _check_samples(samples, params)
     tasks = _parse_tasks(args.tasks)
     per_sample = [t for t in tasks if t[0] != "hypotheses"]
-    rows = sweep(target, samples, lambda s: _run_tasks(per_sample, s))
-    results = {"samples": rows}
+    results = {}
+    # before the sweep, so that a target it refuses costs no sweep work
     if any(t[0] == "hypotheses" for t in tasks):
         if family is None:
             raise UsageError(
                 "the hypotheses task needs a catalog entry with a deformation family"
             )
         try:
-            results["hypotheses"] = check_stability_hypotheses(family, samples).as_dict()
+            results["hypotheses"] = check_stability_hypotheses(family, samples)
         except StabilityInputError as e:
             raise UsageError(str(e)) from None
+    results["samples"] = sweep(target, samples, lambda s: _run_tasks(per_sample, s))
     _emit(_report("deform", name, _digest(entry, spec, {}), {}, results), args.format)
     return 0
 
@@ -494,10 +495,10 @@ def _cmd_hypotheses(args):
     samples = _parse_samples(args.samples) if args.samples else _default_samples(family.params)
     _check_samples(samples, family.params)
     try:
-        rep = check_stability_hypotheses(family, samples)
+        results = check_stability_hypotheses(family, samples)
     except StabilityInputError as e:
         raise UsageError(str(e)) from None
-    _emit(_report("hypotheses", name, _digest(entry, spec, {}), {}, rep.as_dict()),
+    _emit(_report("hypotheses", name, _digest(entry, spec, {}), {}, results),
           args.format)
     return 0
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .gauss import GaussRat
-from .scalar import ScalarExpr, S_ONE
+from .scalar import S_I, ScalarExpr, S_ONE
 from .exterior import BigradedElement
 from .algebra import AlgebraSpec
 
@@ -331,7 +331,7 @@ class _Parser:
             return ScalarExpr.const(GaussRat(0, int(text[:-1])))
         if kind == "IDENT":
             if text == "i":
-                return ScalarExpr.const(GaussRat(0, 1))
+                return S_I
             if text == "conj":
                 t.expect_op("(")
                 name = t.expect("IDENT")

@@ -34,62 +34,13 @@ class StabilityInputError(ValueError):
     """The family lacks a usable distinguished (2,0)-form."""
 
 
-class HypothesisReport:
-    """Per-sample criteria rows plus cross-sample verdicts."""
-
-    __slots__ = (
-        "family_name",
-        "omega_text",
-        "omega_closed_at_zero",
-        "omega_nondegenerate_at_zero",
-        "rows",
-        "h20_values",
-        "h20_constant",
-        "banner",
-    )
-
-    def __init__(
-        self,
-        family_name,
-        omega_text,
-        omega_closed_at_zero,
-        omega_nondegenerate_at_zero,
-        rows,
-        banner,
-    ):
-        self.family_name = family_name
-        self.omega_text = omega_text
-        self.omega_closed_at_zero = omega_closed_at_zero
-        self.omega_nondegenerate_at_zero = omega_nondegenerate_at_zero
-        self.rows = rows
-        self.h20_values = [r["h20_bott_chern"] for r in rows if "error" not in r]
-        self.h20_constant = (
-            len(set(self.h20_values)) <= 1 if self.h20_values else None
-        )
-        self.banner = banner
-
-    def as_dict(self):
-        return {
-            "family": self.family_name,
-            "omega": self.omega_text,
-            "omega_closed_at_zero": self.omega_closed_at_zero,
-            "omega_nondegenerate_at_zero": self.omega_nondegenerate_at_zero,
-            "h20_bott_chern_constant": self.h20_constant,
-            "samples": self.rows,
-            "scope": self.banner,
-        }
-
-
-def _zero_assignment(params):
-    return {p: ZERO for p in params}
-
-
 def check_stability_hypotheses(family, samples, omega=None):
     """Evaluate criteria (a)-(e) at each sample assignment of the family.
 
     `samples` is an iterable of parameter assignments (name -> GaussRat).
     `omega` overrides the family's distinguished form when given.  Samples
     where the frame is singular produce an "error" row instead of verdicts.
+    Returns the report: the per-sample rows and the cross-sample verdicts.
     """
     if omega is None:
         omega = family.omega
@@ -104,7 +55,7 @@ def check_stability_hypotheses(family, samples, omega=None):
 
     base = family.base
     if base.params:
-        base = base.evaluate(_zero_assignment(base.params))
+        base = base.evaluate({p: ZERO for p in base.params})
     omega_closed = base.d(omega).is_zero()
     omega_nondeg = is_nondegenerate(omega, base.n)
 
@@ -144,14 +95,16 @@ def check_stability_hypotheses(family, samples, omega=None):
         }
         rows.append(row)
 
-    return HypothesisReport(
-        family_name=family.name,
-        omega_text=str(omega),
-        omega_closed_at_zero=omega_closed,
-        omega_nondegenerate_at_zero=omega_nondeg,
-        rows=rows,
-        banner=invariant_level_banner(family.base),
-    )
+    h20_values = [r["h20_bott_chern"] for r in rows if "error" not in r]
+    return {
+        "family": family.name,
+        "omega": str(omega),
+        "omega_closed_at_zero": omega_closed,
+        "omega_nondegenerate_at_zero": omega_nondeg,
+        "h20_bott_chern_constant": len(set(h20_values)) <= 1 if h20_values else None,
+        "samples": rows,
+        "scope": invariant_level_banner(family.base),
+    }
 
 
 def _delta_feasibility(ops, omega_t):

@@ -55,7 +55,7 @@ def is_nondegenerate(form, n):
     return not _top_coeff(form.wedge_power(n // 2), n).is_zero()
 
 
-def nondegeneracy_polynomial(ops, closed=None):
+def nondegeneracy_polynomial(ops):
     """P(a1..as): top-monomial coefficient of the m-th wedge power.
 
     Symbolic route: the basis combination is formed with polynomial
@@ -64,14 +64,10 @@ def nondegeneracy_polynomial(ops, closed=None):
     n = ops.n
     if n % 2:
         raise SymplecticError("no (2,0) volume pairing in odd complex dimension")
-    m = n // 2
-    if closed is None:
-        closed = closed_20_space(ops)
-    elems = [ops.to_element((2, 0), v) for v in closed.rows]
     comb = BigradedElement.zero()
-    for j, e in enumerate(elems):
-        comb = comb + e.scale(ScalarExpr.param(f"a{j + 1}"))
-    return _top_coeff(comb.wedge_power(m), n)
+    for j, e in enumerate(closed_20_elements(ops), 1):
+        comb = comb + e.scale(ScalarExpr.param(f"a{j}"))
+    return _top_coeff(comb.wedge_power(n // 2), n)
 
 
 class SymplecticReport:
@@ -114,91 +110,70 @@ class SymplecticReport:
         return d
 
 
+# (verdict, flag declared true) -> statement; the flag changes the wording only
+_ODD_STATEMENT = "odd complex dimension admits no non-degenerate (2,0)-form"
+_STATEMENTS = {
+    ("odd_dimension", False): _ODD_STATEMENT,
+    ("odd_dimension", True): _ODD_STATEMENT,
+    ("none", False): (
+        "no invariant complex symplectic structure; manifold-level "
+        "non-existence is not claimed without the flag"
+    ),
+    ("none", True): (
+        "no complex symplectic structure on the compact quotient "
+        "(non-existence transfers under the declared flag)"
+    ),
+    ("exists", False): "invariant complex symplectic structure exists",
+    ("exists", True): "complex symplectic structure exists on the compact quotient",
+}
+
+
 def find_symplectic(ops):
     """Decide existence of a closed non-degenerate invariant (2,0)-form.
 
     The flag of ops.spec only affects the wording of the emitted statement,
     never the verdict.
     """
-    spec = ops.spec
-    banner = invariant_level_banner(spec)
     n = ops.n
+    s = closed_20_space(ops).dim
+    poly = witness_coeffs = witness = checked = side = None
     if n % 2:
-        return SymplecticReport(
-            n=n,
-            closed_dim=closed_20_space(ops).dim,
-            poly=None,
-            verdict="odd_dimension",
-            banner=banner,
-            statement=(
-                "odd complex dimension admits no non-degenerate (2,0)-form"
-            ),
-        )
-    m = n // 2
-    closed = closed_20_space(ops)
-    s = closed.dim
-    if (m + 1) ** s > GRID_LIMIT:
-        raise SymplecticError(
-            f"the witness grid {{0..{m}}}^{s} has {(m + 1) ** s} points, above "
-            f"the limit of {GRID_LIMIT}"
-        )
-    elems = [ops.to_element((2, 0), v) for v in closed.rows]
-    poly = nondegeneracy_polynomial(ops, closed)
-
-    witness_coeffs = None
-    witness = None
-    checked = 0
-    for point in product(range(m + 1), repeat=s):
-        checked += 1
-        comb = BigradedElement.zero()
-        for aj, e in zip(point, elems):
-            if aj:
-                comb = comb + e.scale(GaussRat(aj))
-        if is_nondegenerate(comb, n):
-            witness_coeffs = [GaussRat(aj) for aj in point]
-            witness = comb
-            break
-
-    # the symbolic and grid routes must agree (degree <= m per variable)
-    if (witness is None) != poly.is_zero():
-        raise InternalError("grid and symbolic routes disagree")
-
-    if witness is None:
-        if spec.flag_invariant_ok:
-            statement = (
-                "no complex symplectic structure on the compact quotient "
-                "(non-existence transfers under the declared flag)"
-            )
-        else:
-            statement = (
-                "no invariant complex symplectic structure; manifold-level "
-                "non-existence is not claimed without the flag"
-            )
-        return SymplecticReport(
-            n=n,
-            closed_dim=s,
-            poly=poly,
-            verdict="none",
-            grid_points_checked=checked,
-            grid_side=m + 1,
-            banner=banner,
-            statement=statement,
-        )
-    if spec.flag_invariant_ok:
-        statement = "complex symplectic structure exists on the compact quotient"
+        verdict = "odd_dimension"
     else:
-        statement = "invariant complex symplectic structure exists"
+        side = n // 2 + 1
+        if side ** s > GRID_LIMIT:
+            raise SymplecticError(
+                f"the witness grid {{0..{side - 1}}}^{s} has {side ** s} points, above "
+                f"the limit of {GRID_LIMIT}"
+            )
+        elems = closed_20_elements(ops)
+        poly = nondegeneracy_polynomial(ops)
+        checked = 0
+        for point in product(range(side), repeat=s):
+            checked += 1
+            comb = BigradedElement.zero()
+            for aj, e in zip(point, elems):
+                if aj:
+                    comb = comb + e.scale(GaussRat(aj))
+            if is_nondegenerate(comb, n):
+                witness_coeffs = [GaussRat(aj) for aj in point]
+                witness = comb
+                break
+        # the symbolic and grid routes must agree (degree <= n/2 per variable)
+        if (witness is None) != poly.is_zero():
+            raise InternalError("grid and symbolic routes disagree")
+        verdict = "none" if witness is None else "exists"
     return SymplecticReport(
         n=n,
         closed_dim=s,
         poly=poly,
-        verdict="exists",
+        verdict=verdict,
         witness_coeffs=witness_coeffs,
         witness=witness,
         grid_points_checked=checked,
-        grid_side=m + 1,
-        banner=banner,
-        statement=statement,
+        grid_side=side,
+        banner=invariant_level_banner(ops.spec),
+        statement=_STATEMENTS[verdict, bool(ops.spec.flag_invariant_ok)],
     )
 
 
@@ -251,31 +226,20 @@ def theorem61_suite(ops, witness):
 def betti_bounds(ops):
     """Lower bounds on even invariant Betti numbers on real dimension 4h.
 
-    For h = n/2: b_{2k} >= k+1 for k = 1..h and b_{2l} >= 2h-l+1 for
-    l = h+1..2h-1.  A failed bound is an obstruction: no complex symplectic
-    structure can exist (invariant-level when the flag is unset).
+    For h = n/2: b_{2k} >= min(k, 2h-k)+1 for k = 1..2h-1.  A failed bound
+    is an obstruction: no complex symplectic structure can exist
+    (invariant-level when the flag is unset).
     """
     n = ops.n
     if n % 2:
         raise SymplecticError("real dimension is not divisible by 4")
-    h = n // 2
-    b = {k: cohomology.betti(ops, k) for k in range(2 * n + 1)}
     rows = []
-    all_pass = True
-    for k in range(1, h + 1):
-        bound = k + 1
-        ok = b[2 * k] >= bound
-        all_pass &= ok
+    for k in range(1, n):
+        betti, bound = cohomology.betti(ops, 2 * k), min(k, n - k) + 1
         rows.append(
-            {"degree": 2 * k, "betti": b[2 * k], "bound": bound, "holds": ok}
+            {"degree": 2 * k, "betti": betti, "bound": bound, "holds": betti >= bound}
         )
-    for l in range(h + 1, 2 * h):
-        bound = 2 * h - l + 1
-        ok = b[2 * l] >= bound
-        all_pass &= ok
-        rows.append(
-            {"degree": 2 * l, "betti": b[2 * l], "bound": bound, "holds": ok}
-        )
+    all_pass = all(row["holds"] for row in rows)
     return {
         "real_dimension": 2 * n,
         "bounds": rows,

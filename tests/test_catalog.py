@@ -65,7 +65,7 @@ def test_every_entry_validates():
 
 def test_source_round_trips():
     for e in catalog():
-        spec = parse(e.source)
+        spec = e.spec
         again = parse(pretty(spec))
         for j in range(1, spec.n + 1):
             assert (

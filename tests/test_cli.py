@@ -5,14 +5,16 @@ import contextlib
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilcoh import algebra, cli
+from nilcoh import algebra, cli, linalg
 
 BASE = [sys.executable, "-m", "nilcoh"]
 
@@ -433,3 +435,39 @@ def test_each_concrete_structure_is_validated_once(validation_calls):
                         "--tasks", "validate; symplectic"])
     assert rc == 0
     assert validation_calls == {"reports": 3, "d": 48}
+
+
+def test_deform_refuses_hypotheses_before_sweeping(monkeypatch):
+    built = []
+    init = linalg.OperatorCache.__init__
+
+    def counting_init(self, spec):
+        built.append(spec.name)
+        init(self, spec)
+
+    monkeypatch.setattr(linalg.OperatorCache, "__init__", counting_init)
+    refusals = [
+        (["deform", "@nakamura_x_torus", "--samples", "t=0; t=1/2; t=i/3",
+          "--tasks", "cohomology=dr:2; symplectic; hypotheses"],
+         "nilcoh: family 'nakamura_x_torus' carries no distinguished (2,0)-form\n"),
+        (["deform", "@iwasawa", "--tasks", "validate; symplectic; hypotheses"],
+         "nilcoh: the hypotheses task needs a catalog entry with a deformation family\n"),
+    ]
+    for argv, reason in refusals:
+        assert _exit_code(argv) == (2, reason), argv
+    assert built == []
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_quick_start_runs():
+    block = README.read_text(encoding="utf-8").split("## Quick start\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("nilcoh ")]
+    assert lines
+    for line in lines:
+        _, _, comment = line.partition("# exit ")
+        want = int(comment.split(":")[0]) if comment else 0
+        rc, err = _exit_code(shlex.split(line, comments=True)[1:])
+        assert rc == want, (line, err)

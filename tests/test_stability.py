@@ -15,8 +15,7 @@ def _samples(*texts):
 
 def test_section42_rows(ops):
     fam = get("section42_example").family
-    rep = check_stability_hypotheses(fam, _samples("0", "1/2"))
-    d = rep.as_dict()
+    d = check_stability_hypotheses(fam, _samples("0", "1/2"))
     assert d["family"] == "section42_example"
     assert d["omega"] == "f1^f4+f2^f3"
     assert d["omega_closed_at_zero"] is True
@@ -45,8 +44,7 @@ def test_section42_rows(ops):
 
 def test_example31_family_loses_feasibility(ops):
     fam = get("example31").family
-    rep = check_stability_hypotheses(fam, _samples("0", "1/2"))
-    d = rep.as_dict()
+    d = check_stability_hypotheses(fam, _samples("0", "1/2"))
     assert d["omega"] == "f1^f2+f1^f3+f1^f4+f2^f4"
     assert [r["h20_bott_chern"] for r in d["samples"]] == [4, 3]
     assert d["h20_bott_chern_constant"] is False
@@ -64,8 +62,7 @@ def test_example31_family_loses_feasibility(ops):
 
 def test_example45_h20_constant_but_correction_breaks(ops):
     fam = get("example45").family
-    rep = check_stability_hypotheses(fam, _samples("0", "1/2", "-1/2"))
-    d = rep.as_dict()
+    d = check_stability_hypotheses(fam, _samples("0", "1/2", "-1/2"))
     assert [r["h20_bott_chern"] for r in d["samples"]] == [4, 4, 4]
     assert d["h20_bott_chern_constant"] is True
     feas = [r["correction_system"]["feasible"] for r in d["samples"]]
@@ -76,15 +73,14 @@ def test_example45_h20_constant_but_correction_breaks(ops):
 
 def test_singular_sample_becomes_error_row(ops):
     fam = get("example31").family
-    rep = check_stability_hypotheses(fam, _samples("0", "1"))
-    d = rep.as_dict()
+    d = check_stability_hypotheses(fam, _samples("0", "1"))
     assert d["samples"][1] == {
         "assign": {"t": "1"},
         "error": "frame matrix is singular at t=1",
     }
     assert d["h20_bott_chern_constant"] is True  # only the good row counts
-    rep_all_bad = check_stability_hypotheses(fam, _samples("1"))
-    assert rep_all_bad.as_dict()["h20_bott_chern_constant"] is None
+    all_bad = check_stability_hypotheses(fam, _samples("1"))
+    assert all_bad["h20_bott_chern_constant"] is None
 
 
 def test_missing_or_bad_distinguished_form():
@@ -106,8 +102,7 @@ def test_missing_or_bad_distinguished_form():
 def test_override_form_is_used(ops):
     fam = get("section42_example").family
     omega = BigradedElement.gen(1).wedge(BigradedElement.gen(2))
-    rep = check_stability_hypotheses(fam, _samples("0"), omega=omega)
-    d = rep.as_dict()
+    d = check_stability_hypotheses(fam, _samples("0"), omega=omega)
     assert d["omega"] == "f1^f2"
     # closed but degenerate: (f1^f2)^2 = 0
     assert d["omega_closed_at_zero"] is True
