@@ -20,7 +20,7 @@ from .deform import DeformationError, assignment_strings, concretize, sweep
 from .dsl import DslError, parse_gauss
 from .linalg import OperatorCache
 from .scalar import ScalarEvalError
-from .stability import StabilityInputError, check_stability_hypotheses
+from .stability import StabilityCheck, StabilityInputError, check_stability_hypotheses
 
 THEORY_KEYS = {
     "dr": "de_rham",
@@ -414,8 +414,7 @@ def _parse_tasks(text):
     return tasks
 
 
-def _run_tasks(tasks, spec):
-    ops = None
+def _run_tasks(tasks, spec, ops=None):
     out = {}
     for task in tasks:
         kind = task[0]
@@ -435,6 +434,30 @@ def _run_tasks(tasks, spec):
                 cohomology.pure_full(ops, task[1]).as_dict()
             )
     return out
+
+
+def _sweep_with_hypotheses(family, samples, tasks):
+    """The hypotheses report and the sweep rows of the other tasks, sample by
+    sample on one deformed structure and one operator cache.  Like
+    deform.sweep, a sample the tasks fail on gets an "error" row."""
+    try:
+        check = StabilityCheck(family)
+    except StabilityInputError as e:
+        raise UsageError(str(e)) from None
+    rows = []
+    for assign in samples:
+        row = {"assign": assignment_strings(assign)}
+        try:
+            ops = check.sample(assign)
+        except DeformationError as e:
+            row["error"] = str(e)
+        else:
+            try:
+                row["result"] = _run_tasks(tasks, ops.spec, ops)
+            except (DeformationError, ScalarEvalError, StructureError) as e:
+                row["error"] = str(e)
+        rows.append(row)
+    return {"hypotheses": check.report(), "samples": rows}
 
 
 def _cmd_deform(args):
@@ -457,18 +480,12 @@ def _cmd_deform(args):
     _check_samples(samples, params)
     tasks = _parse_tasks(args.tasks)
     per_sample = [t for t in tasks if t[0] != "hypotheses"]
-    results = {}
-    # before the sweep, so that a target it refuses costs no sweep work
-    if any(t[0] == "hypotheses" for t in tasks):
-        if family is None:
-            raise UsageError(
-                "the hypotheses task needs a catalog entry with a deformation family"
-            )
-        try:
-            results["hypotheses"] = check_stability_hypotheses(family, samples)
-        except StabilityInputError as e:
-            raise UsageError(str(e)) from None
-    results["samples"] = sweep(target, samples, lambda s: _run_tasks(per_sample, s))
+    if len(per_sample) == len(tasks):
+        results = {"samples": sweep(target, samples, lambda s: _run_tasks(per_sample, s))}
+    elif family is None:
+        raise UsageError("the hypotheses task needs a catalog entry with a deformation family")
+    else:
+        results = _sweep_with_hypotheses(family, samples, per_sample)
     _emit(_report("deform", name, _digest(entry, spec, {}), {}, results), args.format)
     return 0
 

@@ -10,6 +10,15 @@ of the four-parameter Iwasawa family reaches 758/798 terms of degree 20).
 Division by a symbolically-zero denominator fails at construction; division
 that only vanishes at specific parameter values fails at evaluation time.
 
+A monomial is packed into one int, an exponent vector with a fixed-width
+slot per symbol, so multiplying monomials is adding ints.  A polynomial
+product brings each operand to one denominator, accumulates Gaussian
+integers per monomial, and normalises each surviving coefficient once; the
+coefficients stored are GaussRats as everywhere else.  Nothing observable
+depends on the packing: monomials are ordered (printed, compared for the
+canonical lead, hashed) as the sorted tuples of ((name, barred), exponent)
+pairs they decode to.
+
 Evaluation does not read the expanded fraction.  Every expression built
 from a parameter also records the operations that built it, as a DAG of
 nodes, and `evaluate` runs that DAG as a straight-line program over Q(i),
@@ -23,17 +32,85 @@ give the same element of Q(i).
 
 from __future__ import annotations
 
-from .gauss import GaussRat, InternalError
+from collections import defaultdict
+from functools import lru_cache
+from math import gcd
 
-# A polynomial is a dict {monomial: GaussRat}; a monomial is a sorted tuple
-# of ((name, barred), exponent) pairs with exponent > 0.  The empty tuple is
-# the constant monomial.
+from .gauss import GaussRat, InternalError, _normal
+
+# A polynomial is a dict {monomial: GaussRat} of nonzero coefficients.  A
+# monomial is an int exponent vector: each symbol (name, barred) owns a
+# _WIDTH-bit slot, assigned on first use from an append-only table, and its
+# exponent is the value of that slot.  So 0 is the constant monomial and the
+# product of two monomials is their sum.  Exponents stay below the top bit
+# of their slot, so a sum never carries into the next slot; a sum that sets
+# a top bit raises InternalError instead of wrapping.  Slot order is the
+# order of first use and means nothing: whatever orders monomials (the
+# printed term order, the canonical lead of a denominator, the hash) orders
+# them by the decoded tuple of sorted ((name, barred), exponent) pairs, so
+# no output depends on which symbol was seen first.
+
+_WIDTH = 32
+_MASK = (1 << _WIDTH) - 1
+_SLOT = {}  # (name, barred) -> slot
+_SYMBOL = []  # slot -> (name, barred)
+_GUARD = 0  # the top bit of every slot in use
+
+
+def _m_symbol(name, barred):
+    """The monomial name (barred: conj(name)) to the first power."""
+    global _GUARD
+    sym = (name, barred)
+    j = _SLOT.get(sym)
+    if j is None:
+        j = _SLOT[sym] = len(_SYMBOL)
+        _SYMBOL.append(sym)
+        _GUARD |= 1 << (j * _WIDTH + _WIDTH - 1)
+    return 1 << (j * _WIDTH)
+
+
+def _m_slots(m):
+    """[(symbol, exponent)] for the symbols of the monomial m, in slot order."""
+    out = []
+    j = 0
+    while m:
+        e = m & _MASK
+        if e:
+            out.append((_SYMBOL[j], e))
+        m >>= _WIDTH
+        j += 1
+    return out
+
+
+@lru_cache(maxsize=1 << 14)
+def _decode(m):
+    """m as the sorted tuple of ((name, barred), exponent) pairs."""
+    out = _m_slots(m)
+    out.sort()
+    return tuple(out)
+
+
+@lru_cache(maxsize=1 << 14)
+def _m_str(m):
+    """m as printed: the factors in tuple order joined by '*'."""
+    return "*".join(
+        (f"conj({name})" if bar else name) + (f"^{e}" if e > 1 else "")
+        for (name, bar), e in _decode(m)
+    )
+
+
+def _overflow(m):
+    (name, bar), _ = next(s for s in _m_slots(m) if s[1] >> (_WIDTH - 1))
+    name = f"conj({name})" if bar else name
+    raise InternalError(f"the exponent of {name} overflows its {_WIDTH}-bit slot")
 
 
 def _p_const(c):
-    return {(): c} if c else {}
+    return {0: c} if c else {}
 
-_P_ONE = {(): GaussRat(1)}
+_ZERO = GaussRat(0)
+_ONE = GaussRat(1)
+_P_ONE = {0: _ONE}
 
 
 def _p_add(a, b):
@@ -52,44 +129,69 @@ def _p_neg(a):
     return {k: -v for k, v in a.items()}
 
 
-def _m_mul(m1, m2):
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    exps = dict(m1)
-    for sym, e in m2:
-        exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted(exps.items()))
+def _integral(a):
+    """(q, [(monomial, re, im)]) with a = sum (re + im*i)/q * monomial,
+    re, im and q integers."""
+    q = 1
+    for v in a.values():
+        if q % v._q:
+            q = q * v._q // gcd(q, v._q)
+    return q, [(k, v._a * (q // v._q), v._b * (q // v._q)) for k, v in a.items()]
 
 
 def _p_mul(a, b):
+    """The product polynomial.  Each operand is brought to one denominator,
+    the Gaussian-integer term products accumulate per monomial, and each
+    sum is normalised once.  Monomials appear in the order of their first
+    term product, a's terms outermost."""
+    guard = _GUARD
+    if len(a) > 1 and len(b) <= 1:
+        a, b = b, a
+    if len(a) <= 1:
+        # no two term products share a monomial, and none is zero
+        out = {}
+        for k1, v1 in a.items():
+            for k2, v2 in b.items():
+                k = k1 + k2
+                if k & guard:
+                    _overflow(k)
+                out[k] = v1 * v2
+        return out
+    qa, ta = _integral(a)
+    qb, tb = _integral(b)
+    re = defaultdict(int)
+    im = defaultdict(int)
+    for k1, a1, b1 in ta:
+        for k2, a2, b2 in tb:
+            k = k1 + k2
+            re[k] += a1 * a2 - b1 * b2
+            im[k] += a1 * b2 + b1 * a2
+    q = qa * qb
     out = {}
-    for k1, v1 in a.items():
-        for k2, v2 in b.items():
-            k = _m_mul(k1, k2)
-            s = out.get(k)
-            s = v1 * v2 if s is None else s + v1 * v2
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
+    for k, r in re.items():
+        if k & guard:
+            _overflow(k)
+        i = im[k]
+        if r or i:
+            out[k] = _normal(r, i, q)
     return out
 
 
 def _p_conj(a):
     out = {}
     for k, v in a.items():
-        km = tuple(sorted((((name, 1 - bar), e) for (name, bar), e in k)))
+        km = 0
+        for (name, bar), e in _m_slots(k):
+            km += _m_symbol(name, 1 - bar) * e
         out[km] = v.conj()
     return out
 
 
 def _p_eval(a, assign):
-    total = GaussRat(0)
+    total = _ZERO
     for k, v in a.items():
         term = v
-        for (name, bar), e in k:
+        for (name, bar), e in _decode(k):
             try:
                 val = assign[name]
             except KeyError:
@@ -105,7 +207,7 @@ def _p_eval(a, assign):
 def _p_params(a):
     names = set()
     for k in a:
-        for (name, _bar), _e in k:
+        for (name, _bar), _e in _m_slots(k):
             names.add(name)
     return names
 
@@ -114,28 +216,25 @@ def _p_str(a):
     if not a:
         return "0"
     parts = []
-    for k in sorted(a):
+    for k in sorted(a, key=_decode):
         c = a[k]
-        syms = []
-        for (name, bar), e in k:
-            s = f"conj({name})" if bar else name
-            if e > 1:
-                s += f"^{e}"
-            syms.append(s)
-        cs = str(c)
-        if syms and cs == "1":
-            term = "*".join(syms)
-        elif syms and cs == "-1":
-            term = "-" + "*".join(syms)
+        if c._q == 1 and not c._b:  # an integer prints as itself
+            cs = str(c._a)
         else:
+            cs = str(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]):
                 cs = f"({cs})"
-            term = "*".join([cs] + syms)
-        parts.append(term)
-    out = parts[0]
-    for p in parts[1:]:
-        out += p if p.startswith("-") else "+" + p
-    return out
+        syms = _m_str(k)
+        if not syms:
+            term = cs
+        elif cs == "1":
+            term = syms
+        elif cs == "-1":
+            term = "-" + syms
+        else:
+            term = f"{cs}*{syms}"
+        parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts)
 
 
 class ScalarEvalError(ArithmeticError):
@@ -233,10 +332,11 @@ class ScalarExpr:
         if not num:
             den = _P_ONE
         else:
-            # canonical scaling: leading denominator coefficient becomes 1
-            lead = den[min(den)]
-            if lead != GaussRat(1):
-                inv = GaussRat(1) / lead
+            # canonical scaling: leading denominator coefficient becomes 1;
+            # the constant monomial 0 decodes to (), the least tuple
+            lead = den[0] if 0 in den else den[min(den, key=_decode)]
+            if lead != _ONE:
+                inv = _ONE / lead
                 num = {k: v * inv for k, v in num.items()}
                 den = {k: v * inv for k, v in den.items()}
         object.__setattr__(self, "num", num)
@@ -257,11 +357,11 @@ class ScalarExpr:
 
     @classmethod
     def param(cls, name):
-        return cls({(((name, 0), 1),): GaussRat(1)}, node=("param", name, 0))
+        return cls({_m_symbol(name, 0): _ONE}, node=("param", name, 0))
 
     @classmethod
     def conj_param(cls, name):
-        return cls({(((name, 1), 1),): GaussRat(1)}, node=("param", name, 1))
+        return cls({_m_symbol(name, 1): _ONE}, node=("param", name, 1))
 
     # -- predicates ----------------------------------------------------------
 
@@ -359,7 +459,8 @@ class ScalarExpr:
     def __hash__(self):
         if self.is_const():
             return hash(self.const_value())
-        return hash((tuple(sorted(self.num)), tuple(sorted(self.den))))
+        return hash((tuple(sorted(map(_decode, self.num))),
+                     tuple(sorted(map(_decode, self.den)))))
 
     def __str__(self):
         ns = _p_str(self.num)

@@ -42,34 +42,56 @@ def check_stability_hypotheses(family, samples, omega=None):
     where the frame is singular produce an "error" row instead of verdicts.
     Returns the report: the per-sample rows and the cross-sample verdicts.
     """
-    if omega is None:
-        omega = family.omega
-    if omega is None:
-        raise StabilityInputError(
-            f"family '{family.name}' carries no distinguished (2,0)-form"
-        )
-    if omega.params():
-        raise StabilityInputError("distinguished form must be parameter-free")
-    if set(omega.bidegrees()) - {(2, 0)}:
-        raise StabilityInputError("distinguished form must be pure (2,0)")
-
-    base = family.base
-    if base.params:
-        base = base.evaluate({p: ZERO for p in base.params})
-    omega_closed = base.d(omega).is_zero()
-    omega_nondeg = is_nondegenerate(omega, base.n)
-
-    rows = []
+    check = StabilityCheck(family, omega)
     for assign in samples:
+        try:
+            check.sample(assign)
+        except DeformationError:
+            pass
+    return check.report()
+
+
+class StabilityCheck:
+    """The stability report of one family, built one sample at a time.
+
+    The constructor checks the distinguished form (StabilityInputError) and
+    takes its verdicts on the undeformed structure; `sample` adds the row of
+    one assignment; `report` returns the rows and the cross-sample verdicts.
+    """
+
+    def __init__(self, family, omega=None):
+        if omega is None:
+            omega = family.omega
+        if omega is None:
+            raise StabilityInputError(
+                f"family '{family.name}' carries no distinguished (2,0)-form"
+            )
+        if omega.params():
+            raise StabilityInputError("distinguished form must be parameter-free")
+        if set(omega.bidegrees()) - {(2, 0)}:
+            raise StabilityInputError("distinguished form must be pure (2,0)")
+        base = family.base
+        if base.params:
+            base = base.evaluate({p: ZERO for p in base.params})
+        self.family = family
+        self.omega = omega
+        self.omega_closed = base.d(omega).is_zero()
+        self.omega_nondeg = is_nondegenerate(omega, base.n)
+        self.rows = []
+
+    def sample(self, assign):
+        """Add the row of one assignment and return the operator cache of
+        its deformed structure.  A singular frame adds an "error" row and
+        raises its DeformationError."""
         row = {"assign": assignment_strings(assign)}
         try:
-            spec, to_eta = deformed_frame(family, assign)
+            spec, to_eta = deformed_frame(self.family, assign)
         except DeformationError as e:
             row["error"] = str(e)
-            rows.append(row)
-            continue
+            self.rows.append(row)
+            raise
         ops = OperatorCache(spec)
-        omega_t = to_eta(omega)
+        omega_t = to_eta(self.omega)
 
         row["h20_bott_chern"] = bott_chern(ops, 2, 0).dim
 
@@ -93,18 +115,20 @@ def check_stability_hypotheses(family, samples, omega=None):
             "passed": identity and pf.pure and pf.full,
             "label": "necessary-style check",
         }
-        rows.append(row)
+        self.rows.append(row)
+        return ops
 
-    h20_values = [r["h20_bott_chern"] for r in rows if "error" not in r]
-    return {
-        "family": family.name,
-        "omega": str(omega),
-        "omega_closed_at_zero": omega_closed,
-        "omega_nondegenerate_at_zero": omega_nondeg,
-        "h20_bott_chern_constant": len(set(h20_values)) <= 1 if h20_values else None,
-        "samples": rows,
-        "scope": invariant_level_banner(family.base),
-    }
+    def report(self):
+        h20_values = [r["h20_bott_chern"] for r in self.rows if "error" not in r]
+        return {
+            "family": self.family.name,
+            "omega": str(self.omega),
+            "omega_closed_at_zero": self.omega_closed,
+            "omega_nondegenerate_at_zero": self.omega_nondeg,
+            "h20_bott_chern_constant": len(set(h20_values)) <= 1 if h20_values else None,
+            "samples": self.rows,
+            "scope": invariant_level_banner(self.family.base),
+        }
 
 
 def _delta_feasibility(ops, omega_t):

@@ -458,6 +458,21 @@ def test_deform_refuses_hypotheses_before_sweeping(monkeypatch):
     assert built == []
 
 
+def test_deform_with_hypotheses_builds_one_cache_per_sample(monkeypatch):
+    built = []
+    init = linalg.OperatorCache.__init__
+
+    def counting_init(self, spec):
+        built.append(spec.name)
+        init(self, spec)
+
+    monkeypatch.setattr(linalg.OperatorCache, "__init__", counting_init)
+    argv = ["deform", "@example31", "--samples", "t=0; t=1/2; t=i/3",
+            "--tasks", "symplectic; hypotheses"]
+    assert _exit_code(argv)[0] == 0
+    assert len(built) == 3 and len(set(built)) == 3
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

@@ -1,12 +1,15 @@
 """Rational expressions in parameters and their independent conjugates."""
 
+import hashlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcoh import scalar
+from nilcoh import dsl, scalar
 from nilcoh.catalog import get
 from nilcoh.dsl import parse_gauss
 from nilcoh.gauss import GaussRat
@@ -198,3 +201,221 @@ def test_sigma_evaluation_expands_no_polynomial(monkeypatch):
     monkeypatch.undo()
     for (mono, c) in spec.d_phi[2].items():
         assert concrete.d_phi[2].coeff(mono).const_value() == _expanded(c).evaluate(assign)
+
+
+# -- the packed polynomial kernel against the tuple-monomial reference ------
+#
+# The reference is the product this kernel replaced: a monomial is a sorted
+# tuple of ((name, barred), exponent) pairs, () the constant, and every term
+# product is one GaussRat multiply and add.
+
+
+def _ref_m_mul(m1, m2):
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    exps = dict(m1)
+    for sym, e in m2:
+        exps[sym] = exps.get(sym, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _ref_p_mul(a, b):
+    out = {}
+    for k1, v1 in a.items():
+        for k2, v2 in b.items():
+            k = _ref_m_mul(k1, k2)
+            s = out.get(k)
+            s = v1 * v2 if s is None else s + v1 * v2
+            if s.is_zero():
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def _ref_p_add(a, b):
+    out = dict(a)
+    for k, v in b.items():
+        s = out[k] + v if k in out else v
+        if s.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def _ref_fraction(num, den):
+    """num/den scaled as ScalarExpr scales it: the lead of den is 1."""
+    if not num:
+        return {}, {(): GaussRat(1)}
+    inv = GaussRat(1) / den[min(den)]
+    return {k: v * inv for k, v in num.items()}, {k: v * inv for k, v in den.items()}
+
+
+def _ref_p_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for k in sorted(a):
+        cs = str(a[k])
+        syms = [(f"conj({n})" if bar else n) + (f"^{e}" if e > 1 else "")
+                for (n, bar), e in k]
+        if syms and cs == "1":
+            term = "*".join(syms)
+        elif syms and cs == "-1":
+            term = "-" + "*".join(syms)
+        else:
+            if ("+" in cs[1:]) or ("-" in cs[1:]):
+                cs = f"({cs})"
+            term = "*".join([cs] + syms)
+        parts.append(term)
+    return parts[0] + "".join(p if p.startswith("-") else "+" + p for p in parts[1:])
+
+
+def _ref_str(num, den):
+    ns = _ref_p_str(num)
+    if den == {(): GaussRat(1)}:
+        return ns
+    if len(num) > 1 or ns.startswith("-"):
+        ns = f"({ns})"
+    return f"{ns}/({_ref_p_str(den)})"
+
+
+def _ref_conj(a):
+    return {tuple(sorted(((n, 1 - bar), e) for (n, bar), e in k)): v.conj()
+            for k, v in a.items()}
+
+
+def _ref_eval(a, assign):
+    total = GaussRat(0)
+    for k, v in a.items():
+        for (n, bar), e in k:
+            z = assign[n].conj() if bar else assign[n]
+            for _ in range(e):
+                v = v * z
+        total = total + v
+    return total
+
+
+def _packed(a):
+    """A reference polynomial with its monomials packed."""
+    out = {}
+    for k, v in a.items():
+        m = 0
+        for (n, bar), e in k:
+            m += scalar._m_symbol(n, bar) * e
+        out[m] = v
+    return out
+
+
+def _unpacked(a):
+    return {scalar._decode(k): v for k, v in a.items()}
+
+
+_coeffs = st.builds(
+    lambda a, b, q: GaussRat(Fraction(a, q), Fraction(b, q)),
+    st.integers(-4, 4), st.integers(-4, 4), st.sampled_from([1, 2, 3, 6]),
+).filter(lambda c: not c.is_zero())
+_monos = st.dictionaries(
+    st.tuples(st.sampled_from(["t", "s", "zz"]), st.integers(0, 1)),
+    st.integers(1, 3), max_size=3,
+).map(lambda d: tuple(sorted(d.items())))
+_polys = st.dictionaries(_monos, _coeffs, max_size=5)
+
+
+@st.composite
+def _factor_pairs(draw):
+    """Two reference polynomials; half the time (p + q) and (p - q), whose
+    cross terms cancel."""
+    p, q = draw(_polys), draw(_polys)
+    if draw(st.booleans()):
+        return p, q
+    return _ref_p_add(p, q), _ref_p_add(p, {k: -v for k, v in q.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_factor_pairs(), _polys, _coeffs, _coeffs, _coeffs)
+def test_packed_product_agrees_with_tuple_reference(pair, c, t, s, zz):
+    a, b = pair
+    ref = _ref_p_mul(a, b)
+    assert _unpacked(scalar._p_mul(_packed(a), _packed(b))) == ref
+    assert _unpacked(scalar._p_mul(_packed(b), _packed(a))) == ref
+
+    # the ScalarExpr (a*b)/c, read through every public reader
+    e = ScalarExpr(_packed(a)) * ScalarExpr(_packed(b))
+    if c:
+        e = e / ScalarExpr(_packed(c))
+    num, den = _ref_fraction(ref, c or {(): GaussRat(1)})
+    assert (_unpacked(e.num), _unpacked(e.den)) == (num, den)
+    assert str(e) == _ref_str(num, den)
+    if not e.is_const():
+        assert hash(e) == hash((tuple(sorted(num)), tuple(sorted(den))))
+    assert e.params() == {n for k in list(num) + list(den) for (n, _), _ in k}
+    conj_num, conj_den = _ref_fraction(_ref_conj(num), _ref_conj(den))
+    assert (_unpacked(e.conj().num), _unpacked(e.conj().den)) == (conj_num, conj_den)
+    assign = {"t": t, "s": s, "zz": zz}
+    d = _ref_eval(den, assign)
+    if d:
+        assert ScalarExpr(e.num, e.den).evaluate(assign) == _ref_eval(num, assign) / d
+    # == cross-multiplies: e equals the fraction rebuilt from the reference
+    # product, and differs from it plus one
+    f = ScalarExpr(_packed(num), _packed(den))
+    assert e == f and not e == f + S_ONE
+
+
+def test_sigma_family_text_is_pinned():
+    spec = get("iwasawa_sigma_family").spec
+    text = dsl.pretty(spec).encode()
+    assert len(text) == 86749
+    assert hashlib.sha256(text).hexdigest() == (
+        "8e747a720bfbdda5956739c734755b20c06957b35927db4cdfb3b08800e7d6f8"
+    )
+    assert [(len(c.num), len(c.den)) for _, c in spec.d_phi[2].items()] == [
+        (758, 798), (8, 22), (18, 40), (8, 22), (8, 22)
+    ]
+
+
+_PRINT_CATALOG = """
+import sys
+from nilcoh import catalog, dsl
+from nilcoh.scalar import ScalarExpr
+if sys.argv[1] == "reordered":
+    for name in ("zz", "t22", "t", "t21", "s"):
+        ScalarExpr.param(name).conj()
+    ScalarExpr.conj_param("t12") * ScalarExpr.param("t11")
+for name in catalog._BUILDERS:
+    print(dsl.pretty(catalog.get(name).spec))
+"""
+
+
+def test_printed_catalog_does_not_depend_on_symbol_order():
+    outs = [
+        subprocess.run([sys.executable, "-c", _PRINT_CATALOG, order],
+                       capture_output=True, text=True, check=True).stdout
+        for order in ("plain", "reordered")
+    ]
+    assert outs[0] == outs[1] and "t11" in outs[0]
+
+
+def test_exponent_overflow_raises_under_O():
+    script = (
+        "from nilcoh.scalar import ScalarExpr\n"
+        "from nilcoh.gauss import InternalError\n"
+        "t = ScalarExpr.param('t')\n"
+        "for _ in range(30):\n"
+        "    t = t * t\n"
+        "print(str(t))\n"
+        "for big in (t, t + 1):  # one term, and the accumulating product\n"
+        "    try:\n"
+        "        big * big\n"
+        "    except InternalError as e:\n"
+        "        print(e)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        f"t^{2 ** 30}", *["the exponent of t overflows its 32-bit slot"] * 2
+    ]
