@@ -4,6 +4,9 @@ An AlgebraSpec holds d(phi^1..phi^n) as (possibly parameter-dependent)
 bigraded 2-forms.  d extends to the whole exterior algebra as the unique
 derivation with d(phi^ibar) = conj(d(phi^i)).  Integrability of the complex
 structure is exactly the statement that each d(phi^i) has no (0,2) part.
+On a parameter-free structure d is the Leibniz matrix d_rows, which the d^2
+check and every computation read; AlgebraSpec.d is the symbolic reference
+that tests compare it with.
 
 Realification uses phi^j = e^{2j-1} + i e^{2j}; on vectors the calibrated
 convention is J e_{2j-1} = -e_{2j}, J e_{2j} = e_{2j-1}.
@@ -15,9 +18,9 @@ from fractions import Fraction
 from itertools import product
 
 from .gauss import GaussRat, InternalError
-from .linalg import Subspace
+from .linalg import Subspace, apply_rows, basis_total, leibniz_rows
 from .scalar import S_I, ScalarExpr, ScalarEvalError
-from .exterior import BigradedElement, substitute
+from .exterior import BigradedElement, mono_key, substitute
 
 # default exact sample points used for pointwise validation of parametric data
 DEFAULT_SAMPLES = (
@@ -35,7 +38,7 @@ class StructureError(ValueError):
 class AlgebraSpec:
     """Structure equations d(phi^i) = (2-form), i = 1..n, over Q(i)[params]."""
 
-    __slots__ = ("name", "n", "params", "d_phi", "flag_invariant_ok", "_validation")
+    __slots__ = ("name", "n", "params", "d_phi", "flag_invariant_ok", "_validation", "_leibniz")
 
     def __init__(self, name, n, params, d_phi, flag_invariant_ok=None):
         if len(d_phi) != n:
@@ -50,6 +53,7 @@ class AlgebraSpec:
         object.__setattr__(self, "d_phi", tuple(d_phi))
         object.__setattr__(self, "flag_invariant_ok", flag_invariant_ok)
         object.__setattr__(self, "_validation", None)
+        object.__setattr__(self, "_leibniz", None)
 
     def __setattr__(self, *_):
         raise AttributeError("AlgebraSpec is immutable")
@@ -78,6 +82,19 @@ class AlgebraSpec:
                 out = out + (term if sign == 1 else -term)
         return out
 
+    def d_rows(self, k):
+        """Rows of d: Lambda^k -> Lambda^{k+1} of a parameter-free structure,
+        assembled once by linalg.leibniz_rows and kept: the spec is immutable."""
+        if self._leibniz is None:  # (structure equations by token, {k: rows})
+            d_gen = {(int(barred), i): [(mono_key(m), c.const_value())
+                                        for m, c in self.d_gen(i, barred).coeffs.items()]
+                     for i in range(1, self.n + 1) for barred in (False, True)}
+            object.__setattr__(self, "_leibniz", (d_gen, {}))
+        d_gen, rows = self._leibniz
+        if k not in rows:
+            rows[k] = leibniz_rows(d_gen, self.n, k)
+        return rows[k]
+
     def evaluate(self, assign):
         """Concrete AlgebraSpec with all parameters replaced by Q(i) values."""
         missing = [p for p in self.params if p not in assign]
@@ -97,7 +114,7 @@ class AlgebraSpec:
     def validate(self):
         """Check integrability (no (0,2) parts) and d^2 = 0.
 
-        Parameter-free data is checked symbolically.  Parametric data is
+        Integrability is checked symbolically, d^2 = 0 on d_rows.  Parametric data is
         checked at every point of the cartesian grid DEFAULT_SAMPLES^params;
         sample points where a denominator vanishes are recorded and skipped.
         The report is computed once and kept: the spec is immutable.
@@ -139,12 +156,16 @@ class AlgebraSpec:
             raise StructureError(f"structure '{self.name}' has d^2 != 0: d(d {g}) = {dd}")
 
     def _check_d2(self, report, label):
+        """d^2 on the generators: the product of the assembled d on Lambda^2
+        and on Lambda^1, column by column in the order f1, F1, f2, F2, ..."""
+        d1, d2, basis3 = self.d_rows(1), self.d_rows(2), basis_total(self.n, 3)
         for i in range(1, self.n + 1):
             for barred in (False, True):
-                gen = BigradedElement.gen(i, barred)
-                dd = self.d(self.d(gen))
-                if not dd.is_zero():
+                c = i - 1 + self.n * barred  # Lambda^1 lists f1..fn, then F1..Fn
+                dd = apply_rows(d2, {r: row[c] for r, row in enumerate(d1) if c in row})
+                if dd:
                     g = f"f{i}" if not barred else f"F{i}"
+                    dd = BigradedElement({basis3[j]: x for j, x in dd.items()})
                     report.d2_failures.append((g, label, str(dd)))
 
     # -- realification ------------------------------------------------------

@@ -9,6 +9,7 @@ golden tests.
 
 from __future__ import annotations
 
+from .gauss import InternalError
 from .scalar import S_I, ScalarExpr
 from . import dsl
 from .algebra import AlgebraSpec
@@ -30,7 +31,8 @@ class CatalogEntry:
         self.spec = dsl.parse(source) if spec is None else spec
         self.family = family
         self.unverified = unverified
-        assert self.spec.name == name
+        if self.spec.name != name:
+            raise InternalError(f"catalog entry '{name}' holds structure '{self.spec.name}'")
 
     def as_dict(self):
         out = {

@@ -109,6 +109,15 @@ def _concretize(entry, spec, assign):
     return concretize(target, assign)
 
 
+def _target_ops(args):
+    """(name, digest, assignment, operator cache) of the concrete structure
+    a single-structure command runs on."""
+    name, entry, spec = _load_target(args.target)
+    assign = _parse_assign(args.assign)
+    ops = OperatorCache(_concretize(entry, spec, assign))
+    return name, _digest(entry, spec, assign), assign, ops
+
+
 def _digest(entry, spec, assign):
     h = hashlib.sha256()
     h.update(dsl.pretty(spec).encode())
@@ -278,12 +287,9 @@ def _parse_degree(text, theory):
 
 
 def _cmd_cohomology(args):
-    name, entry, spec = _load_target(args.target)
-    assign = _parse_assign(args.assign)
-    concrete = _concretize(entry, spec, assign)
-    ops = OperatorCache(concrete)
-    results = {"scope": cohomology.invariant_level_banner(concrete)}
-    n = concrete.n
+    name, digest, assign, ops = _target_ops(args)
+    results = {"scope": cohomology.invariant_level_banner(ops.spec)}
+    n = ops.n
     if args.theory == "all":
         if args.degree is not None:
             raise UsageError("--degree needs a single --theory")
@@ -293,8 +299,7 @@ def _cmd_cohomology(args):
                 continue
             table = cohomology.hodge_table(ops, theory)
             results[theory] = {_pq_str(p, q): d for (p, q), d in sorted(table.items())}
-        _emit(_report("cohomology", name, _digest(entry, spec, assign), assign,
-                      results), args.format)
+        _emit(_report("cohomology", name, digest, assign, results), args.format)
         return 0
     theory = THEORY_KEYS[args.theory]
     degree = _parse_degree(args.degree, theory)
@@ -310,8 +315,7 @@ def _cmd_cohomology(args):
     else:
         groups = [cohomology.group(ops, theory, degree)]
     results["groups"] = [g.as_dict() for g in groups]
-    _emit(_report("cohomology", name, _digest(entry, spec, assign), assign, results),
-          args.format)
+    _emit(_report("cohomology", name, digest, assign, results), args.format)
     return 0
 
 
@@ -323,16 +327,13 @@ def _cmd_frolicher(args):
         )
     if args.max_page is not None and args.max_page < 1:
         raise UsageError(f"--max-page {args.max_page} is below 1")
-    name, entry, spec = _load_target(args.target)
-    assign = _parse_assign(args.assign)
-    concrete = _concretize(entry, spec, assign)
-    ops = OperatorCache(concrete)
+    name, digest, assign, ops = _target_ops(args)
     page, certificate = frolicher.degeneration_page(ops)
     pages = certificate["pages"]
     for r in range(page + 1, (args.max_page or 0) + 1):
         pages.append(frolicher.spectral_page(ops, r))
     results = {
-        "scope": cohomology.invariant_level_banner(concrete),
+        "scope": cohomology.invariant_level_banner(ops.spec),
         "pages": {str(pg.r): pg.as_dict()["dims"] for pg in pages},
         "degeneration_page": page,
         "betti": {str(k): v for k, v in certificate["betti"].items()},
@@ -341,16 +342,12 @@ def _cmd_frolicher(args):
             for (p, q), d in sorted(certificate["e_infinity"].items())
         },
     }
-    _emit(_report("frolicher", name, _digest(entry, spec, assign), assign, results),
-          args.format)
+    _emit(_report("frolicher", name, digest, assign, results), args.format)
     return 0
 
 
 def _cmd_symplectic(args):
-    name, entry, spec = _load_target(args.target)
-    assign = _parse_assign(args.assign)
-    concrete = _concretize(entry, spec, assign)
-    ops = OperatorCache(concrete)
+    name, digest, assign, ops = _target_ops(args)
     rep = symplectic.find_symplectic(ops)
     results = {"symplectic": rep.as_dict()}
     if args.suite61:
@@ -365,8 +362,7 @@ def _cmd_symplectic(args):
             results["betti_bounds"] = symplectic.betti_bounds(ops)
         except symplectic.SymplecticError as e:
             results["betti_bounds"] = {"error": str(e)}
-    _emit(_report("symplectic", name, _digest(entry, spec, assign), assign, results),
-          args.format)
+    _emit(_report("symplectic", name, digest, assign, results), args.format)
     return 0 if rep.verdict == "exists" else 1
 
 
@@ -491,16 +487,12 @@ def _cmd_deform(args):
 
 
 def _cmd_purefull(args):
-    name, entry, spec = _load_target(args.target)
-    assign = _parse_assign(args.assign)
-    concrete = _concretize(entry, spec, assign)
-    ops = OperatorCache(concrete)
+    name, digest, assign, ops = _target_ops(args)
     results = {
-        "scope": cohomology.invariant_level_banner(concrete),
+        "scope": cohomology.invariant_level_banner(ops.spec),
         "stages": [cohomology.pure_full(ops, k).as_dict() for k in args.stage],
     }
-    _emit(_report("purefull", name, _digest(entry, spec, assign), assign, results),
-          args.format)
+    _emit(_report("purefull", name, digest, assign, results), args.format)
     return 0
 
 

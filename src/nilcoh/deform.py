@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .gauss import InternalError
 from .scalar import ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement, substitute
 from .algebra import AlgebraSpec, StructureError, real_parts
@@ -33,11 +34,10 @@ class DeformationFamily:
 
     def __init__(self, name, base, params, A, B, omega=None):
         n = base.n
-        assert len(A) == n and len(B) == n
-        assert all(len(r) == n for r in A) and all(len(r) == n for r in B)
-        if omega is not None:
-            assert not omega.params(), "distinguished 2-form must be parameter-free"
-            assert set(omega.bidegrees()) <= {(2, 0)}, "distinguished form must be (2,0)"
+        if len(A) != n or len(B) != n or any(len(r) != n for r in (*A, *B)):
+            raise InternalError(f"frame matrices of '{name}' must be {n} x {n}")
+        if omega is not None and (omega.params() or set(omega.bidegrees()) - {(2, 0)}):
+            raise InternalError("the distinguished form must be a parameter-free (2,0)-form")
         self.name = name
         self.base = base
         self.params = tuple(params)

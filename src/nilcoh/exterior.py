@@ -205,6 +205,7 @@ class BigradedElement:
         return all(self.coeffs[m] == other.coeffs[m] for m in self.coeffs)
 
     def __hash__(self):
+        # a parametric coefficient is unhashable, and so is its form
         return hash(tuple((m, c) for m, c in self.items()))
 
     def __str__(self):

@@ -36,7 +36,8 @@ MAX_PAGE = 16
 
 def x_space(ops, r, p, q):
     """Zig-zag-solvable (p,q)-forms on page r, as a Subspace of Lambda^{p,q}."""
-    assert r >= 1
+    if r < 1:
+        raise InternalError(f"spectral sequence pages start at 1, not {r}")
     if r == 1:
         return ops.kernel("delbar", (p, q))
     blocks = [ops.dims((p + j, q - j)) for j in range(r)]
@@ -48,7 +49,8 @@ def x_space(ops, r, p, q):
 
 def y_space(ops, r, p, q):
     """Boundary subspace of Lambda^{p,q} on page r."""
-    assert r >= 1
+    if r < 1:
+        raise InternalError(f"spectral sequence pages start at 1, not {r}")
     if r == 1:
         return ops.image("delbar", (p, q - 1))
     blocks = [ops.dims((p - r + 1 + j, q + r - 2 - j)) for j in range(r)]

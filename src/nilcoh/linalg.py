@@ -175,10 +175,6 @@ class Subspace:
     def zero(cls, ambient):
         return cls(ambient, [], [])
 
-    @classmethod
-    def full(cls, ambient):
-        return cls(ambient, [{i: ONE} for i in range(ambient)], list(range(ambient)))
-
     @property
     def dim(self):
         return len(self.rows)
@@ -335,13 +331,35 @@ def basis_total(n, k):
     return out
 
 
+def leibniz_rows(d_gen, n, k):
+    """Rows of d: Lambda^k -> Lambda^{k+1} on n generators, by the Leibniz
+    rule from the structure equations by generator token, d_gen = {(barred,
+    i): [(token pair of a 2-form monomial, coefficient)]}: the one assembly
+    of d in nilcoh, read through the memo AlgebraSpec.d_rows."""
+    dst = basis_total(n, k + 1)
+    row_of = {mono_key(m): r for r, m in enumerate(dst)}
+    rows = [{} for _ in dst]
+    for c, m in enumerate(basis_total(n, k)):
+        toks = mono_key(m)
+        for pos, tok in enumerate(toks):
+            rest = toks[:pos] + toks[pos + 1:]
+            for pair, coeff in d_gen[tok]:
+                sign, merged = _merge_count(pair, rest)
+                if sign:
+                    row = rows[row_of[merged]]
+                    x = row.get(c, ZERO)
+                    # d(t_1..t_k) = sum_pos (-1)^pos d(t_pos) ^ rest
+                    row[c] = x + coeff if sign == (-1) ** pos else x - coeff
+    return [{j: x for j, x in row.items() if x} for row in rows]
+
+
 class OperatorCache:
     """Matrices of d, del, delbar, deldelbar on a concrete structure, and
     their kernels and images.
 
     The spec is a parameter-free AlgebraSpec; one that is not integrable or
-    has d^2 != 0 is rejected with StructureError.  d is assembled from the
-    structure constants by the Leibniz rule; since the structure is
+    has d^2 != 0 is rejected with StructureError.  d is spec.d_rows, the
+    Leibniz matrices the d^2 check already assembled; since the structure is
     integrable, d maps Lambda^{p,q} into Lambda^{p+1,q} + Lambda^{p,q+1}, so
     del and delbar are bidegree blocks of d and del.delbar is their product.
     Matrices and subspaces are built lazily, once each, and memoized;
@@ -350,19 +368,12 @@ class OperatorCache:
     """
 
     def __init__(self, spec):
-        assert not spec.params, "operator matrices need a fully assigned structure"
+        if spec.params:
+            raise InternalError("operator matrices need a fully assigned structure")
         spec.check()
         self.spec = spec
         self.n = spec.n
-        self._bases = {}
         self._memo = {}
-        # generator token -> [(token pair of a 2-form monomial, coefficient)]
-        self._d_gen = {
-            (int(barred), i): [(mono_key(m), c.const_value())
-                               for m, c in spec.d_gen(i, barred).coeffs.items()]
-            for i in range(1, spec.n + 1)
-            for barred in (False, True)
-        }
 
     def _get(self, key, build):
         value = self._memo.get(key)
@@ -371,17 +382,13 @@ class OperatorCache:
         return value
 
     def basis(self, key):
-        """key is (p, q) for a bidegree or an int k for a total degree."""
-        b = self._bases.get(key)
-        if b is None:
-            if isinstance(key, tuple):
-                b = basis_pq(self.n, *key)
-            else:
-                b = basis_total(self.n, key)
-            idx = {m: i for i, m in enumerate(b)}
-            b = (b, idx)
-            self._bases[key] = b
-        return b
+        """(monomials, {monomial: index}) of the space key: (p, q) for a
+        bidegree or an int k for a total degree."""
+        def build():
+            b = basis_pq(self.n, *key) if isinstance(key, tuple) else basis_total(self.n, key)
+            return b, {m: i for i, m in enumerate(b)}
+
+        return self._get(("basis", key), build)
 
     def _block(self, p, q):
         """Slice of the (p,q) block in the basis of Lambda^{p+q}."""
@@ -392,22 +399,7 @@ class OperatorCache:
         """Rows of op on the space key: d on a total degree by the Leibniz
         rule, del and delbar as blocks of it, del.delbar as a product."""
         if op == "d":
-            src, _ = self.basis(key)
-            dst, dst_idx = self.basis(key + 1)
-            row_of = {mono_key(m): r for m, r in dst_idx.items()}
-            rows = [{} for _ in dst]
-            for c, m in enumerate(src):
-                toks = mono_key(m)
-                for pos, tok in enumerate(toks):
-                    rest = toks[:pos] + toks[pos + 1:]
-                    for pair, coeff in self._d_gen[tok]:
-                        sign, merged = _merge_count(pair, rest)
-                        if sign:
-                            row = rows[row_of[merged]]
-                            x = row.get(c, ZERO)
-                            # d(t_1..t_k) = sum_pos (-1)^pos d(t_pos) ^ rest
-                            row[c] = x + coeff if sign == (-1) ** pos else x - coeff
-            return [{j: x for j, x in row.items() if x} for row in rows]
+            return self.spec.d_rows(key)
         p, q = key
         if op in ("del", "delbar"):
             tgt = (p + 1, q) if op == "del" else (p, q + 1)

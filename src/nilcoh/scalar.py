@@ -16,8 +16,8 @@ product brings each operand to one denominator, accumulates Gaussian
 integers per monomial, and normalises each surviving coefficient once; the
 coefficients stored are GaussRats as everywhere else.  Nothing observable
 depends on the packing: monomials are ordered (printed, compared for the
-canonical lead, hashed) as the sorted tuples of ((name, barred), exponent)
-pairs they decode to.
+canonical lead) as the sorted tuples of ((name, barred), exponent) pairs
+they decode to.
 
 Evaluation does not read the expanded fraction.  Every expression built
 from a parameter also records the operations that built it, as a DAG of
@@ -46,7 +46,7 @@ from .gauss import GaussRat, InternalError, _normal
 # of their slot, so a sum never carries into the next slot; a sum that sets
 # a top bit raises InternalError instead of wrapping.  Slot order is the
 # order of first use and means nothing: whatever orders monomials (the
-# printed term order, the canonical lead of a denominator, the hash) orders
+# printed term order, the canonical lead of a denominator) orders
 # them by the decoded tuple of sorted ((name, barred), exponent) pairs, so
 # no output depends on which symbol was seen first.
 
@@ -457,10 +457,10 @@ class ScalarExpr:
         return _p_add(_p_mul(self.num, other.den), _p_neg(_p_mul(other.num, self.den))) == {}
 
     def __hash__(self):
-        if self.is_const():
-            return hash(self.const_value())
-        return hash((tuple(sorted(map(_decode, self.num))),
-                     tuple(sorted(map(_decode, self.den)))))
+        # == cross-multiplies (t/t == 1): no hash of a parametric fraction agrees
+        if not self.is_const():
+            raise TypeError(f"unhashable: a scalar in {', '.join(sorted(self.params()))}")
+        return hash(self.const_value())
 
     def __str__(self):
         ns = _p_str(self.num)

@@ -24,7 +24,8 @@ scope banner as the cohomology reports.
 from __future__ import annotations
 
 from .gauss import ZERO
-from .linalg import InternalError, OperatorCache, assemble_block_rows, solve, split_blocks
+from .linalg import (InternalError, OperatorCache, apply_rows, assemble_block_rows,
+                     basis_total, solve, split_blocks)
 from .deform import DeformationError, assignment_strings, deformed_frame
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import is_nondegenerate
@@ -75,7 +76,9 @@ class StabilityCheck:
             base = base.evaluate({p: ZERO for p in base.params})
         self.family = family
         self.omega = omega
-        self.omega_closed = base.d(omega).is_zero()
+        index = {m: j for j, m in enumerate(basis_total(base.n, 2))}
+        omega_vec = {index[m]: c.const_value() for m, c in omega.coeffs.items()}
+        self.omega_closed = not apply_rows(base.d_rows(2), omega_vec)
         self.omega_nondeg = is_nondegenerate(omega, base.n)
         self.rows = []
 
@@ -141,43 +144,27 @@ def _delta_feasibility(ops, omega_t):
       del(delbar(pi^{1,0} gamma)) = 0.
     Returns a dict with the verdict and witness strings.
     """
-    pq_keys = [(2, 0), (1, 1), (0, 2)]
-    blocks = [ops.dims(1)] + [ops.dims(key) for key in pq_keys]
+    keys = [1, (2, 0), (1, 1), (0, 2)]  # gamma, then the alpha blocks
+    blocks = [ops.dims(key) for key in keys]
     # d(gamma) + sum(alpha) = omega_t, one row per Lambda^2 monomial
     sum_rows = {0: ops.d_total(1)}
     groups = [sum_rows]
-    for i, key in enumerate(pq_keys, 1):
+    for i, key in enumerate(keys[1:], 1):
         sum_rows[i] = ops.embedding(key, 2)
         # each alpha^{p,q} is d-closed: its del and its delbar vanish
         groups.append({i: ops.rows("d", key)})
     # del(delbar(pi^{1,0} gamma)) = 0; the (1,0) coordinates of gamma come
     # first (total bases list descending p first)
     groups.append({0: ops.deldelbar_pq(1, 0)})
-    x = solve(assemble_block_rows(blocks, groups), ops.to_vec(2, omega_t), sum(blocks))
+    a_rows = assemble_block_rows(blocks, groups)
+    b = ops.to_vec(2, omega_t)
+    x = solve(a_rows, b, sum(blocks))
     if x is None:
         return {"feasible": False}
+    # certificate: the witness solves the assembled system exactly
+    if apply_rows(a_rows, x) != b:
+        raise InternalError("correction witness does not solve its system")
 
-    parts = split_blocks(x, blocks)
-    gamma = ops.to_element(1, parts[0])
-    alphas = {key: ops.to_element(key, part) for key, part in zip(pq_keys, parts[1:])}
-
-    # re-check the witness directly on elements
-    residue = ops.spec.d(gamma)
-    for key in pq_keys:
-        residue = residue + alphas[key]
-        if not ops.spec.d(alphas[key]).is_zero():
-            raise InternalError(f"correction witness: alpha^{key} is not d-closed")
-    if not (residue - omega_t).is_zero():
-        raise InternalError("correction witness: d(gamma) + alpha != omega")
-    pi10_gamma = gamma.project(1, 0)
-    dd = ops.spec.d(ops.spec.d(pi10_gamma).project(1, 1)).project(2, 1)
-    if not dd.is_zero():
-        raise InternalError("correction witness: del delbar of gamma^{1,0} is nonzero")
-
-    return {
-        "feasible": True,
-        "gamma": str(gamma),
-        "alpha_20": str(alphas[(2, 0)]),
-        "alpha_11": str(alphas[(1, 1)]),
-        "alpha_02": str(alphas[(0, 2)]),
-    }
+    forms = [str(ops.to_element(key, part)) for key, part in zip(keys, split_blocks(x, blocks))]
+    return {"feasible": True, "gamma": forms[0],
+            "alpha_20": forms[1], "alpha_11": forms[2], "alpha_02": forms[3]}

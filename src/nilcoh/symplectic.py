@@ -183,7 +183,7 @@ def _check_witness(ops, witness):
         raise SymplecticError("odd complex dimension")
     if witness.is_zero() or set(witness.bidegrees()) != {(2, 0)}:
         raise SymplecticError("witness must be a nonzero (2,0)-form")
-    if not ops.spec.d(witness).is_zero():
+    if not closed_20_space(ops).contains(ops.to_vec((2, 0), witness)):
         raise SymplecticError("witness is not d-closed")
     if not is_nondegenerate(witness, n):
         raise SymplecticError("witness is degenerate")

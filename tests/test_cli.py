@@ -83,8 +83,20 @@ def test_d_squared_nonzero_is_rejected(tmp_path, flags):
         capture_output=True, text=True,
     )
     assert proc.returncode == 1, proc.stderr
-    assert proc.stderr.startswith("nilcoh: structure 'd2bad' has d^2 != 0: d(d f3) = ")
+    assert proc.stderr == (
+        "nilcoh: structure 'd2bad' has d^2 != 0: d(d f3) = -f1^f2^F1+f1^F1^F2\n"
+    )
     assert proc.stdout == ""
+
+
+def test_validate_lists_every_d_squared_failure_with_complex_coefficients(tmp_path):
+    p = tmp_path / "d2cx.alg"
+    p.write_text('algebra "d2cx" dim 3\nd f2 = f1^F1\nd f3 = i*f2^F2\n')
+    d = run_json("validate", str(p), rc=1)
+    assert d["results"]["d2_failures"] == [
+        {"d2": "-i*f1^f2^F1+i*f1^F1^F2", "generator": "f3", "where": ""},
+        {"d2": "-i*f1^f2^F1+i*f1^F1^F2", "generator": "F3", "where": ""},
+    ]
 
 
 def test_unknown_catalog_name_lists_entries():
@@ -411,30 +423,37 @@ def test_assign_refuses_a_repeated_name():
 
 @pytest.fixture
 def validation_calls(monkeypatch):
-    """ValidationReport constructions and AlgebraSpec.d calls, counted."""
-    calls = {"reports": 0, "d": 0}
-    init, d = algebra.ValidationReport.__init__, algebra.AlgebraSpec.d
+    """ValidationReport constructions, d^2 checks and AlgebraSpec.d calls,
+    counted."""
+    calls = {"reports": 0, "d2_checks": 0, "d": 0}
+    init, check_d2 = algebra.ValidationReport.__init__, algebra.AlgebraSpec._check_d2
+    d = algebra.AlgebraSpec.d
 
     def counting_init(self, name):
         calls["reports"] += 1
         init(self, name)
+
+    def counting_check_d2(self, report, label):
+        calls["d2_checks"] += 1
+        check_d2(self, report, label)
 
     def counting_d(self, element):
         calls["d"] += 1
         return d(self, element)
 
     monkeypatch.setattr(algebra.ValidationReport, "__init__", counting_init)
+    monkeypatch.setattr(algebra.AlgebraSpec, "_check_d2", counting_check_d2)
     monkeypatch.setattr(algebra.AlgebraSpec, "d", counting_d)
     return calls
 
 
 def test_each_concrete_structure_is_validated_once(validation_calls):
-    # the validate task and the operator cache share one report per sample:
-    # d(d phi) for 4 generators and their conjugates, two d calls each
+    # the validate task and the operator cache share one report per sample,
+    # and its d^2 check squares the assembled matrices: no symbolic d
     rc, _ = _exit_code(["deform", "@example31", "--samples", "t=0; t=1/2; t=i/2",
                         "--tasks", "validate; symplectic"])
     assert rc == 0
-    assert validation_calls == {"reports": 3, "d": 48}
+    assert validation_calls == {"reports": 3, "d2_checks": 3, "d": 0}
 
 
 def test_deform_refuses_hypotheses_before_sweeping(monkeypatch):

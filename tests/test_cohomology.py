@@ -1,8 +1,10 @@
 """The five cohomology theories and the pure/full stage analysis."""
 
+import ast
 import subprocess
 import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
@@ -206,21 +208,37 @@ def test_invariant_level_banner_three_ways():
 def test_exactness_invariants_survive_optimize_flag():
     script = (
         "import sys\n"
+        "from nilcoh import catalog, frolicher\n"
         "from nilcoh.algebra import _complex_form_to_real\n"
         "from nilcoh.cohomology import CohomologyGroup\n"
+        "from nilcoh.deform import DeformationFamily\n"
         "from nilcoh.exterior import BigradedElement\n"
-        "from nilcoh.linalg import ONE, InternalError, Subspace\n"
+        "from nilcoh.linalg import ONE, InternalError, OperatorCache, Subspace\n"
         "from nilcoh.scalar import ScalarExpr\n"
         "num = Subspace.zero(2)\n"
         "den = Subspace.span(2, [{0: ONE}])\n"
+        "torus = catalog.get('torus2').spec\n"
+        "ops = OperatorCache(torus)\n"
+        "A, B = DeformationFamily.identity_matrices(2)\n"
+        "t = ScalarExpr.param('t')\n"
         "print(sys.flags.optimize)\n"
         "for check in (lambda: CohomologyGroup('de_rham', 1, num, den, None),\n"
         "              lambda: num.quotient_dim(den),\n"
-        "              lambda: den.add(Subspace.full(3)),\n"
-        "              lambda: den.intersect(Subspace.full(3)),\n"
+        "              lambda: den.add(Subspace.zero(3)),\n"
+        "              lambda: den.intersect(Subspace.zero(3)),\n"
         "              lambda: ScalarExpr.param('t').const_value(),\n"
         "              lambda: _complex_form_to_real(\n"
-        "                  BigradedElement.monomial((1, 2), ()), 2)):\n"
+        "                  BigradedElement.monomial((1, 2), ()), 2),\n"
+        "              lambda: DeformationFamily('f', torus, (), A[:1], B),\n"
+        "              lambda: DeformationFamily('f', torus, (), A, [r[:1] for r in B]),\n"
+        "              lambda: DeformationFamily('f', torus, ('t',), A, B,\n"
+        "                  omega=BigradedElement.monomial((1, 2), (), t)),\n"
+        "              lambda: DeformationFamily('f', torus, (), A, B,\n"
+        "                  omega=BigradedElement.monomial((1,), (1,))),\n"
+        "              lambda: OperatorCache(catalog.get('iwasawa_x_torus').spec),\n"
+        "              lambda: frolicher.x_space(ops, 0, 1, 0),\n"
+        "              lambda: frolicher.y_space(ops, 0, 1, 0),\n"
+        "              lambda: catalog.CatalogEntry('x', 'no summary', spec=torus)):\n"
         "    try:\n"
         "        check()\n"
         "    except InternalError as e:\n"
@@ -238,7 +256,28 @@ def test_exactness_invariants_survive_optimize_flag():
         "ambient mismatch: Q(i)^2 and Q(i)^3\n"
         "const_value of a scalar in t\n"
         "non-real structure constant i at e^(1, 4)\n"
+        "frame matrices of 'f' must be 2 x 2\n"
+        "frame matrices of 'f' must be 2 x 2\n"
+        "the distinguished form must be a parameter-free (2,0)-form\n"
+        "the distinguished form must be a parameter-free (2,0)-form\n"
+        "operator matrices need a fully assigned structure\n"
+        "spectral sequence pages start at 1, not 0\n"
+        "spectral sequence pages start at 1, not 0\n"
+        "catalog entry 'x' holds structure 'torus2'\n"
     )
+
+
+def test_no_assert_statement_in_the_package():
+    """python -O strips assert statements: every invariant in nilcoh is an
+    explicit raise."""
+    src = Path(cohomology.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
 
 
 @pytest.fixture

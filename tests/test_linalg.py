@@ -1,14 +1,15 @@
 """Exact linear algebra and the memoized operator matrices."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcoh.catalog import catalog
-from nilcoh.deform import DeformationError
+from nilcoh.catalog import catalog, get
+from nilcoh.deform import DeformationError, concretize
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat, ONE, ZERO
-from nilcoh.scalar import ScalarEvalError
+from nilcoh.scalar import S_ONE, ScalarEvalError
 from nilcoh.linalg import (
     OperatorCache,
     Subspace,
@@ -76,7 +77,7 @@ def test_subspace_operations():
     assert join.contains_subspace(u) and join.contains_subspace(v)
     assert join.quotient_dim(meet) == 2
     assert u.add(Subspace.zero(amb)) == u
-    assert Subspace.full(amb).contains_subspace(join)
+    assert Subspace.span(amb, [{i: ONE} for i in range(amb)]).contains_subspace(join)
 
 
 def test_reduce_is_canonical_modulo_subspace():
@@ -275,3 +276,25 @@ def test_assembly_matches_reference_on_catalog_samples(ops):
                     assert all(x for r in rows for x in r.values()), (label, op, p, q)
         checked += 1
     assert checked >= 20
+
+
+@pytest.mark.parametrize("name", [e.name for e in catalog()])
+@settings(max_examples=4, deadline=None)
+@given(st.sampled_from(["0", "1/2", "i/3", "-1/4+i/5"]))
+def test_assembled_d_matches_symbolic_d_column_by_column(name, value):
+    """Each column of d_total(k) is AlgebraSpec.d of its basis monomial, on
+    the entry's structure and on its family, at one sample value."""
+    entry = get(name)
+    for target in (entry.spec, entry.family):
+        if target is None:
+            continue
+        try:
+            spec = concretize(target, {p: parse_gauss(value) for p in target.params})
+            cache = OperatorCache(spec)
+        except (DeformationError, ScalarEvalError):
+            continue  # a singular frame or a vanishing denominator
+        for k in range(2 * spec.n + 1):
+            d = cache.d_total(k)
+            for c, m in enumerate(cache.basis(k)[0]):
+                column = {r: row[c] for r, row in enumerate(d) if c in row}
+                assert cache.to_element(k + 1, column) == spec.d(BigradedElement({m: S_ONE}))

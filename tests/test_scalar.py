@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from nilcoh import dsl, scalar
 from nilcoh.catalog import get
 from nilcoh.dsl import parse_gauss
+from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat
 from nilcoh.scalar import S_I, S_ONE, S_ZERO, ScalarEvalError, ScalarExpr
 
@@ -162,6 +163,44 @@ def _rational_exprs(draw, depth=0):
 def test_program_agrees_with_expanded_fraction(e, t, s, s_assigned):
     assign = {"t": t, "s": s} if s_assigned else {"t": t}
     assert _outcome(e, assign) == _outcome(_expanded(e), assign)
+
+
+def _hash_or_none(e):
+    try:
+        return hash(e)
+    except TypeError:
+        return None
+
+
+def _assert_hash_agrees(a, b):
+    """Equal scalars hash equal, unless one of them is unhashable."""
+    if a == b:
+        ha, hb = _hash_or_none(a), _hash_or_none(b)
+        assert ha is None or hb is None or ha == hb, (str(a), str(b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_rational_exprs(), _rational_exprs())
+def test_equal_scalars_hash_equal_or_are_unhashable(a, b):
+    _assert_hash_agrees(a, b)
+    _assert_hash_agrees(a, a + b - b)
+    if not b.is_zero():
+        _assert_hash_agrees(a, a * b / b)
+        _assert_hash_agrees(b / b, S_ONE)
+
+
+def test_fractions_equal_in_other_shapes_are_not_hashed_apart():
+    t = _t()
+    pairs = [(t / t, S_ONE), ((S_ONE - t * t) / (S_ONE - t), S_ONE + t)]
+    for a, b in pairs:
+        assert a == b
+        _assert_hash_agrees(a, b)
+    with pytest.raises(TypeError):
+        {pairs[1][0], pairs[1][1]}
+    with pytest.raises(TypeError):
+        {BigradedElement.gen(1, coeff=pairs[1][0]), BigradedElement.gen(1, coeff=pairs[1][1])}
+    # constants keep their hash, that of the GaussRat they equal
+    assert hash(ScalarExpr.const(GaussRat(Fraction(1, 2)))) == hash(GaussRat(Fraction(1, 2)))
 
 
 def test_program_failure_falls_back_to_expanded_fraction():
@@ -350,8 +389,6 @@ def test_packed_product_agrees_with_tuple_reference(pair, c, t, s, zz):
     num, den = _ref_fraction(ref, c or {(): GaussRat(1)})
     assert (_unpacked(e.num), _unpacked(e.den)) == (num, den)
     assert str(e) == _ref_str(num, den)
-    if not e.is_const():
-        assert hash(e) == hash((tuple(sorted(num)), tuple(sorted(den))))
     assert e.params() == {n for k in list(num) + list(den) for (n, _), _ in k}
     conj_num, conj_den = _ref_fraction(_ref_conj(num), _ref_conj(den))
     assert (_unpacked(e.conj().num), _unpacked(e.conj().den)) == (conj_num, conj_den)
