@@ -31,6 +31,11 @@ DEFAULT_SAMPLES = (
 )
 
 
+def assignment_label(assign):
+    """"s=1/2, t=0": an assignment in name order, as messages print it."""
+    return ", ".join(f"{k}={v}" for k, v in sorted(assign.items()))
+
+
 class StructureError(ValueError):
     """A structurally invalid set of structure equations."""
 
@@ -134,7 +139,7 @@ class AlgebraSpec:
         else:
             for values in product(DEFAULT_SAMPLES, repeat=len(self.params)):
                 assign = dict(zip(self.params, values))
-                label = ", ".join(f"{k}={v}" for k, v in sorted(assign.items()))
+                label = assignment_label(assign)
                 try:
                     self.evaluate(assign)._check_d2(report, label=label)
                 except ScalarEvalError as e:

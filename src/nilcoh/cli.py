@@ -15,7 +15,7 @@ import json
 import sys
 
 from . import __version__, catalog, cohomology, dsl, frolicher, symplectic
-from .algebra import DEFAULT_SAMPLES, StructureError
+from .algebra import DEFAULT_SAMPLES, StructureError, assignment_label
 from .deform import DeformationError, assignment_strings, concretize, sweep
 from .dsl import DslError, parse_gauss
 from .linalg import OperatorCache
@@ -240,7 +240,7 @@ def _check_samples(samples, params):
     for s in samples:
         missing = [p for p in params if p not in s]
         unknown = sorted(set(s) - set(params))
-        text = ", ".join(f"{k}={v}" for k, v in sorted(s.items()))
+        text = assignment_label(s)
         if missing:
             raise UsageError(f"sample {{{text}}} misses parameters: {', '.join(missing)}")
         if unknown:
@@ -433,27 +433,22 @@ def _run_tasks(tasks, spec, ops=None):
 
 
 def _sweep_with_hypotheses(family, samples, tasks):
-    """The hypotheses report and the sweep rows of the other tasks, sample by
-    sample on one deformed structure and one operator cache.  Like
-    deform.sweep, a sample the tasks fail on gets an "error" row."""
+    """The hypotheses report and the sweep rows of the other tasks, from one
+    sweep with one deformed structure and one operator cache per sample.  A
+    sample that fails gets the same "error" row in both."""
     try:
         check = StabilityCheck(family)
     except StabilityInputError as e:
         raise UsageError(str(e)) from None
-    rows = []
-    for assign in samples:
-        row = {"assign": assignment_strings(assign)}
-        try:
-            ops = check.sample(assign)
-        except DeformationError as e:
-            row["error"] = str(e)
-        else:
-            try:
-                row["result"] = _run_tasks(tasks, ops.spec, ops)
-            except (DeformationError, ScalarEvalError, StructureError) as e:
-                row["error"] = str(e)
-        rows.append(row)
-    return {"hypotheses": check.report(), "samples": rows}
+
+    def both(assign):
+        ops, verdicts = check.sample(assign)
+        return verdicts, _run_tasks(tasks, ops.spec, ops)
+
+    rows = sweep(samples, both)
+    hyp, other = ([{**r, "result": r["result"][i]} if "result" in r else r for r in rows]
+                  for i in (0, 1))
+    return {"hypotheses": check.report(hyp), "samples": other}
 
 
 def _cmd_deform(args):
@@ -477,7 +472,8 @@ def _cmd_deform(args):
     tasks = _parse_tasks(args.tasks)
     per_sample = [t for t in tasks if t[0] != "hypotheses"]
     if len(per_sample) == len(tasks):
-        results = {"samples": sweep(target, samples, lambda s: _run_tasks(per_sample, s))}
+        results = {"samples": sweep(
+            samples, lambda a: _run_tasks(per_sample, concretize(target, a)))}
     elif family is None:
         raise UsageError("the hypotheses task needs a catalog entry with a deformation family")
     else:
@@ -532,11 +528,10 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, target=True):
-        if target:
-            p.add_argument("target", help="@catalog-name or structure-equation file")
-            p.add_argument("--assign", action="append", metavar="NAME=VALUE",
-                           help="exact parameter value, e.g. t=1/2 or t=i/2")
+    def common(p):
+        p.add_argument("target", help="@catalog-name or structure-equation file")
+        p.add_argument("--assign", action="append", metavar="NAME=VALUE",
+                       help="exact parameter value, e.g. t=1/2 or t=i/2")
         p.add_argument("--format", choices=("json", "table"), default="json")
 
     p = sub.add_parser("validate", help="integrability and d^2 = 0")

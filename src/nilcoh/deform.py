@@ -12,9 +12,9 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .gauss import InternalError
-from .scalar import ScalarExpr, ScalarEvalError
+from .scalar import S_ONE, S_ZERO, ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement, substitute
-from .algebra import AlgebraSpec, StructureError, real_parts
+from .algebra import AlgebraSpec, StructureError, assignment_label, real_parts
 from . import linalg
 
 
@@ -47,8 +47,6 @@ class DeformationFamily:
 
     @classmethod
     def identity_matrices(cls, n):
-        from .scalar import S_ONE, S_ZERO
-
         A = [[S_ONE if i == j else S_ZERO for j in range(n)] for i in range(n)]
         B = [[S_ZERO for _ in range(n)] for _ in range(n)]
         return A, B
@@ -95,7 +93,7 @@ def deformed_frame(family, assign):
     inv = linalg.mat_inverse(combined_matrix(A, B))
     if inv is None:
         raise DeformationError(
-            f"frame matrix is singular at {_fmt_assign(assign)}"
+            f"frame matrix is singular at {assignment_label(assign)}"
         )
 
     # phi = inv . eta, so phi^j is row j of inv and phi^jbar is row n+j
@@ -122,7 +120,7 @@ def deformed_frame(family, assign):
                 dphi = dphi + base.d_phi[j].conj().scale(B[i][j])
         d_eta.append(to_eta(dphi))
 
-    name = f"{family.name} at {_fmt_assign(assign)}"
+    name = f"{family.name} at {assignment_label(assign)}"
     spec = AlgebraSpec(
         name, n, (), d_eta,
         flag_invariant_ok=family.base.flag_invariant_ok,
@@ -160,10 +158,6 @@ def real_frame_matrix(family, assign):
     return S
 
 
-def _fmt_assign(assign):
-    return ", ".join(f"{k}={v}" for k, v in sorted(assign.items()))
-
-
 def assignment_strings(assign):
     """{name: str(value)} in name order, as reports print an assignment."""
     return {k: str(v) for k, v in sorted(assign.items())}
@@ -183,18 +177,18 @@ def concretize(target, assign):
     return target
 
 
-def sweep(target, assignments, task):
-    """Run task(concretize(target, assign)) per assignment, in input order.
-
-    `target` is a DeformationFamily or an AlgebraSpec.  A failing sample
-    (singular frame, vanishing denominator, invalid structure) contributes
-    {"error": ...} instead of stopping the sweep.
+def sweep(assignments, task):
+    """Run task(assign) per assignment, in input order: the one per-sample
+    loop, so the only place that decides a row's shape and which failures
+    end a sample.  A failing sample (singular frame, vanishing denominator,
+    invalid structure) contributes {"error": ...} instead of {"result": ...}
+    and the sweep goes on.
     """
     rows = []
     for assign in assignments:
         row = {"assign": assignment_strings(assign)}
         try:
-            row["result"] = task(concretize(target, assign))
+            row["result"] = task(assign)
         except (DeformationError, ScalarEvalError, StructureError) as e:
             row["error"] = str(e)
         rows.append(row)

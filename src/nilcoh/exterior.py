@@ -9,7 +9,7 @@ equality is exact equality of forms.
 
 from __future__ import annotations
 
-from .scalar import ScalarExpr, S_ONE
+from .scalar import ScalarExpr, S_ONE, S_ZERO
 
 # A Monomial is a pair (holo, anti) of strictly increasing index tuples.
 # Generator tokens used for ordering/merging: (0, i) for phi^i, (1, i) for
@@ -119,7 +119,6 @@ class BigradedElement:
         return sorted({mono_bidegree(m) for m in self.coeffs})
 
     def coeff(self, m):
-        from .scalar import S_ZERO
         return self.coeffs.get(m, S_ZERO)
 
     def params(self):

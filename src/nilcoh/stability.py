@@ -17,8 +17,10 @@ that guarantee the deformed structures stay complex symplectic nearby:
       stage 2.  This does not verify how the summands map into H²_dR, and the
       report labels it accordingly.
 
-Everything is invariant (Lie-algebra level); the report carries the same
-scope banner as the cohomology reports.
+StabilityCheck computes the criteria of one sample and builds the report
+from the rows of deform.sweep, which runs the samples and turns a failing
+one into an "error" row.  Everything is invariant (Lie-algebra level); the
+report carries the same scope banner as the cohomology reports.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from __future__ import annotations
 from .gauss import ZERO
 from .linalg import (InternalError, OperatorCache, apply_rows, assemble_block_rows,
                      basis_total, solve, split_blocks)
-from .deform import DeformationError, assignment_strings, deformed_frame
+from .deform import deformed_frame, sweep
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import is_nondegenerate
 
@@ -39,25 +41,22 @@ def check_stability_hypotheses(family, samples, omega=None):
     """Evaluate criteria (a)-(e) at each sample assignment of the family.
 
     `samples` is an iterable of parameter assignments (name -> GaussRat).
-    `omega` overrides the family's distinguished form when given.  Samples
-    where the frame is singular produce an "error" row instead of verdicts.
+    `omega` overrides the family's distinguished form when given.  The
+    samples run through deform.sweep, so a sample it fails on (singular
+    frame, invalid deformed structure) is an "error" row instead of verdicts.
     Returns the report: the per-sample rows and the cross-sample verdicts.
     """
     check = StabilityCheck(family, omega)
-    for assign in samples:
-        try:
-            check.sample(assign)
-        except DeformationError:
-            pass
-    return check.report()
+    return check.report(sweep(samples, lambda assign: check.sample(assign)[1]))
 
 
 class StabilityCheck:
-    """The stability report of one family, built one sample at a time.
+    """The stability criteria of one family, one sample at a time.
 
     The constructor checks the distinguished form (StabilityInputError) and
-    takes its verdicts on the undeformed structure; `sample` adds the row of
-    one assignment; `report` returns the rows and the cross-sample verdicts.
+    takes its verdicts on the undeformed structure; `sample` computes the
+    verdicts of one assignment; `report` builds the report from the rows of
+    a deform.sweep whose results are those verdicts.
     """
 
     def __init__(self, family, omega=None):
@@ -80,23 +79,16 @@ class StabilityCheck:
         omega_vec = {index[m]: c.const_value() for m, c in omega.coeffs.items()}
         self.omega_closed = not apply_rows(base.d_rows(2), omega_vec)
         self.omega_nondeg = is_nondegenerate(omega, base.n)
-        self.rows = []
 
     def sample(self, assign):
-        """Add the row of one assignment and return the operator cache of
-        its deformed structure.  A singular frame adds an "error" row and
-        raises its DeformationError."""
-        row = {"assign": assignment_strings(assign)}
-        try:
-            spec, to_eta = deformed_frame(self.family, assign)
-        except DeformationError as e:
-            row["error"] = str(e)
-            self.rows.append(row)
-            raise
+        """(operator cache of the deformed structure, verdicts) at one
+        assignment.  Raises DeformationError on a singular frame and
+        StructureError when the deformed structure is invalid."""
+        spec, to_eta = deformed_frame(self.family, assign)
         ops = OperatorCache(spec)
         omega_t = to_eta(self.omega)
 
-        row["h20_bott_chern"] = bott_chern(ops, 2, 0).dim
+        row = {"h20_bott_chern": bott_chern(ops, 2, 0).dim}
 
         dd10 = ops.deldelbar_pq(1, 0)
         row["del_delbar_zero_on_one_zero_forms"] = not any(dd10)
@@ -118,18 +110,21 @@ class StabilityCheck:
             "passed": identity and pf.pure and pf.full,
             "label": "necessary-style check",
         }
-        self.rows.append(row)
-        return ops
+        return ops, row
 
-    def report(self):
-        h20_values = [r["h20_bott_chern"] for r in self.rows if "error" not in r]
+    def report(self, rows):
+        """The report of the sweep rows: each verdict row flattened next to
+        its assignment, each error row as it is."""
+        samples = [{"assign": r["assign"], **r["result"]} if "result" in r else r
+                   for r in rows]
+        h20_values = [r["result"]["h20_bott_chern"] for r in rows if "result" in r]
         return {
             "family": self.family.name,
             "omega": str(self.omega),
             "omega_closed_at_zero": self.omega_closed,
             "omega_nondegenerate_at_zero": self.omega_nondeg,
             "h20_bott_chern_constant": len(set(h20_values)) <= 1 if h20_values else None,
-            "samples": self.rows,
+            "samples": samples,
             "scope": invariant_level_banner(self.family.base),
         }
 

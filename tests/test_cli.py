@@ -492,6 +492,25 @@ def test_deform_with_hypotheses_builds_one_cache_per_sample(monkeypatch):
     assert len(built) == 3 and len(set(built)) == 3
 
 
+def _main_json(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(argv) == 0
+    return json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("name, singular_at_one", [
+    ("example31", True), ("example45", True), ("section42_example", False)])
+def test_hypotheses_equals_the_hypotheses_task_of_deform(name, singular_at_one):
+    # both commands run the criteria through the same sweep, error rows included
+    samples = ["--samples", "t=0; t=1; t=1/2"]
+    alone = _main_json(["hypotheses", f"@{name}", *samples])["results"]
+    task = _main_json(["deform", f"@{name}", *samples, "--tasks", "hypotheses"])
+    assert alone == task["results"]["hypotheses"]
+    singular = {"assign": {"t": "1"}, "error": "frame matrix is singular at t=1"}
+    assert (alone["samples"][1] == singular) == singular_at_one
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 

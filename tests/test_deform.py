@@ -7,6 +7,7 @@ from nilcoh.cohomology import THEORIES, hodge_table
 from nilcoh.deform import (
     DeformationError,
     DeformationFamily,
+    concretize,
     frame_change,
     sweep,
 )
@@ -103,7 +104,7 @@ def test_holomorphic_frames_preserve_hodge_tables():
 def test_sweep_rows_ordered_and_errors_recorded():
     fam = get("example31").family
     samples = [{"t": parse_gauss(s)} for s in ["0", "1", "1/2"]]
-    rows = sweep(fam, samples, lambda s: _eqs(s))
+    rows = sweep(samples, lambda a: _eqs(frame_change(fam, a)))
     assert [r["assign"] for r in rows] == [{"t": "0"}, {"t": "1"}, {"t": "1/2"}]
     assert "result" in rows[0] and "result" in rows[2]
     assert rows[1]["error"] == "frame matrix is singular at t=1"
@@ -116,19 +117,19 @@ def test_sweep_on_parametric_structure():
         for a in ("0", "1/2")
         for b in ("0", "1/2")
     ]
-    rows = sweep(spec, grid, lambda s: str(s.d_gen(3, False).coeff(((1, 2), ()))))
+    rows = sweep(grid, lambda a: str(concretize(spec, a).d_gen(3, False).coeff(((1, 2), ()))))
     assert [r["result"] for r in rows] == ["-1", "-4/3", "-4/3", "-5/3"]
 
 
 def test_sweep_on_parameter_free_structure_repeats_base():
     spec = get("torus4").spec
-    rows = sweep(spec, [{"x": parse_gauss("0")}, {"x": parse_gauss("5")}],
-                 lambda s: _eqs(s))
+    rows = sweep([{"x": parse_gauss("0")}, {"x": parse_gauss("5")}],
+                 lambda a: _eqs(concretize(spec, a)))
     assert rows[0]["result"] == rows[1]["result"] == ["0", "0", "0", "0"]
 
 
 def test_sweep_result_identical_across_reruns():
     fam = get("example31").family
     samples = [{"t": parse_gauss(s)} for s in ["0", "1/2", "i/2", "1"]]
-    outs = [sweep(fam, samples, lambda s: _eqs(s)) for _ in range(2)]
+    outs = [sweep(samples, lambda a: _eqs(frame_change(fam, a))) for _ in range(2)]
     assert outs[0] == outs[1]

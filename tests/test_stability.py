@@ -3,8 +3,10 @@
 import pytest
 
 from nilcoh.catalog import get
+from nilcoh.deform import DeformationFamily, frame_change, sweep
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
+from nilcoh.linalg import OperatorCache
 from nilcoh.scalar import ScalarExpr
 from nilcoh.stability import StabilityInputError, check_stability_hypotheses
 
@@ -81,6 +83,25 @@ def test_singular_sample_becomes_error_row(ops):
     assert d["h20_bott_chern_constant"] is True  # only the good row counts
     all_bad = check_stability_hypotheses(fam, _samples("1"))
     assert all_bad["h20_bott_chern_constant"] is None
+
+
+def test_invalid_deformed_structure_becomes_the_sweep_error_row():
+    # example31's base and form moved by eta^1 = phi^1 + t phi^{2bar}: for
+    # t != 0 the deformed structure is not integrable
+    fam = get("example31").family
+    A, B = DeformationFamily.identity_matrices(fam.base.n)
+    B[0][1] = ScalarExpr.param("t")
+    probe = DeformationFamily("probe", fam.base, ("t",), A, B, omega=fam.omega)
+    samples = _samples("0", "1/2")
+    d = check_stability_hypotheses(probe, samples)
+    swept = sweep(samples, lambda a: OperatorCache(frame_change(probe, a)).n)
+    assert "result" in swept[0] and "h20_bott_chern" in d["samples"][0]
+    assert d["samples"][1] == swept[1] == {
+        "assign": {"t": "1/2"},
+        "error": "structure 'probe at t=1/2' is not integrable: "
+                 "d f3 has the (0,2) part (1/2)*F1^F2",
+    }
+    assert d["h20_bott_chern_constant"] is True
 
 
 def test_missing_or_bad_distinguished_form():
