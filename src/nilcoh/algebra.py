@@ -36,8 +36,27 @@ def assignment_label(assign):
     return ", ".join(f"{k}={v}" for k, v in sorted(assign.items()))
 
 
+def assignment_strings(assign):
+    """{name: str(value)} in name order, as reports print an assignment."""
+    return {k: str(v) for k, v in sorted(assign.items())}
+
+
+# DeformationError and SymplecticError live here, in a module every command
+# loads, so that cli.main maps them to exit codes without importing deform or
+# symplectic; both modules re-export them.
+
+
 class StructureError(ValueError):
     """A structurally invalid set of structure equations."""
+
+
+class DeformationError(ValueError):
+    """Inadmissible parameter value (singular frame, vanishing denominator)."""
+
+
+class SymplecticError(ValueError):
+    """Structure outside the op's domain (odd dimension, bad witness, a
+    witness grid above symplectic.GRID_LIMIT)."""
 
 
 class AlgebraSpec:
@@ -163,13 +182,14 @@ class AlgebraSpec:
     def _check_d2(self, report, label):
         """d^2 on the generators: the product of the assembled d on Lambda^2
         and on Lambda^1, column by column in the order f1, F1, f2, F2, ..."""
-        d1, d2, basis3 = self.d_rows(1), self.d_rows(2), basis_total(self.n, 3)
+        d1, d2 = self.d_rows(1), self.d_rows(2)
         for i in range(1, self.n + 1):
             for barred in (False, True):
                 c = i - 1 + self.n * barred  # Lambda^1 lists f1..fn, then F1..Fn
                 dd = apply_rows(d2, {r: row[c] for r, row in enumerate(d1) if c in row})
                 if dd:
                     g = f"f{i}" if not barred else f"F{i}"
+                    basis3 = basis_total(self.n, 3)
                     dd = BigradedElement({basis3[j]: x for j, x in dd.items()})
                     report.d2_failures.append((g, label, str(dd)))
 

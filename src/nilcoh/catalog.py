@@ -13,7 +13,6 @@ from .gauss import InternalError
 from .scalar import S_I, ScalarExpr
 from . import dsl
 from .algebra import AlgebraSpec
-from .deform import DeformationFamily
 from .exterior import BigradedElement
 
 
@@ -59,7 +58,10 @@ def _wedge(a, b):
 
 
 def _family(name, base, params, b_entries, omega=None):
-    """Deformation eta = phi + sum B[i][j] phi^{jbar} (A stays the identity)."""
+    """Deformation eta = phi + sum B[i][j] phi^{jbar} (A stays the identity).
+    deform is imported here: only entries with a family need it."""
+    from .deform import DeformationFamily
+
     A, B = DeformationFamily.identity_matrices(base.n)
     for (i, j), expr in b_entries.items():
         B[i][j] = expr

@@ -4,6 +4,11 @@ Targets are either `@name` (catalog entry) or a path to a structure-equation
 file.  Reports go to stdout as key-sorted JSON (default) or flattened
 `key.path = value` tables; exit codes: 0 success, 1 negative verdict or
 failed validation, 2 usage error, 3 internal error.
+
+A command imports the theory modules (cohomology, frolicher, symplectic,
+stability, deform) inside the handler that runs them, so each process
+compiles only what its command uses; the errors main maps to exit codes live
+in modules every command loads.
 """
 
 from __future__ import annotations
@@ -14,13 +19,12 @@ import itertools
 import json
 import sys
 
-from . import __version__, catalog, cohomology, dsl, frolicher, symplectic
-from .algebra import DEFAULT_SAMPLES, StructureError, assignment_label
-from .deform import DeformationError, assignment_strings, concretize, sweep
+from . import __version__, catalog, dsl
+from .algebra import (DEFAULT_SAMPLES, DeformationError, StructureError, SymplecticError,
+                      assignment_label, assignment_strings)
 from .dsl import DslError, parse_gauss
 from .linalg import OperatorCache
 from .scalar import ScalarEvalError
-from .stability import StabilityCheck, StabilityInputError, check_stability_hypotheses
 
 THEORY_KEYS = {
     "dr": "de_rham",
@@ -29,6 +33,10 @@ THEORY_KEYS = {
     "bc": "bott_chern",
     "aeppli": "aeppli",
 }
+
+# the largest page `frolicher --max-page` tabulates; every page past n+1
+# equals page n+1, so this covers every n <= 15
+MAX_PAGE = 16
 
 
 class UsageError(ValueError):
@@ -106,6 +114,8 @@ def _concretize(entry, spec, assign):
     extra = set(assign) - set(target.params)
     if extra:
         raise UsageError(f"unknown assignment keys: {', '.join(sorted(extra))}")
+    from .deform import concretize
+
     return concretize(target, assign)
 
 
@@ -287,6 +297,8 @@ def _parse_degree(text, theory):
 
 
 def _cmd_cohomology(args):
+    from . import cohomology
+
     name, digest, assign, ops = _target_ops(args)
     results = {"scope": cohomology.invariant_level_banner(ops.spec)}
     n = ops.n
@@ -320,9 +332,11 @@ def _cmd_cohomology(args):
 
 
 def _cmd_frolicher(args):
-    if args.max_page is not None and args.max_page > frolicher.MAX_PAGE:
+    from . import cohomology, frolicher
+
+    if args.max_page is not None and args.max_page > MAX_PAGE:
         raise UsageError(
-            f"--max-page {args.max_page} is above {frolicher.MAX_PAGE}; every page "
+            f"--max-page {args.max_page} is above {MAX_PAGE}; every page "
             "past n+1 equals page n+1"
         )
     if args.max_page is not None and args.max_page < 1:
@@ -347,6 +361,8 @@ def _cmd_frolicher(args):
 
 
 def _cmd_symplectic(args):
+    from . import symplectic
+
     name, digest, assign, ops = _target_ops(args)
     rep = symplectic.find_symplectic(ops)
     results = {"symplectic": rep.as_dict()}
@@ -360,7 +376,7 @@ def _cmd_symplectic(args):
     if args.betti_bounds:
         try:
             results["betti_bounds"] = symplectic.betti_bounds(ops)
-        except symplectic.SymplecticError as e:
+        except SymplecticError as e:
             results["betti_bounds"] = {"error": str(e)}
     _emit(_report("symplectic", name, digest, assign, results), args.format)
     return 0 if rep.verdict == "exists" else 1
@@ -419,12 +435,17 @@ def _run_tasks(tasks, spec, ops=None):
             continue
         if ops is None:
             ops = OperatorCache(spec)
+        if kind == "symplectic":
+            from . import symplectic
+
+            out["symplectic"] = symplectic.find_symplectic(ops).as_dict()
+            continue
+        from . import cohomology
+
         if kind == "cohomology":
             _, theory, degree = task
             g = cohomology.group(ops, theory, degree)
             out.setdefault("cohomology", []).append(g.as_dict())
-        elif kind == "symplectic":
-            out["symplectic"] = symplectic.find_symplectic(ops).as_dict()
         elif kind == "purefull":
             out.setdefault("purefull", []).append(
                 cohomology.pure_full(ops, task[1]).as_dict()
@@ -436,6 +457,9 @@ def _sweep_with_hypotheses(family, samples, tasks):
     """The hypotheses report and the sweep rows of the other tasks, from one
     sweep with one deformed structure and one operator cache per sample.  A
     sample that fails gets the same "error" row in both."""
+    from .deform import sweep
+    from .stability import StabilityCheck, StabilityInputError
+
     try:
         check = StabilityCheck(family)
     except StabilityInputError as e:
@@ -452,6 +476,8 @@ def _sweep_with_hypotheses(family, samples, tasks):
 
 
 def _cmd_deform(args):
+    from .deform import concretize, sweep
+
     name, entry, spec = _load_target(args.target)
     family = entry.family if entry is not None else None
     # A deformation family sweeps by frame change; a parametric structure by
@@ -483,6 +509,8 @@ def _cmd_deform(args):
 
 
 def _cmd_purefull(args):
+    from . import cohomology
+
     name, digest, assign, ops = _target_ops(args)
     results = {
         "scope": cohomology.invariant_level_banner(ops.spec),
@@ -493,6 +521,8 @@ def _cmd_purefull(args):
 
 
 def _cmd_hypotheses(args):
+    from .stability import StabilityInputError, check_stability_hypotheses
+
     name, entry, spec = _load_target(args.target)
     if entry is None or entry.family is None:
         raise UsageError("hypotheses needs a catalog entry with a deformation family")
@@ -547,7 +577,7 @@ def _build_parser():
     p = sub.add_parser("frolicher", help="spectral sequence pages and degeneration")
     common(p)
     p.add_argument("--max-page", type=int, default=None,
-                   help=f"tabulate pages 1..N, 1 <= N <= {frolicher.MAX_PAGE}; the "
+                   help=f"tabulate pages 1..N, 1 <= N <= {MAX_PAGE}; the "
                         "pages through degeneration are always printed")
     p.set_defaults(fn=_cmd_frolicher)
 
@@ -604,7 +634,7 @@ def main(argv=None):
     except (DeformationError, ScalarEvalError, StructureError) as e:
         print(f"nilcoh: {e}", file=sys.stderr)
         return 1
-    except (DslError, symplectic.SymplecticError) as e:
+    except (DslError, SymplecticError) as e:
         print(f"nilcoh: {e}", file=sys.stderr)
         return 2
     except AssertionError as e:

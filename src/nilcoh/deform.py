@@ -14,12 +14,9 @@ from fractions import Fraction
 from .gauss import InternalError
 from .scalar import S_ONE, S_ZERO, ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement, substitute
-from .algebra import AlgebraSpec, StructureError, assignment_label, real_parts
+from .algebra import (AlgebraSpec, DeformationError, StructureError, assignment_label,
+                      assignment_strings, real_parts)
 from . import linalg
-
-
-class DeformationError(ValueError):
-    """Inadmissible parameter value (singular frame, vanishing denominator)."""
 
 
 class DeformationFamily:
@@ -156,11 +153,6 @@ def real_frame_matrix(family, assign):
         for part in real_parts(eta, n):
             S.append([part.get((m,), Fraction(0)) for m in range(1, 2 * n + 1)])
     return S
-
-
-def assignment_strings(assign):
-    """{name: str(value)} in name order, as reports print an assignment."""
-    return {k: str(v) for k, v in sorted(assign.items())}
 
 
 def concretize(target, assign):

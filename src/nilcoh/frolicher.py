@@ -29,11 +29,6 @@ from .linalg import (
 )
 
 
-# the largest page `frolicher --max-page` tabulates; every page past n+1
-# equals page n+1, so this covers every n <= 15
-MAX_PAGE = 16
-
-
 def x_space(ops, r, p, q):
     """Zig-zag-solvable (p,q)-forms on page r, as a Subspace of Lambda^{p,q}."""
     if r < 1:

@@ -10,6 +10,7 @@ largest ambient space in scope is the 70-dimensional middle degree at n=4.
 from __future__ import annotations
 
 from bisect import bisect
+from functools import cache
 from itertools import combinations
 
 from .gauss import ONE, ZERO, InternalError
@@ -331,16 +332,24 @@ def basis_total(n, k):
     return out
 
 
+@cache
+def _basis_keys(n, k):
+    """The token tuples (mono_key) of the basis_total(n, k) monomials, and
+    the index of each: built once per (n, k) and shared by every structure,
+    so read-only."""
+    keys = tuple(map(mono_key, basis_total(n, k)))
+    return keys, {t: r for r, t in enumerate(keys)}
+
+
 def leibniz_rows(d_gen, n, k):
     """Rows of d: Lambda^k -> Lambda^{k+1} on n generators, by the Leibniz
     rule from the structure equations by generator token, d_gen = {(barred,
     i): [(token pair of a 2-form monomial, coefficient)]}: the one assembly
     of d in nilcoh, read through the memo AlgebraSpec.d_rows."""
-    dst = basis_total(n, k + 1)
-    row_of = {mono_key(m): r for r, m in enumerate(dst)}
+    src, _ = _basis_keys(n, k)
+    dst, row_of = _basis_keys(n, k + 1)
     rows = [{} for _ in dst]
-    for c, m in enumerate(basis_total(n, k)):
-        toks = mono_key(m)
+    for c, toks in enumerate(src):
         for pos, tok in enumerate(toks):
             rest = toks[:pos] + toks[pos + 1:]
             for pair, coeff in d_gen[tok]:

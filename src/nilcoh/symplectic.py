@@ -17,7 +17,7 @@ from itertools import product
 
 from .gauss import GaussRat
 from .scalar import ScalarExpr
-from .algebra import real_parts
+from .algebra import SymplecticError, real_parts
 from .exterior import BigradedElement
 from . import cohomology
 from .cohomology import NotInNumerator, class_is_trivial, invariant_level_banner
@@ -27,11 +27,6 @@ from .linalg import InternalError
 # the largest witness grid {0..m}^s searched; at n <= 4 the grid has at
 # most 3^6 = 729 points
 GRID_LIMIT = 4096
-
-
-class SymplecticError(ValueError):
-    """Structure outside the op's domain (odd dimension, bad witness, a
-    witness grid above GRID_LIMIT)."""
 
 
 def closed_20_space(ops):

@@ -2,6 +2,7 @@
 the parameter, task, degree and stage options through cli.main in process."""
 
 import contextlib
+import importlib
 import io
 import json
 import os
@@ -51,6 +52,55 @@ def test_validate_singular_frame_is_runtime_failure():
         "ok": False,
         "error": "frame matrix is singular at t=1",
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology"], ["frolicher"], ["symplectic"], ["purefull", "--stage", "2"]])
+def test_singular_frame_exits_one_through_main(argv):
+    rc, err = _exit_code([argv[0], "@example31", "--assign", "t=1", *argv[1:]])
+    assert (rc, err) == (1, "nilcoh: frame matrix is singular at t=1\n")
+
+
+@pytest.mark.parametrize("module, error, rc", [
+    ("deform", "DeformationError", 1), ("symplectic", "SymplecticError", 2)])
+def test_main_maps_the_theory_module_errors(monkeypatch, module, error, rc):
+    # the modules re-export the classes main catches, so raising either
+    # module's class reaches main's mapping and not the exit-3 catch-all
+    cls = getattr(importlib.import_module(f"nilcoh.{module}"), error)
+    assert cls is getattr(algebra, error)
+
+    def raising(args):
+        raise cls("refused")
+
+    monkeypatch.setattr(cli, "_cmd_validate", raising)
+    assert _exit_code(["validate", "@torus2"]) == (rc, "nilcoh: refused\n")
+
+
+_MODULES_LOADED = """
+import contextlib, io, json, sys
+from nilcoh import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("nilcoh."))]))
+"""
+
+_THEORY_MODULES = {"cohomology", "frolicher", "symplectic", "stability", "deform"}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["validate", "@torus2"], _THEORY_MODULES),
+    (["cohomology", "@iwasawa"], {"frolicher", "stability", "deform"}),
+    (["deform", "@example31", "--samples", "t=0; t=1/2",
+      "--tasks", "validate; symplectic; cohomology=bc:2,0; purefull=2"],
+     {"stability", "frolicher"}),
+])
+def test_a_command_imports_only_the_modules_it_runs(argv, absent):
+    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    assert rc == 0
+    assert {m.removeprefix("nilcoh.") for m in loaded} & absent == set()
 
 
 def test_bad_dsl_file_is_usage_error(tmp_path):
@@ -512,6 +562,17 @@ def test_hypotheses_equals_the_hypotheses_task_of_deform(name, singular_at_one):
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_use_prints_its_comments():
+    block = README.read_text(encoding="utf-8").split("## Library use\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    want = [line.partition("# ")[2].strip()
+            for line in block.splitlines() if line.startswith("print(")]
+    assert want == ["4", "f1^f3+f2^f4", "3"]
+    proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == want
 
 
 def test_readme_quick_start_runs():

@@ -1,6 +1,7 @@
 """The five cohomology theories and the pure/full stage analysis."""
 
 import ast
+import shutil
 import subprocess
 import sys
 from math import comb
@@ -278,6 +279,27 @@ def test_no_assert_statement_in_the_package():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_the_package_leaves_the_bytecode_setting_alone():
+    """Start-up gains come from importing less: no module changes where or
+    whether bytecode is written, and no compiled file is tracked."""
+    src = Path(cohomology.__file__).parent
+    names = ("dont_write_bytecode", "PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")
+    found = [
+        f"{path.name}: {name}"
+        for path in sorted(src.glob("*.py"))
+        for name in names
+        if name in path.read_text()
+    ]
+    assert found == []
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+    proc = subprocess.run(["git", "ls-files", "*.pyc"], cwd=src.parents[1],
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        pytest.skip("not a git checkout")
+    assert proc.stdout == ""
 
 
 @pytest.fixture
