@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import product
 
 from .gauss import GaussRat, InternalError
-from .linalg import Subspace, apply_rows, basis_total, leibniz_rows
+from .linalg import Subspace, basis, leibniz_rows, mat_mul
 from .scalar import S_I, ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement, mono_key, substitute
 
@@ -180,17 +180,19 @@ class AlgebraSpec:
             raise StructureError(f"structure '{self.name}' has d^2 != 0: d(d {g}) = {dd}")
 
     def _check_d2(self, report, label):
-        """d^2 on the generators: the product of the assembled d on Lambda^2
-        and on Lambda^1, column by column in the order f1, F1, f2, F2, ..."""
-        d1, d2 = self.d_rows(1), self.d_rows(2)
+        """d^2 on the generators: the columns of the product of the assembled
+        d on Lambda^2 and on Lambda^1, in the order f1, F1, f2, F2, ..."""
+        columns = {}
+        for r, row in enumerate(mat_mul(self.d_rows(2), self.d_rows(1))):
+            for c, x in row.items():
+                columns.setdefault(c, {})[r] = x
+        _, index = basis(self.n, 1)
+        basis3, _ = basis(self.n, 3)
         for i in range(1, self.n + 1):
-            for barred in (False, True):
-                c = i - 1 + self.n * barred  # Lambda^1 lists f1..fn, then F1..Fn
-                dd = apply_rows(d2, {r: row[c] for r, row in enumerate(d1) if c in row})
+            for g, m in ((f"f{i}", ((i,), ())), (f"F{i}", ((), (i,)))):
+                dd = columns.get(index[m])
                 if dd:
-                    g = f"f{i}" if not barred else f"F{i}"
-                    basis3 = basis_total(self.n, 3)
-                    dd = BigradedElement({basis3[j]: x for j, x in dd.items()})
+                    dd = BigradedElement({basis3[r]: x for r, x in dd.items()})
                     report.d2_failures.append((g, label, str(dd)))
 
     # -- realification ------------------------------------------------------

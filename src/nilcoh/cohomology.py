@@ -23,6 +23,7 @@ from .linalg import (
     Subspace,
     apply_rows,
     assemble_block_rows,
+    block,
     quotient_representatives,
     solve,
     split_blocks,
@@ -263,8 +264,9 @@ def _pure_type_classes(ops, k):
     img = ops.image("d", k - 1)
     out = {}
     for p in range(min(k, ops.n), max(0, k - ops.n) - 1, -1):
-        embed = ops.embedding((p, k - p), k)
-        closed = [apply_rows(embed, v) for v in ops.kernel_vectors("d", (p, k - p))]
+        start = block(ops.n, p, k - p).start
+        closed = [{start + j: x for j, x in v.items()}
+                  for v in ops.kernel_vectors("d", (p, k - p))]
         classes = Subspace.span(ops.dims(k), [img.reduce(w) for w in closed])
         out[(p, k - p)] = (closed, classes)
     return out

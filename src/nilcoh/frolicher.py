@@ -10,10 +10,16 @@ Lambda^{p,q}:
           delbar b_0 = 0, del b_{j-1} + delbar b_j = 0 for j = 1..r-2 }
   (for r = 1 simply Y_1 = delbar Lambda^{p,q-1}).
 
-Each space is computed from one stacked exact linear system — no recursion
-on representatives.  The first page agrees with delbar-cohomology and the
-limit page with the graded de Rham cohomology of the coordinate filtration
-by leading holomorphic degree; both identities are exposed for testing.
+Each zig-zag system is a slice of d, since d = del + delbar and the bases
+of Lambda^k list their (p,q) blocks in descending p (linalg.holo_range).
+With k = p + q, X_r is the (p,q) block of the kernel of d on Lambda^k
+restricted to holomorphic degrees p..p+r-1 in source and target; Y_r is
+the (p,q) block of d applied to the kernel of d on Lambda^{k-1} restricted
+to source degrees p-r+1..p and target degrees p-r+1..p-1.  Page 1 is the
+same formula: X_1 = ker delbar and Y_1 = delbar Lambda^{p,q-1}.  The first
+page agrees with delbar-cohomology and the limit page with the graded de
+Rham cohomology of the coordinate filtration by leading holomorphic degree;
+both identities are exposed for testing.
 """
 
 from __future__ import annotations
@@ -22,41 +28,43 @@ from .cohomology import betti
 from .linalg import (
     InternalError,
     Subspace,
+    apply_rows,
+    block,
+    column_slice,
+    holo_range,
     kernel_basis,
     quotient_representatives,
-    stacked_kernel_image,
-    stacked_kernel_projection,
 )
+
+
+def _slice_kernel(d, rows, cols):
+    """Kernel vectors of the matrix d restricted to the rows and columns
+    slices, over the columns renumbered from 0."""
+    return kernel_basis(column_slice(d[rows], cols), cols.stop - cols.start)
 
 
 def x_space(ops, r, p, q):
     """Zig-zag-solvable (p,q)-forms on page r, as a Subspace of Lambda^{p,q}."""
     if r < 1:
         raise InternalError(f"spectral sequence pages start at 1, not {r}")
-    if r == 1:
-        return ops.kernel("delbar", (p, q))
-    blocks = [ops.dims((p + j, q - j)) for j in range(r)]
-    rows = [{0: ops.delbar_pq(p, q)}]
-    for j in range(1, r):
-        rows.append({j - 1: ops.del_pq(p + j - 1, q - j + 1), j: ops.delbar_pq(p + j, q - j)})
-    return stacked_kernel_projection(blocks, rows, 0)
+    n, k = ops.n, p + q
+    cols = holo_range(n, k, p, p + r - 1)
+    ker = _slice_kernel(ops.d_total(k), holo_range(n, k + 1, p, p + r - 1), cols)
+    # the (p,q) block ends the column range
+    own = slice(block(n, p, q).start - cols.start, cols.stop - cols.start)
+    return Subspace.span(ops.dims((p, q)), column_slice(ker, own))
 
 
 def y_space(ops, r, p, q):
     """Boundary subspace of Lambda^{p,q} on page r."""
     if r < 1:
         raise InternalError(f"spectral sequence pages start at 1, not {r}")
-    if r == 1:
-        return ops.image("delbar", (p, q - 1))
-    blocks = [ops.dims((p - r + 1 + j, q + r - 2 - j)) for j in range(r)]
-    rows = [{0: ops.delbar_pq(p - r + 1, q + r - 2)}]
-    for j in range(1, r - 1):
-        rows.append({
-            j - 1: ops.del_pq(p - r + j, q + r - 1 - j),
-            j: ops.delbar_pq(p - r + 1 + j, q + r - 2 - j),
-        })
-    out = {r - 2: ops.del_pq(p - 1, q), r - 1: ops.delbar_pq(p, q - 1)}
-    return stacked_kernel_image(blocks, rows, out)
+    n, k = ops.n, p + q
+    d = ops.d_total(k - 1)
+    cols = holo_range(n, k - 1, p - r + 1, p)
+    ker = _slice_kernel(d, holo_range(n, k, p - r + 1, p - 1), cols)
+    out = column_slice(d[block(n, p, q)], cols)
+    return Subspace.span(ops.dims((p, q)), [apply_rows(out, v) for v in ker])
 
 
 def _cell(ops, r, p, q):
@@ -120,10 +128,10 @@ def e_infinity(ops):
     for k in range(2 * n + 1):
         d = ops.d_total(k)
         img = ops.image("d", k - 1)
-        prev, width = img.dim, 0
+        prev = img.dim
         for p in range(min(k, n), max(0, k - n) - 1, -1):
-            width += ops.dims((p, k - p))
-            prefix = [{j: x for j, x in row.items() if j < width} for row in d]
+            width = block(n, p, k - p).stop
+            prefix = column_slice(d, slice(0, width))
             cur = img.add(Subspace.span(ops.dims(k), kernel_basis(prefix, width))).dim
             dims[(p, k - p)] = cur - prev
             prev = cur

@@ -5,6 +5,11 @@ fixed lexicographic order, elimination always picks the first nonzero pivot,
 and subspaces are stored in reduced row echelon form, so equal subspaces have
 byte-identical representations.  Determinism is preferred over speed; the
 largest ambient space in scope is the 70-dimensional middle degree at n=4.
+
+This module owns the coordinate layout of forms (basis, block, holo_range):
+Lambda^k lists its (p,q) blocks in descending p, so every F^p is a column
+prefix, every range of holomorphic degrees one column range, and del,
+delbar and the Frolicher zig-zag systems are slices of the matrix of d.
 """
 
 from __future__ import annotations
@@ -203,24 +208,17 @@ class Subspace:
         return Subspace(self.ambient, rows, pivots)
 
     def intersect(self, other):
-        """Zassenhaus-free intersection: solve for combinations landing in both."""
+        """Zassenhaus: in the echelon form of the rows (u, u) over self and
+        (v, 0) over other, the rows with a pivot at or past the ambient
+        dimension are (0, w), and their w are the echelon basis of the
+        intersection."""
         self._check_ambient(other)
-        if not self.rows or not other.rows:
-            return Subspace.zero(self.ambient)
-        # x in both <=> x = sum a_i u_i = sum b_j v_j; kernel of [U^T | -V^T]
-        width = len(self.rows)
-        a_rows = [{} for _ in range(self.ambient)]
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                a_rows[j][i] = x
-        for i, row in enumerate(other.rows, start=width):
-            for j, x in row.items():
-                a_rows[j][i] = -x
-        vectors = [
-            apply_rows(a_rows, {i: f for i, f in k.items() if i < width})
-            for k in kernel_basis(a_rows, width + len(other.rows))
-        ]
-        return Subspace.span(self.ambient, vectors)
+        a = self.ambient
+        red, pivots = rref([u | {a + j: x for j, x in u.items()} for u in self.rows]
+                           + other.rows)
+        return Subspace(a, [{j - a: x for j, x in row.items()}
+                            for row, c in zip(red, pivots) if c >= a],
+                        [c - a for c in pivots if c >= a])
 
     def quotient_dim(self, sub, what="quotient"):
         """dim(self / sub); raises InternalError unless sub lies in self."""
@@ -281,63 +279,56 @@ def split_blocks(vec, blocks):
     return parts
 
 
-def stacked_kernel_projection(blocks, rows_of_blocks, project_block):
-    """Kernel of a block matrix, projected onto one unknown block.
-
-    blocks and rows_of_blocks are as in assemble_block_rows.
-    Returns the canonical Subspace of Q(i)^{blocks[project_block]} of values
-    the projected unknown takes over the kernel.
-    """
-    ker = kernel_basis(assemble_block_rows(blocks, rows_of_blocks), sum(blocks))
-    return Subspace.span(
-        blocks[project_block], [split_blocks(v, blocks)[project_block] for v in ker]
-    )
-
-
-def stacked_kernel_image(blocks, rows_of_blocks, out_spec):
-    """Image of a block-row map over the kernel of a block constraint matrix.
-
-    out_spec is a single {block_index: matrix_rows} row group; the map it
-    describes is applied to every kernel vector of the constraints and the
-    span of the values is returned as a canonical Subspace.
-    """
-    ker = kernel_basis(assemble_block_rows(blocks, rows_of_blocks), sum(blocks))
-    out_rows = assemble_block_rows(blocks, [out_spec])
-    return Subspace.span(len(out_rows), [apply_rows(out_rows, v) for v in ker])
-
-
 # ---------------------------------------------------------------------------
 # graded bases and operator matrices
 
 
-def basis_pq(n, p, q):
-    """Monomial basis of Lambda^{p,q}, lexicographic in the generator order."""
-    if p < 0 or q < 0 or p > n or q > n:
-        return []
-    return [
-        (h, a)
-        for h in combinations(range(1, n + 1), p)
-        for a in combinations(range(1, n + 1), q)
-    ]
+@cache
+def basis(n, key):
+    """(monomials, {monomial: index}) of Lambda^{p,q} for key (p, q), or of
+    Lambda^k for key k, on n generators: lexicographic in the generator order
+    within a bidegree, the blocks of Lambda^k in descending p.  Built once
+    per (n, key) and shared by every structure, so read-only."""
+    if isinstance(key, int):
+        mons = tuple(m for p in range(min(key, n), -1, -1) for m in basis(n, (p, key - p))[0])
+    elif min(key) < 0 or max(key) > n:
+        mons = ()
+    else:
+        gens = range(1, n + 1)
+        mons = tuple((h, a) for h in combinations(gens, key[0])
+                     for a in combinations(gens, key[1]))
+    return mons, {m: i for i, m in enumerate(mons)}
 
 
-def basis_total(n, k):
-    """Basis of Lambda^k with (p,q)-blocks in descending p, so that the
-    holomorphic filtration F^p is spanned by a prefix."""
-    out = []
-    for p in range(min(k, n), -1, -1):
-        q = k - p
-        if 0 <= q <= n:
-            out.extend(basis_pq(n, p, q))
-    return out
+@cache
+def block(n, p, q):
+    """The columns of Lambda^{p,q} in Lambda^{p+q}, as a slice: it starts
+    after the columns of higher holomorphic degree, and is empty when the
+    bidegree has no monomials."""
+    start = sum(len(basis(n, (r, p + q - r))[0]) for r in range(min(p + q, n), p, -1))
+    return slice(start, start + len(basis(n, (p, q))[0]))
+
+
+def holo_range(n, k, lo, hi):
+    """The columns of Lambda^k in holomorphic degrees lo..hi, for lo <= hi + 1,
+    clipped to the degrees Lambda^k has: one slice, empty when nothing is
+    left (block(...).start counts the columns of higher degree)."""
+    return slice(block(n, hi, k - hi).start, block(n, lo, k - lo).stop)
+
+
+def column_slice(rows, cols):
+    """The matrix rows restricted to the columns in the slice cols,
+    renumbered from 0."""
+    return [{j - cols.start: x for j, x in row.items() if cols.start <= j < cols.stop}
+            for row in rows]
 
 
 @cache
 def _basis_keys(n, k):
-    """The token tuples (mono_key) of the basis_total(n, k) monomials, and
-    the index of each: built once per (n, k) and shared by every structure,
-    so read-only."""
-    keys = tuple(map(mono_key, basis_total(n, k)))
+    """The token tuples (mono_key) of the basis(n, k) monomials, and the
+    index of each: built once per (n, k) and shared by every structure, so
+    read-only."""
+    keys = tuple(map(mono_key, basis(n, k)[0]))
     return keys, {t: r for r, t in enumerate(keys)}
 
 
@@ -390,20 +381,6 @@ class OperatorCache:
             value = self._memo[key] = build()
         return value
 
-    def basis(self, key):
-        """(monomials, {monomial: index}) of the space key: (p, q) for a
-        bidegree or an int k for a total degree."""
-        def build():
-            b = basis_pq(self.n, *key) if isinstance(key, tuple) else basis_total(self.n, key)
-            return b, {m: i for i, m in enumerate(b)}
-
-        return self._get(("basis", key), build)
-
-    def _block(self, p, q):
-        """Slice of the (p,q) block in the basis of Lambda^{p+q}."""
-        start = sum(self.dims((r, p + q - r)) for r in range(min(p + q, self.n), p, -1))
-        return slice(start, start + self.dims((p, q)))
-
     def _matrix(self, op, key):
         """Rows of op on the space key: d on a total degree by the Leibniz
         rule, del and delbar as blocks of it, del.delbar as a product."""
@@ -412,11 +389,7 @@ class OperatorCache:
         p, q = key
         if op in ("del", "delbar"):
             tgt = (p + 1, q) if op == "del" else (p, q + 1)
-            cols = self._block(p, q)
-            return [
-                {j - cols.start: x for j, x in row.items() if cols.start <= j < cols.stop}
-                for row in self.d_total(p + q)[self._block(*tgt)]
-            ]
+            return column_slice(self.d_total(p + q)[block(self.n, *tgt)], block(self.n, p, q))
         # op == "dd": del_{(p,q+1)} . delbar_{(p,q)}
         return mat_mul(self.del_pq(p, q + 1), self.delbar_pq(p, q))
 
@@ -470,28 +443,16 @@ class OperatorCache:
 
         return self._get(("im", op, key), build)
 
-    def embedding(self, pq, k):
-        """Rows of the inclusion Lambda^{p,q} -> Lambda^k, for k = p + q."""
-        def build():
-            src, _ = self.basis(pq)
-            _, idx = self.basis(k)
-            rows = [{} for _ in range(self.dims(k))]
-            for c, m in enumerate(src):
-                rows[idx[m]][c] = ONE
-            return rows
-
-        return self._get(("embed", pq, k), build)
-
     def dims(self, key):
-        return len(self.basis(key)[0])
+        return len(basis(self.n, key)[0])
 
     def to_vec(self, key, element):
-        _, idx = self.basis(key)
+        _, idx = basis(self.n, key)
         return {idx[m]: c.const_value() for m, c in element.coeffs.items()}
 
     def to_element(self, key, vec):
-        basis, _ = self.basis(key)
-        return BigradedElement({basis[j]: ScalarExpr.const(x) for j, x in vec.items()})
+        mons, _ = basis(self.n, key)
+        return BigradedElement({mons[j]: ScalarExpr.const(x) for j, x in vec.items()})
 
 
 def rank_of(op_rows):

@@ -25,9 +25,9 @@ report carries the same scope banner as the cohomology reports.
 
 from __future__ import annotations
 
-from .gauss import ZERO
-from .linalg import (InternalError, OperatorCache, apply_rows, assemble_block_rows,
-                     basis_total, solve, split_blocks)
+from .gauss import ONE, ZERO
+from .linalg import (InternalError, OperatorCache, apply_rows, assemble_block_rows, basis,
+                     block, column_slice, solve, split_blocks)
 from .deform import deformed_frame, sweep
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import is_nondegenerate
@@ -75,7 +75,7 @@ class StabilityCheck:
             base = base.evaluate({p: ZERO for p in base.params})
         self.family = family
         self.omega = omega
-        index = {m: j for j, m in enumerate(basis_total(base.n, 2))}
+        _, index = basis(base.n, 2)
         omega_vec = {index[m]: c.const_value() for m, c in omega.coeffs.items()}
         self.omega_closed = not apply_rows(base.d_rows(2), omega_vec)
         self.omega_nondeg = is_nondegenerate(omega, base.n)
@@ -144,8 +144,9 @@ def _delta_feasibility(ops, omega_t):
     # d(gamma) + sum(alpha) = omega_t, one row per Lambda^2 monomial
     sum_rows = {0: ops.d_total(1)}
     groups = [sum_rows]
+    eye = [{j: ONE} for j in range(ops.dims(2))]
     for i, key in enumerate(keys[1:], 1):
-        sum_rows[i] = ops.embedding(key, 2)
+        sum_rows[i] = column_slice(eye, block(ops.n, *key))  # the inclusion in Lambda^2
         # each alpha^{p,q} is d-closed: its del and its delbar vanish
         groups.append({i: ops.rows("d", key)})
     # del(delbar(pi^{1,0} gamma)) = 0; the (1,0) coordinates of gamma come

@@ -1,10 +1,12 @@
 """Holomorphic-filtration spectral sequence: pages, limit, degeneration."""
 
+import hashlib
 import json
 
 import pytest
 
 from nilcoh import cli, frolicher
+from nilcoh.catalog import catalog
 from nilcoh.cohomology import betti, hodge_table
 from nilcoh.frolicher import (
     betti_numbers,
@@ -16,7 +18,7 @@ from nilcoh.frolicher import (
     y_space,
 )
 from nilcoh.gauss import ONE
-from nilcoh.linalg import Subspace
+from nilcoh.linalg import Subspace, apply_rows, assemble_block_rows, kernel_basis
 
 
 def test_zero_two_tower_dims(ops):
@@ -141,3 +143,76 @@ def _e_infinity_by_intersection(ops):
 def test_e_infinity_matches_intersection_route(ops, name):
     cache = ops(name)
     assert e_infinity(cache) == _e_infinity_by_intersection(cache)
+
+
+# ---------------------------------------------------------------------------
+# reference: the zig-zag systems of the module docstring, stacked from the
+# del and delbar blocks
+
+
+def _zigzag_x(ops, r, p, q):
+    blocks = [ops.dims((p + j, q - j)) for j in range(r)]
+    rows = [{0: ops.delbar_pq(p, q)}] + [
+        {j - 1: ops.del_pq(p + j - 1, q - j + 1), j: ops.delbar_pq(p + j, q - j)}
+        for j in range(1, r)
+    ]
+    ker = kernel_basis(assemble_block_rows(blocks, rows), sum(blocks))
+    # a_0 is the first unknown block
+    return Subspace.span(blocks[0], [{j: x for j, x in v.items() if j < blocks[0]}
+                                     for v in ker])
+
+
+def _zigzag_y(ops, r, p, q):
+    if r == 1:
+        return ops.image("delbar", (p, q - 1))
+    blocks = [ops.dims((p - r + 1 + j, q + r - 2 - j)) for j in range(r)]
+    rows = [{0: ops.delbar_pq(p - r + 1, q + r - 2)}] + [
+        {j - 1: ops.del_pq(p - r + j, q + r - 1 - j),
+         j: ops.delbar_pq(p - r + 1 + j, q + r - 2 - j)}
+        for j in range(1, r - 1)
+    ]
+    ker = kernel_basis(assemble_block_rows(blocks, rows), sum(blocks))
+    out = assemble_block_rows(
+        blocks, [{r - 2: ops.del_pq(p - 1, q), r - 1: ops.delbar_pq(p, q - 1)}])
+    return Subspace.span(len(out), [apply_rows(out, v) for v in ker])
+
+
+_PARAMETER_FREE = [e.name for e in catalog() if not e.spec.params]
+
+
+@pytest.mark.parametrize("name, assign", [(name, {}) for name in _PARAMETER_FREE]
+                         + [("example31", {"t": "1/2"})])
+def test_spaces_match_zigzag_systems(ops, name, assign):
+    cache = ops(name, **assign)
+    n = cache.n
+    for r in range(1, n + 3):
+        for p in range(n + 1):
+            for q in range(n + 1):
+                assert x_space(cache, r, p, q) == _zigzag_x(cache, r, p, q), (r, p, q)
+                assert y_space(cache, r, p, q) == _zigzag_y(cache, r, p, q), (r, p, q)
+
+
+# sha256 of the `frolicher --max-page 6` stdout: a change to how the pages
+# are computed leaves every page table byte-identical
+_PAGES_SHA256 = {
+    "torus2": "4d973706537f955abbb6260723e27054c9bf1e3e7991f9768ee4496ef2925df1",
+    "torus3": "d1f2791d362c8f0fac32daac6affbc04e19f09d773bb985e45b5e976fdf54922",
+    "torus4": "28a99e78a4c612bf733ae8f1ebe636848c771d69bbcd01b7c91135670e3bdac4",
+    "iwasawa": "7baa28647d1432258689a068d93a451e14b1049089483a4f0414d5d6ab6e6dc3",
+    "example31": "59d53d40370cc23fe1da4d83cbfeb603a01da28c55dc47b94fb432b21babaa1b",
+    "example45": "2c79ed676e2c7c2e69952090010a116a6fbf8e7094f0575a2a03c87cffc0ace9",
+    "nakamura_x_torus": "9f9d22153e7753d6cf4304978be7eeb34c3f19c93ad05d55f107f62d3c9e8ff7",
+    "theorem51_family": "f7b3ad2a2a32894dbcb0a2d63bc9dffaf88016821b832b857da9a7bdef53c7a8",
+    "section42_example": "157b1e2335fb16f14a5b58ebd0fe0e03ccfe797e99291cd738e6930520303f71",
+    "frolicher_example": "988c416ba7f91fcb7b6cd8d7d7b86ae07cce97f7194d7074a958823230e5ef39",
+    "example31 --assign t=1/2":
+        "d6dec9c054fd2d79b8d0a7058e7dffa8556fc36984406abe03ceeec4141b0dae",
+}
+
+
+@pytest.mark.parametrize("target", _PARAMETER_FREE + ["example31 --assign t=1/2"])
+def test_page_tables_are_pinned(capsys, target):
+    argv = ["frolicher", "@" + target.split()[0], *target.split()[1:], "--max-page", "6"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == _PAGES_SHA256[target]

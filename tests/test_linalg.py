@@ -1,9 +1,12 @@
 """Exact linear algebra and the memoized operator matrices."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nilcoh import linalg
 from nilcoh.catalog import catalog, get
 from nilcoh.deform import DeformationError, concretize
 from nilcoh.dsl import parse_gauss
@@ -145,7 +148,7 @@ def test_operators_compose_to_zero(ops):
 
 def test_vec_element_round_trip(ops):
     cache = ops("torus4")
-    basis, _ = cache.basis((1, 1))
+    basis, _ = linalg.basis(cache.n, (1, 1))
     for m in basis[:3]:
         from nilcoh.exterior import BigradedElement
 
@@ -223,14 +226,48 @@ def test_elimination_kernel_matches_references(den_rows, vectors, repeats):
     assert (den.rows, den.pivots) == (kept_rows, kept_pivots)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_ROWS4, max_size=4), st.lists(_ROWS4, max_size=4))
+def test_intersection_dimension_formula(u_rows, v_rows):
+    u, v = Subspace.span(4, _sp(u_rows)), Subspace.span(4, _sp(v_rows))
+    meet = u.intersect(v)
+    assert meet.dim + u.add(v).dim == u.dim + v.dim
+    assert u.contains_subspace(meet) and v.contains_subspace(meet)
+    assert meet == Subspace.span(4, meet.rows)  # already canonical
+
+
+# ---------------------------------------------------------------------------
+# the coordinate layout: Lambda^k lists its (p,q) blocks in descending p
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_layout_blocks_partition_each_degree(n):
+    for k in range(-1, 2 * n + 2):
+        mons, index = linalg.basis(n, k)
+        assert len(mons) == (comb(2 * n, k) if k >= 0 else 0)
+        assert index == {m: i for i, m in enumerate(mons)}
+        stop = 0
+        for p in range(min(k, n), max(0, k - n) - 1, -1):
+            cols = linalg.block(n, p, k - p)
+            assert cols.start == stop
+            assert mons[cols] == linalg.basis(n, (p, k - p))[0]
+            stop = cols.stop
+        assert stop == len(mons)
+        for lo in range(-1, n + 2):
+            for hi in range(lo - 1, n + 2):
+                cols = linalg.holo_range(n, k, lo, hi)
+                assert cols.start <= cols.stop
+                assert mons[cols] == tuple(m for m in mons if lo <= len(m[0]) <= hi)
+
+
 # ---------------------------------------------------------------------------
 # reference assembly: d through AlgebraSpec.d and BigradedElement on every
 # source monomial, projected to the operator's target bidegree
 
 
 def _assembly_reference(cache, src_key, dst_key, transform):
-    src, _ = cache.basis(src_key)
-    dst, dst_idx = cache.basis(dst_key)
+    src, _ = linalg.basis(cache.n, src_key)
+    dst, dst_idx = linalg.basis(cache.n, dst_key)
     rows = [[ZERO] * len(src) for _ in dst]
     for j, m in enumerate(src):
         for mm, c in transform(BigradedElement.monomial(*m)).coeffs.items():
@@ -295,6 +332,6 @@ def test_assembled_d_matches_symbolic_d_column_by_column(name, value):
             continue  # a singular frame or a vanishing denominator
         for k in range(2 * spec.n + 1):
             d = cache.d_total(k)
-            for c, m in enumerate(cache.basis(k)[0]):
+            for c, m in enumerate(linalg.basis(cache.n, k)[0]):
                 column = {r: row[c] for r, row in enumerate(d) if c in row}
                 assert cache.to_element(k + 1, column) == spec.d(BigradedElement({m: S_ONE}))

@@ -1,8 +1,10 @@
 """The traced benchmark pass wraps nilcoh functions and methods by name.
 
 bench/trace.py patches them with `vars(cls)[name]` and module attributes, so
-renaming or deleting a wrapped name breaks `bench/run.py --trace 1`.  This
-installs the wrappers in a fresh interpreter to catch that in the suite.
+renaming or deleting a wrapped name breaks `bench/run.py --trace 1`, and a
+hook that reads a wrapped function's arguments breaks when a caller passes
+them differently.  This installs the wrappers in a fresh interpreter and
+runs commands through them, to catch both in the suite.
 """
 
 import os
@@ -20,6 +22,13 @@ spec = importlib.util.spec_from_file_location("bench_trace", sys.argv[2])
 mod = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(mod)
 mod.install(mod.Tracer())
+from nilcoh import cli
+for argv in (["frolicher", "@frolicher_example", "--max-page", "5"],
+             ["symplectic", "@example31", "--suite61", "--betti-bounds"],
+             ["hypotheses", "@example31"]):
+    rc = cli.main(argv)
+    if rc != 0:
+        raise SystemExit(f"{argv} exited {rc} under the wrappers")
 """
 
 
