@@ -2,8 +2,9 @@
 
 Targets are either `@name` (catalog entry) or a path to a structure-equation
 file.  Reports go to stdout as key-sorted JSON (default) or flattened
-`key.path = value` tables; exit codes: 0 success, 1 negative verdict or
-failed validation, 2 usage error, 3 internal error.
+`key.path = value` tables; exit codes: 0 success, 1 negative verdict,
+failed validation or a report that could not be written, 2 usage error,
+3 internal error.
 
 A command imports the theory modules (cohomology, frolicher, symplectic,
 stability, deform) inside the handler that runs them, so each process
@@ -159,13 +160,25 @@ def _flatten(value, path, out):
         out.append(f"{path} = {value}")
 
 
-def _emit(report, fmt):
+def _emit(report, fmt, code=0):
+    """Write and flush the report; returns code, or 1 with the reason on
+    stderr if the report could not be written (a full disk, a closed pipe or
+    a closed stdout), so a lost report never exits 0."""
     if fmt == "table":
         lines = []
         _flatten(report, "", lines)
-        sys.stdout.write("\n".join(sorted(lines)) + "\n")
+        text = "\n".join(sorted(lines)) + "\n"
     else:
-        sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        if sys.stdout is None:  # fd 1 was closed when the interpreter started
+            raise OSError("stdout is closed")
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except (OSError, ValueError) as e:
+        print(f"nilcoh: cannot write the report: {e}", file=sys.stderr)
+        return 1
+    return code
 
 
 def _report(command, name, digest, assign, results):
@@ -269,14 +282,13 @@ def _cmd_validate(args):
             concrete = _concretize(entry, spec, assign)
         except (DeformationError, ScalarEvalError) as e:
             results = {"ok": False, "error": str(e)}
-            _emit(_report("validate", name, digest, assign, results), args.format)
-            return 1
+            return _emit(_report("validate", name, digest, assign, results), args.format, 1)
         report = concrete.validate()
     else:
         report = spec.validate()
     results = report.as_dict()
-    _emit(_report("validate", name, digest, assign, results), args.format)
-    return 0 if report.ok else 1
+    return _emit(_report("validate", name, digest, assign, results), args.format,
+                 0 if report.ok else 1)
 
 
 def _parse_degree(text, theory):
@@ -311,8 +323,7 @@ def _cmd_cohomology(args):
                 continue
             table = cohomology.hodge_table(ops, theory)
             results[theory] = {_pq_str(p, q): d for (p, q), d in sorted(table.items())}
-        _emit(_report("cohomology", name, digest, assign, results), args.format)
-        return 0
+        return _emit(_report("cohomology", name, digest, assign, results), args.format)
     theory = THEORY_KEYS[args.theory]
     degree = _parse_degree(args.degree, theory)
     if degree is None:
@@ -327,8 +338,7 @@ def _cmd_cohomology(args):
     else:
         groups = [cohomology.group(ops, theory, degree)]
     results["groups"] = [g.as_dict() for g in groups]
-    _emit(_report("cohomology", name, digest, assign, results), args.format)
-    return 0
+    return _emit(_report("cohomology", name, digest, assign, results), args.format)
 
 
 def _cmd_frolicher(args):
@@ -356,8 +366,7 @@ def _cmd_frolicher(args):
             for (p, q), d in sorted(certificate["e_infinity"].items())
         },
     }
-    _emit(_report("frolicher", name, digest, assign, results), args.format)
-    return 0
+    return _emit(_report("frolicher", name, digest, assign, results), args.format)
 
 
 def _cmd_symplectic(args):
@@ -378,8 +387,8 @@ def _cmd_symplectic(args):
             results["betti_bounds"] = symplectic.betti_bounds(ops)
         except SymplecticError as e:
             results["betti_bounds"] = {"error": str(e)}
-    _emit(_report("symplectic", name, digest, assign, results), args.format)
-    return 0 if rep.verdict == "exists" else 1
+    return _emit(_report("symplectic", name, digest, assign, results), args.format,
+                 0 if rep.verdict == "exists" else 1)
 
 
 TASK_TOKENS = ("validate", "cohomology", "symplectic", "purefull", "hypotheses")
@@ -504,8 +513,8 @@ def _cmd_deform(args):
         raise UsageError("the hypotheses task needs a catalog entry with a deformation family")
     else:
         results = _sweep_with_hypotheses(family, samples, per_sample)
-    _emit(_report("deform", name, _digest(entry, spec, {}), {}, results), args.format)
-    return 0
+    return _emit(_report("deform", name, _digest(entry, spec, {}), {}, results),
+                 args.format)
 
 
 def _cmd_purefull(args):
@@ -516,8 +525,7 @@ def _cmd_purefull(args):
         "scope": cohomology.invariant_level_banner(ops.spec),
         "stages": [cohomology.pure_full(ops, k).as_dict() for k in args.stage],
     }
-    _emit(_report("purefull", name, digest, assign, results), args.format)
-    return 0
+    return _emit(_report("purefull", name, digest, assign, results), args.format)
 
 
 def _cmd_hypotheses(args):
@@ -533,18 +541,14 @@ def _cmd_hypotheses(args):
         results = check_stability_hypotheses(family, samples)
     except StabilityInputError as e:
         raise UsageError(str(e)) from None
-    _emit(_report("hypotheses", name, _digest(entry, spec, {}), {}, results),
-          args.format)
-    return 0
+    return _emit(_report("hypotheses", name, _digest(entry, spec, {}), {}, results),
+                 args.format)
 
 
 def _cmd_catalog(args):
     results = {"entries": [e.as_dict() for e in catalog.catalog()]}
-    _emit(
-        {"command": "catalog", "results": results, "version": __version__},
-        args.format,
-    )
-    return 0
+    return _emit({"command": "catalog", "results": results, "version": __version__},
+                 args.format)
 
 
 # -- wiring ------------------------------------------------------------------
@@ -647,5 +651,7 @@ def main(argv=None):
         sys.set_int_max_str_digits(digits)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # python -m nilcoh.cli leaves through the one process entry
+    from .__main__ import main as process_main
+
+    process_main()

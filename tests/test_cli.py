@@ -1,6 +1,7 @@
 """End-to-end command-line checks through real subprocesses, and a fuzz of
 the parameter, task, degree and stage options through cli.main in process."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -335,6 +336,72 @@ def test_byte_determinism_across_thread_caps(threads):
     assert a.returncode == b.returncode == 0
     assert a.stdout == b.stdout
     assert a.stdout.endswith("\n")
+
+
+# ---------------------------------------------------------------------------
+# the process entry: `python -m nilcoh` flushes the report, then os._exit
+
+_ROOT = Path(__file__).resolve().parents[1]
+_WRITE_FAILED = "nilcoh: cannot write the report: "
+
+
+def _env(unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("module, argv", [
+    ("nilcoh", ["validate", "@torus2"]),  # fits in the stdout buffer
+    ("nilcoh", ["cohomology", "@torus4", "--theory", "bc"]),  # outgrows it
+    ("nilcoh.cli", ["validate", "@torus2"]),
+])
+def test_a_report_that_cannot_be_written_exits_1(module, argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", module, *argv], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=_env(unbuffered))
+    assert (proc.returncode, proc.stderr) == (
+        1, _WRITE_FAILED + "[Errno 28] No space left on device\n")
+
+
+def test_a_closed_stdout_exits_1():
+    proc = subprocess.run(BASE + ["validate", "@torus2"], stderr=subprocess.PIPE, text=True,
+                          preexec_fn=lambda: os.close(1))
+    assert (proc.returncode, proc.stderr) == (1, _WRITE_FAILED + "stdout is closed\n")
+
+
+@pytest.mark.parametrize("argv, rc", [
+    (["cohomology", "@torus4", "--theory", "bc"], 0),
+    (["frolicher", "@frolicher_example", "--max-page", "6"], 0),
+    (["catalog"], 0),
+    (["symplectic", "@theorem51_family"], 1),
+    (["validate", "@no_such_entry"], 2),
+])
+def test_the_process_delivers_every_byte_of_the_in_process_run(argv, rc):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert cli.main(argv) == rc
+    proc = subprocess.run(BASE + argv, capture_output=True, env=_env(unbuffered=False))
+    assert proc.returncode == rc
+    assert proc.stdout == out.getvalue().encode()
+    assert proc.stderr == err.getvalue().encode()
+    if argv[0] == "cohomology":  # the report outgrows the stdout buffer
+        assert len(proc.stdout) > io.DEFAULT_BUFFER_SIZE
+
+
+def test_the_installed_script_is_the_module_entry():
+    tomllib = pytest.importorskip("tomllib")
+    scripts = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]["scripts"]
+    module, _, attr = scripts["nilcoh"].partition(":")
+    assert module == "nilcoh.__main__"
+    entry = importlib.import_module(module)
+    assert callable(getattr(entry, attr))
+    # `python -m nilcoh` runs the module as __main__, whose guard calls the same name
+    guard = ast.parse(Path(entry.__file__).read_text()).body[-1]
+    assert ast.unparse(guard) == f"if __name__ == '__main__':\n    {attr}()"
 
 
 # ---------------------------------------------------------------------------
