@@ -19,15 +19,8 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .linalg import (
-    Subspace,
-    apply_rows,
-    assemble_block_rows,
-    block,
-    quotient_representatives,
-    solve,
-    split_blocks,
-)
+from .linalg import (Subspace, assemble_block_rows, block, mat_mul, quotient_representatives,
+                     solve, split_blocks, transpose)
 
 # theory -> (operator whose kernel is the numerator, its closedness wording,
 #            the (operator, source-degree shift) pairs whose images span the
@@ -169,7 +162,7 @@ def class_is_trivial(ops, theory, element):
         raise ValueError(f"unknown theory {theory!r}")
     num_op, closed, images = THEORY_TABLE[theory]
     vec = ops.to_vec(key, element)
-    if apply_rows(ops.rows(num_op, key), vec):
+    if mat_mul([vec], transpose(ops.rows(num_op, key), ops.dims(key)))[0]:
         raise NotInNumerator(f"form is not {closed}")
 
     # solve for all primitives at once: [A | B] (x, y) = vec
@@ -302,7 +295,7 @@ def pure_full(ops, k):
 def class_in_pure_sum(ops, k, element):
     """Does the de Rham class of `element` lie in sum_{p+q=k} H^{p,q}_J?"""
     vec = ops.to_vec(k, element)
-    if apply_rows(ops.d_total(k), vec):
+    if mat_mul([vec], transpose(ops.d_total(k), ops.dims(k)))[0]:
         raise NotInNumerator("form is not d-closed")
     classes = [c for _, c in _pure_type_classes(ops, k).values()]
     sum_space = reduce(Subspace.add, classes, Subspace.zero(ops.dims(k)))

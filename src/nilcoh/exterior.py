@@ -212,7 +212,8 @@ class BigradedElement:
             return "0"
         parts = []
         for m, c in self.items():
-            cs = str(c)
+            # a constant prints bare, so that a complex one is wrapped once
+            cs = str(c.const_value() if c.is_const() else c)
             ms = mono_str(m)
             if ms == "1":
                 term = cs

@@ -25,16 +25,8 @@ both identities are exposed for testing.
 from __future__ import annotations
 
 from .cohomology import betti
-from .linalg import (
-    InternalError,
-    Subspace,
-    apply_rows,
-    block,
-    column_slice,
-    holo_range,
-    kernel_basis,
-    quotient_representatives,
-)
+from .linalg import (InternalError, Subspace, block, column_slice, holo_range, kernel_basis,
+                     mat_mul, quotient_representatives, reverse_columns, rref, transpose)
 
 
 def _slice_kernel(d, rows, cols):
@@ -64,7 +56,7 @@ def y_space(ops, r, p, q):
     cols = holo_range(n, k - 1, p - r + 1, p)
     ker = _slice_kernel(d, holo_range(n, k, p - r + 1, p - 1), cols)
     out = column_slice(d[block(n, p, q)], cols)
-    return Subspace.span(ops.dims((p, q)), [apply_rows(out, v) for v in ker])
+    return Subspace.span(ops.dims((p, q)), mat_mul(ker, transpose(out, cols.stop - cols.start)))
 
 
 def _cell(ops, r, p, q):
@@ -116,23 +108,26 @@ def spectral_page(ops, r):
 
 def e_infinity(ops):
     """Limit dims from the graded de Rham cohomology of the leading-degree
-    filtration: gr^p H^k = (F^p cap ker d + im d) / (F^{p+1} cap ker d + im d).
+    filtration: gr^p H^k = (F^p cap ker d + im d) / (F^{p+1} cap ker d + im d)
+    has dimension a_p - a_{p+1}, a_p = dim(F^p cap ker d) - dim(F^p cap im d).
 
     Independent of the zig-zag route; used to certify stabilization.  The
     total-degree bases list bidegree blocks in descending holomorphic degree,
-    so each F^p is spanned by a coordinate prefix, and F^p cap ker d is the
-    kernel of d on the first columns.
+    so F^p is the column prefix of width w = block(n, p, k-p).stop, and a
+    subspace meets it in the rows of an echelon form by last nonzero that end
+    below w: for ker d one per free column of d, for im d its rows eliminated
+    with the columns reversed.
     """
     n = ops.n
     dims = {}
     for k in range(2 * n + 1):
-        d = ops.d_total(k)
-        img = ops.image("d", k - 1)
-        prev = img.dim
+        amb = ops.dims(k)
+        pivots = rref(ops.d_total(k))[1]
+        lasts = [amb - 1 - c for c in rref(reverse_columns(ops.image("d", k - 1).rows, amb))[1]]
+        prev = 0
         for p in range(min(k, n), max(0, k - n) - 1, -1):
-            width = block(n, p, k - p).stop
-            prefix = column_slice(d, slice(0, width))
-            cur = img.add(Subspace.span(ops.dims(k), kernel_basis(prefix, width))).dim
+            w = block(n, p, k - p).stop
+            cur = w - sum(c < w for c in pivots) - sum(c < w for c in lasts)
             dims[(p, k - p)] = cur - prev
             prev = cur
     return dims

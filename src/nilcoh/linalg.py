@@ -4,7 +4,7 @@ Everything here is deterministic by construction: bases are enumerated in a
 fixed lexicographic order, elimination always picks the first nonzero pivot,
 and subspaces are stored in reduced row echelon form, so equal subspaces have
 byte-identical representations.  Determinism is preferred over speed; the
-largest ambient space in scope is the 70-dimensional middle degree at n=4.
+tests pin n=6 structures, whose middle degree is 924-dimensional.
 
 This module owns the coordinate layout of forms (basis, block, holo_range):
 Lambda^k lists its (p,q) blocks in descending p, so every F^p is a column
@@ -114,20 +114,6 @@ def kernel_basis(rows, ncols):
     return basis
 
 
-def apply_rows(rows, vec):
-    """The matrix rows applied to vec: one dot product per row."""
-    out = {}
-    for i, row in enumerate(rows):
-        acc = ZERO
-        for j, x in vec.items():
-            a = row.get(j)
-            if a is not None:
-                acc = acc + a * x
-        if acc:
-            out[i] = acc
-    return out
-
-
 def mat_mul(a, b):
     """Product of two matrices given by rows."""
     out = []
@@ -137,6 +123,21 @@ def mat_mul(a, b):
             _axpy(acc, -x, b[k])
         out.append(acc)
     return out
+
+
+def transpose(rows, ncols):
+    """The ncols rows of the transpose of a matrix given by rows."""
+    cols = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    return cols
+
+
+def reverse_columns(rows, ncols):
+    """The rows with column j renumbered ncols - 1 - j: an echelon form of
+    them has each row's last nonzero column of the original as its pivot."""
+    return [{ncols - 1 - j: x for j, x in row.items()} for row in rows]
 
 
 def mat_inverse(a):
@@ -427,19 +428,23 @@ class OperatorCache:
                          lambda: kernel_basis(self.rows(op, key), self.dims(key)))
 
     def kernel(self, op, key):
-        """ker op on the space key, as a canonical Subspace."""
-        return self._get(("ker", op, key), lambda: Subspace.span(
-            self.dims(key), self.kernel_vectors(op, key)))
+        """ker op on the space key, as a canonical Subspace: kernel_basis of
+        the rows with their columns reversed, mapped back, has each vector's 1
+        at its first nonzero and zeros at the others' leading columns, so in
+        reverse order it is the RREF."""
+        def build():
+            dim = self.dims(key)
+            rev = kernel_basis(reverse_columns(self.rows(op, key), dim), dim)
+            vecs = reverse_columns(rev[::-1], dim)
+            return Subspace(dim, vecs, [min(v) for v in vecs])
+
+        return self._get(("ker", op, key), build)
 
     def image(self, op, key):
         """op applied to the space key, as a canonical Subspace of the target."""
         def build():
             rows = self.rows(op, key)
-            cols = [{} for _ in range(self.dims(key))]
-            for i, row in enumerate(rows):
-                for j, x in row.items():
-                    cols[j][i] = x
-            return Subspace.span(len(rows), cols)
+            return Subspace.span(len(rows), transpose(rows, self.dims(key)))
 
         return self._get(("im", op, key), build)
 

@@ -26,8 +26,8 @@ report carries the same scope banner as the cohomology reports.
 from __future__ import annotations
 
 from .gauss import ONE, ZERO
-from .linalg import (InternalError, OperatorCache, apply_rows, assemble_block_rows, basis,
-                     block, column_slice, solve, split_blocks)
+from .linalg import (InternalError, OperatorCache, assemble_block_rows, basis, block,
+                     column_slice, mat_mul, solve, split_blocks, transpose)
 from .deform import deformed_frame, sweep
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import is_nondegenerate
@@ -77,7 +77,7 @@ class StabilityCheck:
         self.omega = omega
         _, index = basis(base.n, 2)
         omega_vec = {index[m]: c.const_value() for m, c in omega.coeffs.items()}
-        self.omega_closed = not apply_rows(base.d_rows(2), omega_vec)
+        self.omega_closed = not mat_mul([omega_vec], transpose(base.d_rows(2), len(index)))[0]
         self.omega_nondeg = is_nondegenerate(omega, base.n)
 
     def sample(self, assign):
@@ -158,7 +158,7 @@ def _delta_feasibility(ops, omega_t):
     if x is None:
         return {"feasible": False}
     # certificate: the witness solves the assembled system exactly
-    if apply_rows(a_rows, x) != b:
+    if mat_mul([x], transpose(a_rows, sum(blocks)))[0] != b:
         raise InternalError("correction witness does not solve its system")
 
     forms = [str(ops.to_element(key, part)) for key, part in zip(keys, split_blocks(x, blocks))]

@@ -25,9 +25,9 @@ from nilcoh.frolicher import degeneration_page, e_infinity, spectral_cell
 from nilcoh.gauss import GaussRat, ZERO
 from nilcoh.linalg import (
     Subspace,
-    apply_rows,
-    kernel_basis,
+    mat_mul,
     rank_of,
+    transpose,
 )
 from nilcoh.scalar import ScalarEvalError, ScalarExpr
 from nilcoh.symplectic import (
@@ -331,21 +331,18 @@ def test_property_suites_over_catalog():
                 for q in range(n + 1):
                     assert bc[(p, q)] == ae[(n - p, n - q)], (label, p, q)
 
-        # rank-nullity with an explicit kernel basis, on every matrix
-        ops_list = [(cache.d_total(k), cache.dims(k)) for k in range(2 * n + 1)]
-        for p in range(n + 1):
-            for q in range(n + 1):
-                src = cache.dims((p, q))
-                ops_list += [
-                    (cache.del_pq(p, q), src),
-                    (cache.delbar_pq(p, q), src),
-                    (cache.deldelbar_pq(p, q), src),
-                ]
-        for op, ncols in ops_list:
-            kb = kernel_basis(op, ncols)
-            assert len(kb) == ncols - rank_of(op), label
-            for vec in kb:
-                assert not apply_rows(op, vec), label
+        # rank-nullity with an explicit kernel basis on every matrix, and
+        # ops.kernel (one elimination, columns reversed) against its span
+        keys = [("d", k) for k in range(2 * n + 1)] + [
+            (op, (p, q)) for p in range(n + 1) for q in range(n + 1)
+            for op in ("d", "del", "delbar", "dd")]
+        for op, key in keys:
+            rows, ncols = cache.rows(op, key), cache.dims(key)
+            kb = cache.kernel_vectors(op, key)  # kernel_basis(rows, ncols)
+            assert len(kb) == ncols - rank_of(rows), label
+            assert not any(mat_mul(kb, transpose(rows, ncols))), label
+            ker, ref = cache.kernel(op, key), Subspace.span(ncols, kb)
+            assert (ker.rows, ker.pivots) == (ref.rows, ref.pivots), (label, op, key)
 
         # grid decision versus the fully expanded polynomial
         if n % 2 == 0:

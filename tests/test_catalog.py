@@ -109,7 +109,7 @@ SIGMA_DIAGONAL_SAMPLES = [
     ("0", "0", "-f1^f2"),
     ("1/2", "0", "(-4/3)*f1^f2+(-2/3)*f2^F1"),
     ("0", "i/2", "(-4/3)*f1^f2+(2/3*i)*f1^F2"),
-    ("1/2", "(1+i)/3", "(-34/21)*f1^f2+((3/7+3/7*i))*f1^F2+(-2/3)*f2^F1"),
+    ("1/2", "(1+i)/3", "(-34/21)*f1^f2+(3/7+3/7*i)*f1^F2+(-2/3)*f2^F1"),
     ("i/2", "i/2", "(-5/3)*f1^f2+(2/3*i)*f1^F2+(-2/3*i)*f2^F1"),
 ]
 

@@ -286,11 +286,14 @@ def test_deform_singular_sample_is_error_row_not_crash():
 
 
 def test_hypotheses_command():
-    d = run_json("hypotheses", "@section42_example", "--samples", "t=0; t=1/2")
+    d = run_json("hypotheses", "@section42_example", "--samples", "t=0; t=1/2; t=1/2+i/3")
     r = d["results"]
     assert r["family"] == "section42_example"
     assert r["h20_bott_chern_constant"] is True
-    assert [s["h20_bott_chern"] for s in r["samples"]] == [4, 4]
+    assert [s["h20_bott_chern"] for s in r["samples"]] == [4, 4, 4]
+    # a complex coefficient prints in one pair of parentheses
+    assert [s["correction_system"]["alpha_11"] for s in r["samples"]] == [
+        "0", "(-1/2)*f2^F1", "(-1/2-1/3*i)*f2^F1"]
 
 
 def test_purefull_command():

@@ -84,6 +84,22 @@ def test_wedge_builds_canonical_monomials():
     assert (el2 - BigradedElement.monomial((1,), (2,), ScalarExpr.const(-1))).is_zero()
 
 
+def test_coefficients_print_in_one_pair_of_parentheses():
+    t = ScalarExpr.param("t")
+    form = g(2).wedge(gb(1))
+    cases = [
+        (ScalarExpr.const(parse_gauss("-1/2-i/3")), "(-1/2-1/3*i)*f2^F1"),
+        (ScalarExpr.const(parse_gauss("1/2")), "(1/2)*f2^F1"),
+        (1 - t, "(1-t)*f2^F1"),
+        (t * ScalarExpr.const(parse_gauss("1+i")), "((1+i)*t)*f2^F1"),
+        # a quotient starts and ends with a parenthesis but is two groups
+        ((t + 1) / (t - 1), "((-1-t)/(1-t))*f2^F1"),
+        (ScalarExpr.const(parse_gauss("2*i")), "2*i*f2^F1"),
+    ]
+    for coeff, text in cases:
+        assert str(form.scale(coeff)) == text
+
+
 _COEFFS = [parse_gauss(s) for s in ["1", "-1", "1/2", "i", "-i/3", "2"]]
 
 

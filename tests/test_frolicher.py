@@ -1,7 +1,11 @@
 """Holomorphic-filtration spectral sequence: pages, limit, degeneration."""
 
+import contextlib
 import hashlib
+import io
 import json
+from functools import cache
+from pathlib import Path
 
 import pytest
 
@@ -18,7 +22,7 @@ from nilcoh.frolicher import (
     y_space,
 )
 from nilcoh.gauss import ONE
-from nilcoh.linalg import Subspace, apply_rows, assemble_block_rows, kernel_basis
+from nilcoh.linalg import Subspace, assemble_block_rows, kernel_basis, mat_mul, transpose
 
 
 def test_zero_two_tower_dims(ops):
@@ -174,7 +178,7 @@ def _zigzag_y(ops, r, p, q):
     ker = kernel_basis(assemble_block_rows(blocks, rows), sum(blocks))
     out = assemble_block_rows(
         blocks, [{r - 2: ops.del_pq(p - 1, q), r - 1: ops.delbar_pq(p, q - 1)}])
-    return Subspace.span(len(out), [apply_rows(out, v) for v in ker])
+    return Subspace.span(len(out), mat_mul(ker, transpose(out, sum(blocks))))
 
 
 _PARAMETER_FREE = [e.name for e in catalog() if not e.spec.params]
@@ -209,10 +213,83 @@ _PAGES_SHA256 = {
         "d6dec9c054fd2d79b8d0a7058e7dffa8556fc36984406abe03ceeec4141b0dae",
 }
 
+# n = 6, from the structure files in tests/data run from the tests directory:
+# sha256 of the `frolicher --max-page 7` and of the `cohomology` stdout
+_TESTS = Path(__file__).parent
+_N6 = ["data/iwasawa_x_iwasawa.txt", "data/torus6.txt"]
+_N6_SHA256 = {
+    "frolicher data/iwasawa_x_iwasawa.txt --max-page 7":
+        "bf9f601783fa015827753c8bb310e927229f00106b32ca1dc93f3e0731c15043",
+    "cohomology data/iwasawa_x_iwasawa.txt":
+        "92a29c741f85cffed1acf92f5f30753ca8979939b6ff1530a9abc4ab9ae87f55",
+    "frolicher data/torus6.txt --max-page 7":
+        "3a3b1dab3d93453bd573682bcce705e46c0436ea647670523839ea024a229a32",
+    "cohomology data/torus6.txt":
+        "62b6402d10ab0457bb7362a51c08c1e2819ba409f499502616fc384dbd23d4ea",
+}
+
+
+@cache
+def _stdout(*argv):
+    """(exit code, stdout) of one command, run from the tests directory so
+    that a structure file is named by its relative path in the report."""
+    out = io.StringIO()
+    with contextlib.chdir(_TESTS), contextlib.redirect_stdout(out):
+        rc = cli.main(list(argv))
+    return rc, out.getvalue()
+
+
+def _pages_argv(target):
+    """The frolicher command of a golden: pages through n+1 on every target."""
+    if target in _N6:
+        return ("frolicher", target, "--max-page", "7")
+    return ("frolicher", "@" + target.split()[0], *target.split()[1:], "--max-page", "6")
+
 
 @pytest.mark.parametrize("target", _PARAMETER_FREE + ["example31 --assign t=1/2"])
-def test_page_tables_are_pinned(capsys, target):
-    argv = ["frolicher", "@" + target.split()[0], *target.split()[1:], "--max-page", "6"]
-    assert cli.main(argv) == 0
-    out = capsys.readouterr().out.encode()
-    assert hashlib.sha256(out).hexdigest() == _PAGES_SHA256[target]
+def test_page_tables_are_pinned(target):
+    rc, out = _stdout(*_pages_argv(target))
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _PAGES_SHA256[target]
+
+
+@pytest.mark.parametrize("command", list(_N6_SHA256))
+def test_six_dimensional_reports_are_pinned(command):
+    rc, out = _stdout(*command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _N6_SHA256[command]
+
+
+def _euler_defects(report):
+    """The Euler characteristic identities a frolicher report breaks: every
+    page and the limit page have sum (-1)^(p+q) dim E^{p,q} equal to the
+    alternating sum of the Betti numbers (each page is the cohomology of the
+    one before, under a differential of total degree 1), and each row of
+    E_1, the Dolbeault cohomology of Lambda^{p,*}, has alternating sum
+    sum_q (-1)^q C(n,p) C(n,q) = 0."""
+    res = report["results"]
+    chi = sum((-1) ** int(k) * b for k, b in res["betti"].items())
+
+    def cells(table):
+        return [(*map(int, key.strip("()").split(",")), d) for key, d in table.items()]
+
+    defects = [name for name, table in [*res["pages"].items(), ("inf", res["e_infinity"])]
+               if sum((-1) ** (p + q) * d for p, q, d in cells(table)) != chi]
+    rows = {}
+    for p, q, d in cells(res["pages"]["1"]):
+        rows[p] = rows.get(p, 0) + (-1) ** q * d
+    return defects + [f"row {p}" for p, total in sorted(rows.items()) if total]
+
+
+@pytest.mark.parametrize("target", _PARAMETER_FREE + _N6)
+def test_pages_obey_the_euler_characteristic(target):
+    rc, out = _stdout(*_pages_argv(target))
+    assert rc == 0
+    report = json.loads(out)
+    n = max(int(p) for p in report["results"]["betti"]) // 2
+    assert {str(r) for r in range(1, n + 2)} <= set(report["results"]["pages"])
+    assert _euler_defects(report) == []
+    # one cell off by one on E_1 and one on the limit page: both identities see it
+    report["results"]["pages"]["1"]["(1,0)"] += 1
+    report["results"]["e_infinity"]["(0,0)"] -= 1
+    assert _euler_defects(report) == ["1", "inf", "row 1"]

@@ -16,7 +16,6 @@ from nilcoh.scalar import S_ONE, ScalarEvalError
 from nilcoh.linalg import (
     OperatorCache,
     Subspace,
-    apply_rows,
     kernel_basis,
     mat_inverse,
     mat_mul,
@@ -24,6 +23,7 @@ from nilcoh.linalg import (
     rank_of,
     rref,
     solve,
+    transpose,
 )
 
 _V = [parse_gauss(s) for s in ["0", "1", "-1", "1/2", "i", "-i", "2", "(1+i)/3"]]
@@ -55,7 +55,7 @@ def test_solve_and_inverse():
     a = _m([["1", "i"], ["0", "2"]])
     b = _m([["1+i", "2"]])[0]
     x = solve(a, b, 2)
-    assert apply_rows(a, x) == b
+    assert mat_mul([x], transpose(a, 2)) == [b]
     inv = mat_inverse(a)
     assert mat_mul(a, inv) == _m([[1, 0], [0, 1]])
 
@@ -64,7 +64,7 @@ def test_kernel_basis_and_rank_nullity():
     a = _m([[1, 1, 0], [0, 0, 1]])
     kb = kernel_basis(a, 3)
     assert len(kb) == 1
-    assert apply_rows(a, kb[0]) == {}
+    assert mat_mul(kb, transpose(a, 3)) == [{}]
     assert rank_of(a) + len(kb) == 3
 
 

@@ -25,7 +25,8 @@ mod.install(mod.Tracer())
 from nilcoh import cli
 for argv in (["frolicher", "@frolicher_example", "--max-page", "5"],
              ["symplectic", "@example31", "--suite61", "--betti-bounds"],
-             ["hypotheses", "@example31"]):
+             ["hypotheses", "@example31"],
+             ["cohomology", "@example31"]):
     rc = cli.main(argv)
     if rc != 0:
         raise SystemExit(f"{argv} exited {rc} under the wrappers")
