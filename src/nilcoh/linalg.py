@@ -8,8 +8,9 @@ tests pin n=6 structures, whose middle degree is 924-dimensional.
 
 This module owns the coordinate layout of forms (basis, block, holo_range):
 Lambda^k lists its (p,q) blocks in descending p, so every F^p is a column
-prefix, every range of holomorphic degrees one column range, and del,
-delbar and the Frolicher zig-zag systems are slices of the matrix of d.
+prefix, every range of holomorphic degrees one column range, and del and
+delbar are slices of the matrix of d, as is every filtered piece
+{x in F^m : dx in F^c} whose nullities give the Frolicher pages.
 """
 
 from __future__ import annotations
@@ -447,6 +448,21 @@ class OperatorCache:
             return Subspace.span(len(rows), transpose(rows, self.dims(key)))
 
         return self._get(("im", op, key), build)
+
+    def filtered_pivots(self, k):
+        """Entry c (0..n+1) is the pivot tuple of the RREF of the rows of
+        d_total(k) in holomorphic degrees below c, from one echelon state fed
+        a degree at a time; dim{x in F^m : dx in F^c} is the width of the
+        prefix F^m less the entries of entry c inside it."""
+        def build():
+            d, rows, pivots = self.d_total(k), [], []
+            table = [()]
+            for c in range(self.n + 1):
+                _extend(rows, pivots, d[holo_range(self.n, k + 1, c, c)])
+                table.append(tuple(pivots))
+            return table
+
+        return self._get(("filtered", k), build)
 
     def dims(self, key):
         return len(basis(self.n, key)[0])

@@ -12,6 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from conftest import ops_for, validation_for
+from zigzag import spectral_cell
 from nilcoh.catalog import catalog, get
 from nilcoh.cohomology import bott_chern, class_in_pure_sum, hodge_table, pure_full
 from nilcoh.deform import (
@@ -21,7 +22,7 @@ from nilcoh.deform import (
 )
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
-from nilcoh.frolicher import degeneration_page, e_infinity, spectral_cell
+from nilcoh.frolicher import degeneration_page, e_infinity, spectral_page
 from nilcoh.gauss import GaussRat, ZERO
 from nilcoh.linalg import (
     Subspace,
@@ -131,7 +132,7 @@ def test_iwasawa_x_torus_corner_verdicts():
 
 def test_spectral_tower_and_degeneration_pages():
     cache = ops_for("frolicher_example")
-    dims = [spectral_cell(cache, r, 0, 2)["dim"] for r in (1, 2, 3, 4)]
+    dims = [spectral_page(cache, r).dims[(0, 2)] for r in (1, 2, 3, 4)]
     assert dims == [6, 4, 3, 3]
     cell2 = spectral_cell(cache, 2, 0, 2)
     assert cell2["boundaries"].dim == 0

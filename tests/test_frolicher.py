@@ -4,30 +4,25 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 from functools import cache
 from pathlib import Path
 
 import pytest
 
-from nilcoh import cli, frolicher
-from nilcoh.catalog import catalog
+from zigzag import spectral_cell, zigzag_x, zigzag_y
+from nilcoh import cli, frolicher, linalg
+from nilcoh.catalog import catalog, get
 from nilcoh.cohomology import betti, hodge_table
-from nilcoh.frolicher import (
-    betti_numbers,
-    degeneration_page,
-    e_infinity,
-    spectral_cell,
-    spectral_page,
-    x_space,
-    y_space,
-)
+from nilcoh.dsl import parse
+from nilcoh.frolicher import betti_numbers, degeneration_page, e_infinity, spectral_page
 from nilcoh.gauss import ONE
-from nilcoh.linalg import Subspace, assemble_block_rows, kernel_basis, mat_mul, transpose
+from nilcoh.linalg import InternalError, OperatorCache, Subspace
 
 
 def test_zero_two_tower_dims(ops):
     cache = ops("frolicher_example")
-    dims = [spectral_cell(cache, r, 0, 2)["dim"] for r in (1, 2, 3, 4)]
+    dims = [spectral_page(cache, r).dims[(0, 2)] for r in (1, 2, 3, 4)]
     assert dims == [6, 4, 3, 3]
 
 
@@ -47,9 +42,9 @@ def test_zero_two_tower_representatives(ops):
         "F1^F4-F2^F3",
     ]
     # at (0,2) nothing ever bounds: the entire tower is carried by cycles
-    for r in (1, 2, 3, 4):
-        assert y_space(cache, r, 0, 2).dim == 0
-    assert [x_space(cache, r, 0, 2).dim for r in (1, 2, 3, 4)] == [6, 4, 3, 3]
+    cells = [spectral_cell(cache, r, 0, 2) for r in (1, 2, 3, 4)]
+    assert [c["boundaries"].dim for c in cells] == [0, 0, 0, 0]
+    assert [c["cycles"].dim for c in cells] == [6, 4, 3, 3]
 
 
 def test_first_page_is_dolbeault(ops):
@@ -86,11 +81,58 @@ def test_degeneration_pages(ops):
 
 
 def test_page_equals_limit_once_degenerate(ops):
-    cache = ops("frolicher_example")
-    r, cert = degeneration_page(cache)
-    page = spectral_page(cache, r)
-    assert page.dims == cert["e_infinity"]
-    assert spectral_page(cache, r + 1).dims == page.dims
+    caches = [ops(name) for name in _PARAMETER_FREE] + [_n6_ops(path) for path in _N6]
+    for cache in caches:
+        r, cert = degeneration_page(cache)
+        for s in range(r, cli.MAX_PAGE + 1):
+            assert spectral_page(cache, s).dims == cert["e_infinity"], (cache.spec.name, s)
+
+
+# d = 0 on the torus, so every entry of its pivot tables is empty; each
+# corruption below makes one check of degeneration_page fire: rows of
+# degree 0 of full rank on Lambda^1 drive page 1 at (0,2) to -3; a pivot at
+# the 0-form in the rows of degree 0 alone (c = 1) empties (0,0) on page 1,
+# and page 2 gains it back; a pivot at a (1,0) column in the same rows moves
+# a class from (0,2) to (1,1) on page 1, whose totals still meet the Betti
+# numbers
+@pytest.mark.parametrize("k, c, pivots, error", [
+    (1, 1, (0, 1, 2, 3), "page 1 cell (0, 2) has dimension -3"),
+    (0, 1, (0,), "page 2 cell (0, 0) grows from 0"),
+    (1, 1, (0,), "page 1 meets the Betti numbers but not the limit page"),
+])
+def test_degeneration_page_fails_closed_on_a_corrupt_pivot_table(monkeypatch, k, c, pivots,
+                                                                 error):
+    cache = OperatorCache(get("torus2").spec)
+    assert all(cache.filtered_pivots(j) == [()] * 4 for j in range(5))
+    real = cache.filtered_pivots
+
+    def corrupt(j):
+        table = list(real(j))
+        if j == k:
+            table[c] = pivots
+        return table
+
+    monkeypatch.setattr(cache, "filtered_pivots", corrupt)
+    with pytest.raises(InternalError, match=re.escape(error)):
+        degeneration_page(cache)
+
+
+def test_pages_come_from_one_pivot_table_per_degree(ops, monkeypatch):
+    """Every page through cli.MAX_PAGE is a formula over the pivot tables:
+    one echelon state per degree, n+1 row blocks fed into it, and no
+    kernel, subspace or RREF."""
+    cache = OperatorCache(get("frolicher_example").spec)
+    extends = []
+    real = linalg._extend
+    monkeypatch.setattr(linalg, "_extend", lambda *a: extends.append(1) or real(*a))
+    for name in ("rref", "kernel_basis"):
+        monkeypatch.setattr(linalg, name, None)
+    monkeypatch.setattr(linalg, "Subspace", None)
+    pages = [spectral_page(cache, r).dims for r in range(1, cli.MAX_PAGE + 1)]
+    monkeypatch.undo()
+    assert len(extends) == (2 * cache.n + 1) * (cache.n + 1)
+    assert pages == [spectral_page(ops("frolicher_example"), r).dims
+                     for r in range(1, cli.MAX_PAGE + 1)]
 
 
 def test_spectral_page_report_shape(ops):
@@ -149,51 +191,22 @@ def test_e_infinity_matches_intersection_route(ops, name):
     assert e_infinity(cache) == _e_infinity_by_intersection(cache)
 
 
-# ---------------------------------------------------------------------------
-# reference: the zig-zag systems of the module docstring, stacked from the
-# del and delbar blocks
-
-
-def _zigzag_x(ops, r, p, q):
-    blocks = [ops.dims((p + j, q - j)) for j in range(r)]
-    rows = [{0: ops.delbar_pq(p, q)}] + [
-        {j - 1: ops.del_pq(p + j - 1, q - j + 1), j: ops.delbar_pq(p + j, q - j)}
-        for j in range(1, r)
-    ]
-    ker = kernel_basis(assemble_block_rows(blocks, rows), sum(blocks))
-    # a_0 is the first unknown block
-    return Subspace.span(blocks[0], [{j: x for j, x in v.items() if j < blocks[0]}
-                                     for v in ker])
-
-
-def _zigzag_y(ops, r, p, q):
-    if r == 1:
-        return ops.image("delbar", (p, q - 1))
-    blocks = [ops.dims((p - r + 1 + j, q + r - 2 - j)) for j in range(r)]
-    rows = [{0: ops.delbar_pq(p - r + 1, q + r - 2)}] + [
-        {j - 1: ops.del_pq(p - r + j, q + r - 1 - j),
-         j: ops.delbar_pq(p - r + 1 + j, q + r - 2 - j)}
-        for j in range(1, r - 1)
-    ]
-    ker = kernel_basis(assemble_block_rows(blocks, rows), sum(blocks))
-    out = assemble_block_rows(
-        blocks, [{r - 2: ops.del_pq(p - 1, q), r - 1: ops.delbar_pq(p, q - 1)}])
-    return Subspace.span(len(out), mat_mul(ker, transpose(out, sum(blocks))))
-
-
 _PARAMETER_FREE = [e.name for e in catalog() if not e.spec.params]
 
 
 @pytest.mark.parametrize("name, assign", [(name, {}) for name in _PARAMETER_FREE]
                          + [("example31", {"t": "1/2"})])
 def test_spaces_match_zigzag_systems(ops, name, assign):
+    """Every cell of pages 1..n+2 from the pivot counts equals dim X_r/Y_r
+    of the zig-zag systems (tests/zigzag.py)."""
     cache = ops(name, **assign)
     n = cache.n
     for r in range(1, n + 3):
+        page = spectral_page(cache, r)
         for p in range(n + 1):
             for q in range(n + 1):
-                assert x_space(cache, r, p, q) == _zigzag_x(cache, r, p, q), (r, p, q)
-                assert y_space(cache, r, p, q) == _zigzag_y(cache, r, p, q), (r, p, q)
+                ref = zigzag_x(cache, r, p, q).quotient_dim(zigzag_y(cache, r, p, q))
+                assert page.dims[(p, q)] == ref, (r, p, q)
 
 
 # sha256 of the `frolicher --max-page 6` stdout: a change to how the pages
@@ -239,6 +252,12 @@ def _stdout(*argv):
     return rc, out.getvalue()
 
 
+@cache
+def _n6_ops(path):
+    """The operator cache of an n = 6 structure file in tests/data."""
+    return OperatorCache(parse((_TESTS / path).read_text()))
+
+
 def _pages_argv(target):
     """The frolicher command of a golden: pages through n+1 on every target."""
     if target in _N6:
@@ -260,13 +279,14 @@ def test_six_dimensional_reports_are_pinned(command):
     assert hashlib.sha256(out.encode()).hexdigest() == _N6_SHA256[command]
 
 
-def _euler_defects(report):
-    """The Euler characteristic identities a frolicher report breaks: every
-    page and the limit page have sum (-1)^(p+q) dim E^{p,q} equal to the
-    alternating sum of the Betti numbers (each page is the cohomology of the
-    one before, under a differential of total degree 1), and each row of
-    E_1, the Dolbeault cohomology of Lambda^{p,*}, has alternating sum
-    sum_q (-1)^q C(n,p) C(n,q) = 0."""
+def _euler_defects(report, dels):
+    """The Euler characteristic identities a frolicher report and a del
+    table break: every page and the limit page have sum (-1)^(p+q) dim
+    E^{p,q} equal to the alternating sum of the Betti numbers (each page is
+    the cohomology of the one before, under a differential of total degree
+    1), each row of E_1, the Dolbeault cohomology of Lambda^{p,*}, has
+    alternating sum sum_q (-1)^q C(n,p) C(n,q) = 0, and so does each column
+    sum_p (-1)^p h_del^{p,q} of the del cohomology of Lambda^{*,q}."""
     res = report["results"]
     chi = sum((-1) ** int(k) * b for k, b in res["betti"].items())
 
@@ -275,10 +295,13 @@ def _euler_defects(report):
 
     defects = [name for name, table in [*res["pages"].items(), ("inf", res["e_infinity"])]
                if sum((-1) ** (p + q) * d for p, q, d in cells(table)) != chi]
-    rows = {}
+    rows, columns = {}, {}
     for p, q, d in cells(res["pages"]["1"]):
         rows[p] = rows.get(p, 0) + (-1) ** q * d
-    return defects + [f"row {p}" for p, total in sorted(rows.items()) if total]
+    for p, q, d in cells(dels):
+        columns[q] = columns.get(q, 0) + (-1) ** p * d
+    return (defects + [f"row {p}" for p, total in sorted(rows.items()) if total]
+            + [f"column {q}" for q, total in sorted(columns.items()) if total])
 
 
 @pytest.mark.parametrize("target", _PARAMETER_FREE + _N6)
@@ -288,8 +311,13 @@ def test_pages_obey_the_euler_characteristic(target):
     report = json.loads(out)
     n = max(int(p) for p in report["results"]["betti"]) // 2
     assert {str(r) for r in range(1, n + 2)} <= set(report["results"]["pages"])
-    assert _euler_defects(report) == []
-    # one cell off by one on E_1 and one on the limit page: both identities see it
+    rc, out = _stdout("cohomology", target if target in _N6 else "@" + target)
+    assert rc == 0
+    dels = json.loads(out)["results"]["del"]
+    assert _euler_defects(report, dels) == []
+    # one cell off by one on E_1, on the limit page and in the del table:
+    # each identity sees it
     report["results"]["pages"]["1"]["(1,0)"] += 1
     report["results"]["e_infinity"]["(0,0)"] -= 1
-    assert _euler_defects(report) == ["1", "inf", "row 1"]
+    dels["0,1"] += 1
+    assert _euler_defects(report, dels) == ["1", "inf", "row 1", "column 1"]

@@ -4,7 +4,8 @@ bench/trace.py patches them with `vars(cls)[name]` and module attributes, so
 renaming or deleting a wrapped name breaks `bench/run.py --trace 1`, and a
 hook that reads a wrapped function's arguments breaks when a caller passes
 them differently.  This installs the wrappers in a fresh interpreter and
-runs commands through them, to catch both in the suite.
+runs commands through them, to catch both in the suite; the T^6 command
+runs pages past its degeneration page at n = 6 (from the repository root).
 """
 
 import os
@@ -37,6 +38,6 @@ def test_trace_wrappers_install_on_the_package():
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "bench"), str(ROOT / "bench" / "trace.py")],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=env, timeout=120, cwd=ROOT,
     )
     assert proc.returncode == 0, proc.stderr
