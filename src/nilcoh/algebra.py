@@ -7,9 +7,6 @@ structure is exactly the statement that each d(phi^i) has no (0,2) part.
 On a parameter-free structure d is the Leibniz matrix d_rows, which the d^2
 check and every computation read; AlgebraSpec.d is the symbolic reference
 that tests compare it with.
-
-Realification uses phi^j = e^{2j-1} + i e^{2j}; on vectors the calibrated
-convention is J e_{2j-1} = -e_{2j}, J e_{2j} = e_{2j-1}.
 """
 
 from __future__ import annotations
@@ -17,10 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 
-from .gauss import GaussRat, InternalError
-from .linalg import Subspace, basis, leibniz_rows, mat_mul
-from .scalar import S_I, ScalarExpr, ScalarEvalError
-from .exterior import BigradedElement, mono_key, substitute
+from .gauss import GaussRat
+from .linalg import basis, leibniz_rows, mat_mul
+from .scalar import ScalarEvalError
+from .exterior import BigradedElement, mono_key
 
 # default exact sample points used for pointwise validation of parametric data
 DEFAULT_SAMPLES = (
@@ -195,67 +192,6 @@ class AlgebraSpec:
                     dd = BigradedElement({basis3[r]: x for r, x in dd.items()})
                     report.d2_failures.append((g, label, str(dd)))
 
-    # -- realification ------------------------------------------------------
-
-    def realify(self):
-        """Underlying real structure equations and the complex structure J.
-
-        Real coframe: e^{2j-1} = (phi^j + phi^jbar)/2,
-                      e^{2j}   = -(i/2)(phi^j - phi^jbar).
-        Returns a RealAlgebraSpec of dimension 2n.
-        """
-        if self.params:
-            raise StructureError("realification needs a fully assigned structure")
-        n = self.n
-        real_eqs = []
-        for dpj in self.d_phi:
-            real_eqs.extend(real_parts(dpj, n))
-        # J on vectors (calibrated): J e_{2j-1} = -e_{2j}, J e_{2j} = e_{2j-1}
-        dim = 2 * n
-        j_mat = [[Fraction(0)] * dim for _ in range(dim)]
-        for j in range(n):
-            j_mat[2 * j + 1][2 * j] = Fraction(-1)  # J e_{2j-1} = -e_{2j}
-            j_mat[2 * j][2 * j + 1] = Fraction(1)  # J e_{2j}  =  e_{2j-1}
-        return RealAlgebraSpec(self.name, dim, real_eqs, j_mat)
-
-
-def _real_coframe(n):
-    """phi^j -> e^{2j-1} + i e^{2j}, phi^jbar -> e^{2j-1} - i e^{2j}, with
-    e^k the k-th unbarred generator of a 2n-generator algebra."""
-    coframe = {}
-    for j in range(1, n + 1):
-        re, im = BigradedElement.gen(2 * j - 1), BigradedElement.gen(2 * j, coeff=S_I)
-        coframe[(False, j)] = re + im
-        coframe[(True, j)] = re - im
-    return coframe
-
-
-def _complex_form_to_real(form, n):
-    """Expand a complex invariant form in the real coframe e^1..e^{2n}.
-
-    Returns {(a, b, ...): Fraction} with a < b < ...; raises if any
-    coefficient fails to be real (the input must be a real form).
-    """
-    out = {}
-    for (idxs, _), c in substitute(form, _real_coframe(n)).items():
-        val = c.const_value()
-        if not val.is_real():
-            raise InternalError(f"non-real structure constant {val} at e^{idxs}")
-        out[idxs] = val.re
-    return out
-
-
-def real_parts(form, n):
-    """The real forms (form + conj form)/2 and -(i/2)(form - conj form),
-    each expanded in the real coframe e^1..e^{2n}."""
-    conj = form.conj()
-    half = ScalarExpr.const(GaussRat(Fraction(1, 2)))
-    neg_half_i = ScalarExpr.const(GaussRat(0, Fraction(-1, 2)))
-    return (
-        _complex_form_to_real((form + conj).scale(half), n),
-        _complex_form_to_real((form - conj).scale(neg_half_i), n),
-    )
-
 
 class ValidationReport:
     """Outcome of AlgebraSpec.validate()."""
@@ -294,102 +230,4 @@ class ValidationReport:
             "skipped_samples": [
                 {"sample": s, "reason": r} for s, r in self.skipped_samples
             ],
-        }
-
-
-class RealAlgebraSpec:
-    """Real structure equations de^k = sum a^k_{ij} e^i ^ e^j plus J."""
-
-    __slots__ = ("name", "dim", "d_e", "j_mat")
-
-    def __init__(self, name, dim, d_e, j_mat):
-        self.name = name
-        self.dim = dim
-        self.d_e = d_e  # list of {(i, j): Fraction}, i < j, 1-based
-        self.j_mat = j_mat  # J e_k = sum_m j_mat[m][k] e_m (0-based)
-
-    def brackets(self):
-        """Structure constants of the Lie bracket: [e_i, e_j] = sum c^k_ij e_k.
-
-        From de^k = sum_{i<j} a^k_{ij} e^i ^ e^j and
-        de^k(e_i, e_j) = -e^k([e_i, e_j]) we get c^k_ij = -a^k_{ij}.
-        """
-        c = {}
-        for k, eq in enumerate(self.d_e, start=1):
-            for (i, j), a in eq.items():
-                c.setdefault((i, j), {})[k] = -a
-        return c
-
-    def rho(self):
-        """rho_j = tr(J o ad e_j) for j = 1..dim, in one pass over the brackets.
-
-        tr(J ad e_j) = sum_{r,k} J[r][k] e^k([e_j, e_r]), over the nonzero
-        entries of J.
-        """
-        j_entries = [
-            (r, k, x)
-            for r, row in enumerate(self.j_mat, start=1)
-            for k, x in enumerate(row, start=1)
-            if x
-        ]
-        rhos = [Fraction(0)] * self.dim
-        for (a, b), comps in self.brackets().items():
-            for r, k, x in j_entries:
-                if r == b:  # [e_a, e_b]
-                    rhos[a - 1] += x * comps.get(k, 0)
-                if r == a:  # [e_b, e_a] = -[e_a, e_b]
-                    rhos[b - 1] -= x * comps.get(k, 0)
-        return rhos
-
-    def rho_report(self):
-        """rho_j for all j, plus which e_j lie in the derived algebra."""
-        rhos = self.rho()
-        derived = self.derived_algebra()
-        flags = [derived.contains({j: GaussRat(1)}) for j in range(self.dim)]
-        # does the trace form restrict to zero on [g,g]?  (this, not the
-        # per-vector flags, is what torsion-canonical-bundle arguments use)
-        vanishes = all(
-            sum(rhos[j] * x.re for j, x in row.items()) == 0 for row in derived.rows
-        )
-        return RhoReport(self.name, rhos, flags, derived.dim, vanishes)
-
-    def in_derived(self, vec):
-        """Is the given vector (2n rational coordinates) in [g,g]?"""
-        vec = {j: GaussRat(x) for j, x in enumerate(vec) if x}
-        return self.derived_algebra().contains(vec)
-
-    def derived_algebra(self):
-        """span{[e_i, e_j]} as a canonical Subspace (real entries in Q(i))."""
-        vecs = [
-            {k - 1: GaussRat(val) for k, val in comps.items()}
-            for _, comps in sorted(self.brackets().items())
-        ]
-        return Subspace.span(self.dim, vecs)
-
-    def unimodular(self):
-        """tr(ad(e_j)) = 0 for all j."""
-        traces = [Fraction(0)] * (self.dim + 1)
-        for (a, b), comps in self.brackets().items():
-            traces[a] += comps.get(b, 0)  # e^b([e_a, e_b])
-            traces[b] -= comps.get(a, 0)  # e^a([e_b, e_a])
-        return not any(traces)
-
-
-class RhoReport:
-    __slots__ = ("name", "rhos", "in_derived", "derived_dim", "rho_vanishes_on_derived")
-
-    def __init__(self, name, rhos, in_derived, derived_dim, rho_vanishes_on_derived):
-        self.name = name
-        self.rhos = rhos
-        self.in_derived = in_derived
-        self.derived_dim = derived_dim
-        self.rho_vanishes_on_derived = rho_vanishes_on_derived
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "rho": [str(r) for r in self.rhos],
-            "basis_vector_in_derived_algebra": list(self.in_derived),
-            "derived_algebra_dim": self.derived_dim,
-            "rho_vanishes_on_derived_algebra": self.rho_vanishes_on_derived,
         }

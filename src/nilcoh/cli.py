@@ -395,9 +395,10 @@ TASK_TOKENS = ("validate", "cohomology", "symplectic", "purefull", "hypotheses")
 
 
 def _parse_tasks(text):
-    """"symplectic; cohomology=bc:2,0; purefull=2" -> list of task specs."""
+    """"symplectic; cohomology=bc:2,0; purefull=2" -> list of task specs;
+    None (no --tasks) runs "validate; symplectic"."""
     tasks = []
-    for chunk in (text or "validate; symplectic").split(";"):
+    for chunk in ("validate; symplectic" if text is None else text).split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
@@ -493,11 +494,12 @@ def _cmd_deform(args):
     # direct substitution; a parameter-free structure repeats the base row.
     target = family if family is not None else spec
     params = family.params if family is not None else spec.params
-    if args.samples and args.grid:
+    # an option is absent only when not passed: empty text is refused
+    if args.samples is not None and args.grid is not None:
         raise UsageError("pass --samples or --grid, not both")
-    if args.samples:
+    if args.samples is not None:
         samples = _parse_samples(args.samples)
-    elif args.grid:
+    elif args.grid is not None:
         samples = _parse_grid(args.grid)
     elif params:
         samples = _default_samples(params)
@@ -535,7 +537,8 @@ def _cmd_hypotheses(args):
     if entry is None or entry.family is None:
         raise UsageError("hypotheses needs a catalog entry with a deformation family")
     family = entry.family
-    samples = _parse_samples(args.samples) if args.samples else _default_samples(family.params)
+    samples = (_default_samples(family.params) if args.samples is None
+               else _parse_samples(args.samples))
     _check_samples(samples, family.params)
     try:
         results = check_stability_hypotheses(family, samples)

@@ -292,16 +292,6 @@ def pure_full(ops, k):
     return report
 
 
-def class_in_pure_sum(ops, k, element):
-    """Does the de Rham class of `element` lie in sum_{p+q=k} H^{p,q}_J?"""
-    vec = ops.to_vec(k, element)
-    if mat_mul([vec], transpose(ops.d_total(k), ops.dims(k)))[0]:
-        raise NotInNumerator("form is not d-closed")
-    classes = [c for _, c in _pure_type_classes(ops, k).values()]
-    sum_space = reduce(Subspace.add, classes, Subspace.zero(ops.dims(k)))
-    return sum_space.contains(ops.image("d", k - 1).reduce(vec))
-
-
 def invariant_level_banner(spec):
     """One-line scope statement attached to every report.
 

@@ -9,13 +9,11 @@ relation into d(eta^i) = sum_j A_ij d(phi^j) + B_ij conj(d(phi^j)).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .gauss import InternalError
 from .scalar import S_ONE, S_ZERO, ScalarExpr, ScalarEvalError
 from .exterior import BigradedElement, substitute
 from .algebra import (AlgebraSpec, DeformationError, StructureError, assignment_label,
-                      assignment_strings, real_parts)
+                      assignment_strings)
 from . import linalg
 
 
@@ -132,27 +130,6 @@ def frame_change(family, assign):
     DeformationError when the frame matrix is singular at the assignment.
     """
     return deformed_frame(family, assign)[0]
-
-
-def real_frame_matrix(family, assign):
-    """Real 2n x 2n matrix S with eps_t = S eps_0 on the real coframes.
-
-    Column j of S gives the coordinates of the undeformed real frame vector
-    e_j (dual basis) in the deformed real frame, which is what membership
-    tests against the deformed structure constants need.
-    """
-    A, B = family.matrices_at(assign)
-    n = len(A)
-    S = []
-    for i in range(n):
-        # eta^i = eps^{2i-1} + i eps^{2i}: rows 2i-1 and 2i of S
-        eta = BigradedElement.zero()
-        for k in range(n):
-            eta = eta + BigradedElement.gen(k + 1, coeff=A[i][k])
-            eta = eta + BigradedElement.gen(k + 1, barred=True, coeff=B[i][k])
-        for part in real_parts(eta, n):
-            S.append([part.get((m,), Fraction(0)) for m in range(1, 2 * n + 1)])
-    return S
 
 
 def concretize(target, assign):

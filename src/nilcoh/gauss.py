@@ -43,9 +43,6 @@ class GaussRat:
     def is_zero(self):
         return not self._a and not self._b
 
-    def is_real(self):
-        return not self._b
-
     def __bool__(self):
         return self._a != 0 or self._b != 0
 
@@ -98,10 +95,6 @@ class GaussRat:
 
     def conj(self):
         return _normal(self._a, -self._b, self._q)
-
-    def norm2(self) -> Fraction:
-        """|z|^2, an ordinary rational."""
-        return Fraction(self._a * self._a + self._b * self._b, self._q * self._q)
 
     # -- comparisons / hashing --------------------------------------------
 

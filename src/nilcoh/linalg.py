@@ -474,7 +474,3 @@ class OperatorCache:
     def to_element(self, key, vec):
         mons, _ = basis(self.n, key)
         return BigradedElement({mons[j]: ScalarExpr.const(x) for j, x in vec.items()})
-
-
-def rank_of(op_rows):
-    return len(rref(op_rows)[0])

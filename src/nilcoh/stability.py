@@ -34,42 +34,38 @@ from .symplectic import is_nondegenerate
 
 
 class StabilityInputError(ValueError):
-    """The family lacks a usable distinguished (2,0)-form."""
+    """The family carries no distinguished (2,0)-form."""
 
 
-def check_stability_hypotheses(family, samples, omega=None):
+def check_stability_hypotheses(family, samples):
     """Evaluate criteria (a)-(e) at each sample assignment of the family.
 
     `samples` is an iterable of parameter assignments (name -> GaussRat).
-    `omega` overrides the family's distinguished form when given.  The
-    samples run through deform.sweep, so a sample it fails on (singular
+    The samples run through deform.sweep, so a sample it fails on (singular
     frame, invalid deformed structure) is an "error" row instead of verdicts.
     Returns the report: the per-sample rows and the cross-sample verdicts.
     """
-    check = StabilityCheck(family, omega)
+    check = StabilityCheck(family)
     return check.report(sweep(samples, lambda assign: check.sample(assign)[1]))
 
 
 class StabilityCheck:
     """The stability criteria of one family, one sample at a time.
 
-    The constructor checks the distinguished form (StabilityInputError) and
-    takes its verdicts on the undeformed structure; `sample` computes the
-    verdicts of one assignment; `report` builds the report from the rows of
-    a deform.sweep whose results are those verdicts.
+    The constructor checks that the family carries a distinguished form
+    (StabilityInputError; DeformationFamily already refuses one that is not
+    a parameter-free (2,0)-form) and takes its verdicts on the undeformed
+    structure; `sample` computes the verdicts of one assignment; `report`
+    builds the report from the rows of a deform.sweep whose results are
+    those verdicts.
     """
 
-    def __init__(self, family, omega=None):
-        if omega is None:
-            omega = family.omega
+    def __init__(self, family):
+        omega = family.omega
         if omega is None:
             raise StabilityInputError(
                 f"family '{family.name}' carries no distinguished (2,0)-form"
             )
-        if omega.params():
-            raise StabilityInputError("distinguished form must be parameter-free")
-        if set(omega.bidegrees()) - {(2, 0)}:
-            raise StabilityInputError("distinguished form must be pure (2,0)")
         base = family.base
         if base.params:
             base = base.evaluate({p: ZERO for p in base.params})

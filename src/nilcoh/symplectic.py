@@ -17,7 +17,7 @@ from itertools import product
 
 from .gauss import GaussRat
 from .scalar import ScalarExpr
-from .algebra import SymplecticError, real_parts
+from .algebra import SymplecticError
 from .exterior import BigradedElement
 from . import cohomology
 from .cohomology import NotInNumerator, class_is_trivial, invariant_level_banner
@@ -240,41 +240,4 @@ def betti_bounds(ops):
         "bounds": rows,
         "all_hold": all_pass,
         "obstruction_fires": not all_pass,
-    }
-
-
-def real_pair(spec, omega):
-    """Split a (2,0)-form into its real and imaginary invariant 2-forms.
-
-    Both parts are expanded in the real coframe of AlgebraSpec.realify; the
-    returned pair (re, im) satisfies im = re(J., .) for the engine's J
-    convention (the sign is pinned by the rho-trace calibration; relabeling
-    J -> -J recovers the opposite-sign convention).  The compatibility
-    identity is verified exactly and reported.
-    """
-    if set(omega.bidegrees()) - {(2, 0)}:
-        raise SymplecticError("real pair is defined for (2,0)-forms")
-    re, im = real_parts(omega, spec.n)
-    j_mat = spec.realify().j_mat
-    dim = len(j_mat)
-
-    def pairing(form):
-        """form(e_a, e_b) over all ordered pairs (0-based) with a nonzero value."""
-        out = {}
-        for (a, b), v in form.items():
-            out[(a - 1, b - 1)], out[(b - 1, a - 1)] = v, -v
-        return out
-
-    mre, mim = pairing(re), pairing(im)
-    compat = all(
-        mim.get((a, b), 0) == sum(j_mat[c][a] * mre.get((c, b), 0) for c in range(dim))
-        for a in range(dim)
-        for b in range(dim)
-    )
-    def entries(form):
-        return {f"e{a}^e{b}": str(v) for (a, b), v in sorted(form.items())}
-    return {
-        "re": entries(re),
-        "im": entries(im),
-        "compatibility_verified": compat,
     }

@@ -12,14 +12,11 @@ from fractions import Fraction
 from itertools import product
 
 from conftest import ops_for, validation_for
+from reference import class_in_pure_sum, rank_of, real_frame_matrix, realify
 from zigzag import spectral_cell
 from nilcoh.catalog import catalog, get
-from nilcoh.cohomology import bott_chern, class_in_pure_sum, hodge_table, pure_full
-from nilcoh.deform import (
-    DeformationError,
-    frame_change,
-    real_frame_matrix,
-)
+from nilcoh.cohomology import bott_chern, hodge_table, pure_full
+from nilcoh.deform import DeformationError, frame_change
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.frolicher import degeneration_page, e_infinity, spectral_page
@@ -27,7 +24,6 @@ from nilcoh.gauss import GaussRat, ZERO
 from nilcoh.linalg import (
     Subspace,
     mat_mul,
-    rank_of,
     transpose,
 )
 from nilcoh.scalar import ScalarEvalError, ScalarExpr
@@ -162,7 +158,7 @@ def test_nakamura_rho_obstruction_and_derived_algebra():
     fam = get("nakamura_x_torus").family
     for u, v in [(1, 0), (0, 1), (2, 3)]:
         assign = {"t": GaussRat(u, v)}
-        real = frame_change(fam, assign).realify()
+        real = realify(frame_change(fam, assign))
         report = real.rho_report()
         assert report.rhos == [Fraction(-4 * v), Fraction(4 * u)] + [
             Fraction(0)
@@ -326,7 +322,7 @@ def test_property_suites_over_catalog():
             cells = [(p, k - p) for p in range(n + 1) if 0 <= k - p <= n]
             assert sum(dol[c] for c in cells) >= betti[k], (label, k)
             assert sum(bc[c] + ae[c] for c in cells) >= 2 * betti[k], (label, k)
-        if cache.spec.realify().unimodular():
+        if realify(cache.spec).unimodular():
             unimodular_cases += 1
             for p in range(n + 1):
                 for q in range(n + 1):

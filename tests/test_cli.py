@@ -501,6 +501,20 @@ def test_sample_names_are_checked_alike_for_deform_and_hypotheses():
     assert (rc, err) == (2, "nilcoh: --grid repeats the axis t\n")
 
 
+def test_empty_option_text_is_refused():
+    # an option is absent only when it is not passed: empty text is no
+    # request for the default
+    for argv, reason in [
+        (["deform", "@example31", "--samples", ""], "--samples is empty"),
+        (["deform", "@example31", "--grid", ""], "--grid is empty"),
+        (["deform", "@example31", "--tasks", ""], "--tasks is empty"),
+        (["hypotheses", "@example31", "--samples", ""], "--samples is empty"),
+        (["deform", "@example31", "--samples", "", "--grid", "t=0"],
+         "pass --samples or --grid, not both"),
+    ]:
+        assert _exit_code(argv) == (2, f"nilcoh: {reason}\n"), argv
+
+
 _TORUS6 = 'algebra "torus6" dim 6\n'
 
 

