@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import product
 
 from .gauss import GaussRat
-from .linalg import basis, leibniz_rows, mat_mul
+from .linalg import basis, leibniz_rows, mat_mul, transpose
 from .scalar import ScalarEvalError
 from .exterior import BigradedElement, mono_key
 
@@ -179,15 +179,12 @@ class AlgebraSpec:
     def _check_d2(self, report, label):
         """d^2 on the generators: the columns of the product of the assembled
         d on Lambda^2 and on Lambda^1, in the order f1, F1, f2, F2, ..."""
-        columns = {}
-        for r, row in enumerate(mat_mul(self.d_rows(2), self.d_rows(1))):
-            for c, x in row.items():
-                columns.setdefault(c, {})[r] = x
         _, index = basis(self.n, 1)
+        columns = transpose(mat_mul(self.d_rows(2), self.d_rows(1)), len(index))
         basis3, _ = basis(self.n, 3)
         for i in range(1, self.n + 1):
             for g, m in ((f"f{i}", ((i,), ())), (f"F{i}", ((), (i,)))):
-                dd = columns.get(index[m])
+                dd = columns[index[m]]
                 if dd:
                     dd = BigradedElement({basis3[r]: x for r, x in dd.items()})
                     report.d2_failures.append((g, label, str(dd)))

@@ -308,6 +308,16 @@ def _parse_degree(text, theory):
     return (nums[0], nums[1])
 
 
+def _check_degree(what, degree, n):
+    """Refuse a degree outside the complex of complex dimension n: a total
+    degree k outside 0..2n, or a p or q outside 0..n."""
+    named = [("k", degree, 2 * n)] if isinstance(degree, int) else [
+        ("p", degree[0], n), ("q", degree[1], n)]
+    for name, x, top in named:
+        if not 0 <= x <= top:
+            raise UsageError(f"{what}: {name} = {x} is outside 0..{top}")
+
+
 def _cmd_cohomology(args):
     from . import cohomology
 
@@ -336,6 +346,7 @@ def _cmd_cohomology(args):
                 for q in range(n + 1)
             ]
     else:
+        _check_degree(f"--degree {args.degree}", degree, n)
         groups = [cohomology.group(ops, theory, degree)]
     results["groups"] = [g.as_dict() for g in groups]
     return _emit(_report("cohomology", name, digest, assign, results), args.format)
@@ -507,6 +518,9 @@ def _cmd_deform(args):
         samples = [{}]
     _check_samples(samples, params)
     tasks = _parse_tasks(args.tasks)
+    for task in tasks:
+        if task[0] in ("cohomology", "purefull"):
+            _check_degree(f"task {task[0]}", task[-1], spec.n)
     per_sample = [t for t in tasks if t[0] != "hypotheses"]
     if len(per_sample) == len(tasks):
         results = {"samples": sweep(
@@ -523,6 +537,8 @@ def _cmd_purefull(args):
     from . import cohomology
 
     name, digest, assign, ops = _target_ops(args)
+    for k in args.stage:
+        _check_degree(f"--stage {k}", k, ops.n)
     results = {
         "scope": cohomology.invariant_level_banner(ops.spec),
         "stages": [cohomology.pure_full(ops, k).as_dict() for k in args.stage],

@@ -19,18 +19,17 @@ from __future__ import annotations
 
 from functools import reduce
 
-from .linalg import (Subspace, assemble_block_rows, block, mat_mul, quotient_representatives,
-                     solve, split_blocks, transpose)
+from .linalg import Subspace, block, quotient_representatives
 
-# theory -> (operator whose kernel is the numerator, its closedness wording,
-#            the (operator, source-degree shift) pairs whose images span the
-#            denominator).  Operators are named as in OperatorCache.rows.
+# theory -> (operator whose kernel is the numerator, the (operator,
+#            source-degree shift) pairs whose images span the denominator).
+#            Operators are named as in OperatorCache.rows.
 THEORY_TABLE = {
-    "de_rham": ("d", "d-closed", (("d", -1),)),
-    "dolbeault": ("delbar", "delbar-closed", (("delbar", (0, -1)),)),
-    "del": ("del", "del-closed", (("del", (-1, 0)),)),
-    "bott_chern": ("d", "del- and delbar-closed", (("dd", (-1, -1)),)),
-    "aeppli": ("dd", "del.delbar-closed", (("del", (-1, 0)), ("delbar", (0, -1)))),
+    "de_rham": ("d", (("d", -1),)),
+    "dolbeault": ("delbar", (("delbar", (0, -1)),)),
+    "del": ("del", (("del", (-1, 0)),)),
+    "bott_chern": ("d", (("dd", (-1, -1)),)),
+    "aeppli": ("dd", (("del", (-1, 0)), ("delbar", (0, -1)))),
 }
 THEORIES = tuple(THEORY_TABLE)
 
@@ -42,7 +41,7 @@ def _shift(key, by):
 
 
 def _denominator(ops, theory, key):
-    images = [ops.image(op, _shift(key, by)) for op, by in THEORY_TABLE[theory][2]]
+    images = [ops.image(op, _shift(key, by)) for op, by in THEORY_TABLE[theory][1]]
     return reduce(Subspace.add, images)
 
 
@@ -134,46 +133,6 @@ def hodge_table(ops, theory):
         for p in range(n + 1)
         for q in range(n + 1)
     }
-
-
-class NotInNumerator(ValueError):
-    """The form does not satisfy the closedness conditions of the theory."""
-
-
-def class_is_trivial(ops, theory, element):
-    """Decide triviality with a certificate.
-
-    Returns (True, primitive) where the primitive is an element (or a pair
-    for Aeppli) mapping onto the form, or (False, reduced) with the canonical
-    nonzero residue of the class modulo the denominator subspace.
-    Raises NotInNumerator when the form is not closed for the theory.
-    """
-    if theory == "de_rham":
-        degs = {p + q for p, q in element.bidegrees()}
-        if len(degs) > 1:
-            raise NotInNumerator("mixed total degree")
-        key = degs.pop() if degs else 0
-    else:
-        bidegs = element.bidegrees()
-        if len(bidegs) > 1:
-            raise NotInNumerator("form is not of pure bidegree")
-        key = bidegs.pop() if bidegs else (0, 0)
-    if theory not in THEORY_TABLE:
-        raise ValueError(f"unknown theory {theory!r}")
-    num_op, closed, images = THEORY_TABLE[theory]
-    vec = ops.to_vec(key, element)
-    if mat_mul([vec], transpose(ops.rows(num_op, key), ops.dims(key)))[0]:
-        raise NotInNumerator(f"form is not {closed}")
-
-    # solve for all primitives at once: [A | B] (x, y) = vec
-    sources = [_shift(key, by) for _, by in images]
-    blocks = [ops.dims(src) for src in sources]
-    mats = {i: ops.rows(op, src) for i, ((op, _), src) in enumerate(zip(images, sources))}
-    x = solve(assemble_block_rows(blocks, [mats]), vec, sum(blocks))
-    if x is None:
-        return False, ops.to_element(key, _denominator(ops, theory, key).reduce(vec))
-    prims = [ops.to_element(src, part) for src, part in zip(sources, split_blocks(x, blocks))]
-    return True, prims[0] if len(prims) == 1 else tuple(prims)
 
 
 # ---------------------------------------------------------------------------

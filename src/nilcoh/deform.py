@@ -18,7 +18,7 @@ from . import linalg
 
 
 class DeformationFamily:
-    """Base structure plus parameter-dependent frame matrices A, B.
+    """Parameter-free base structure plus parameter-dependent frame matrices A, B.
 
     `omega` optionally records a distinguished closed non-degenerate
     (2,0)-form of the undeformed structure, written in the base coframe;
@@ -31,6 +31,8 @@ class DeformationFamily:
         n = base.n
         if len(A) != n or len(B) != n or any(len(r) != n for r in (*A, *B)):
             raise InternalError(f"frame matrices of '{name}' must be {n} x {n}")
+        if base.params:
+            raise InternalError(f"the base structure of '{name}' must be parameter-free")
         if omega is not None and (omega.params() or set(omega.bidegrees()) - {(2, 0)}):
             raise InternalError("the distinguished form must be a parameter-free (2,0)-form")
         self.name = name
@@ -101,18 +103,17 @@ def deformed_frame(family, assign):
             sub[(barred, j + 1)] = out
 
     def to_eta(element):
-        el = element.evaluate(assign) if element.params() else element
-        return substitute(el, sub)
+        return substitute(element, sub)
 
-    base = family.base.evaluate(assign) if family.base.params else family.base
+    d_phi = family.base.d_phi
     d_eta = []
     for i in range(n):
         dphi = BigradedElement.zero()
         for j in range(n):
             if A[i][j]:
-                dphi = dphi + base.d_phi[j].scale(A[i][j])
+                dphi = dphi + d_phi[j].scale(A[i][j])
             if B[i][j]:
-                dphi = dphi + base.d_phi[j].conj().scale(B[i][j])
+                dphi = dphi + d_phi[j].conj().scale(B[i][j])
         d_eta.append(to_eta(dphi))
 
     name = f"{family.name} at {assignment_label(assign)}"

@@ -25,12 +25,12 @@ report carries the same scope banner as the cohomology reports.
 
 from __future__ import annotations
 
-from .gauss import ONE, ZERO
-from .linalg import (InternalError, OperatorCache, assemble_block_rows, basis, block,
-                     column_slice, mat_mul, solve, split_blocks, transpose)
+from .gauss import ONE
+from .linalg import (InternalError, OperatorCache, assemble_block_rows, block, column_slice,
+                     mat_mul, solve, split_blocks, transpose)
 from .deform import deformed_frame, sweep
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
-from .symplectic import is_nondegenerate
+from .symplectic import closed_20_space, is_nondegenerate
 
 
 class StabilityInputError(ValueError):
@@ -54,10 +54,10 @@ class StabilityCheck:
 
     The constructor checks that the family carries a distinguished form
     (StabilityInputError; DeformationFamily already refuses one that is not
-    a parameter-free (2,0)-form) and takes its verdicts on the undeformed
-    structure; `sample` computes the verdicts of one assignment; `report`
-    builds the report from the rows of a deform.sweep whose results are
-    those verdicts.
+    a parameter-free (2,0)-form, and a parametric base) and takes its
+    verdicts on the undeformed structure; `sample` computes the verdicts of
+    one assignment; `report` builds the report from the rows of a
+    deform.sweep whose results are those verdicts.
     """
 
     def __init__(self, family):
@@ -66,15 +66,11 @@ class StabilityCheck:
             raise StabilityInputError(
                 f"family '{family.name}' carries no distinguished (2,0)-form"
             )
-        base = family.base
-        if base.params:
-            base = base.evaluate({p: ZERO for p in base.params})
+        ops = OperatorCache(family.base)
         self.family = family
         self.omega = omega
-        _, index = basis(base.n, 2)
-        omega_vec = {index[m]: c.const_value() for m, c in omega.coeffs.items()}
-        self.omega_closed = not mat_mul([omega_vec], transpose(base.d_rows(2), len(index)))[0]
-        self.omega_nondeg = is_nondegenerate(omega, base.n)
+        self.omega_closed = closed_20_space(ops).contains(ops.to_vec((2, 0), omega))
+        self.omega_nondeg = is_nondegenerate(omega, ops.n)
 
     def sample(self, assign):
         """(operator cache of the deformed structure, verdicts) at one

@@ -20,7 +20,7 @@ from .scalar import ScalarExpr
 from .algebra import SymplecticError
 from .exterior import BigradedElement
 from . import cohomology
-from .cohomology import NotInNumerator, class_is_trivial, invariant_level_banner
+from .cohomology import invariant_level_banner
 from .linalg import InternalError
 
 
@@ -189,9 +189,10 @@ def theorem61_suite(ops, witness):
 
     For a closed non-degenerate (2,0) witness and 0 <= k,m <= n/2, each
     power is d-closed of pure bidegree (2k,2m); the suite reports whether
-    its class is nonzero in all five theories.  A trivial cell would
-    contradict the volume-pairing argument at the invariant level, so any
-    failure is surfaced prominently rather than averaged away.
+    its class is nonzero in all five theories: whether the form lies in the
+    numerator of the group and outside its denominator.  A trivial cell
+    would contradict the volume-pairing argument at the invariant level, so
+    any failure is surfaced prominently rather than averaged away.
     """
     _check_witness(ops, witness)
     half = ops.n // 2
@@ -203,13 +204,12 @@ def theorem61_suite(ops, witness):
             form = witness.wedge_power(k).wedge(wbar.wedge_power(m))
             row = {}
             for theory in cohomology.THEORIES:
-                try:
-                    trivial, _ = class_is_trivial(ops, theory, form)
-                except NotInNumerator:  # pragma: no cover - closed by construction
-                    trivial = None
-                row[theory] = "nontrivial" if trivial is False else "TRIVIAL"
-                if trivial is not False:
-                    all_ok = False
+                degree = 2 * k + 2 * m if theory == "de_rham" else (2 * k, 2 * m)
+                g = cohomology.group(ops, theory, degree)
+                vec = ops.to_vec(degree, form)
+                nontrivial = g.numerator.contains(vec) and not g.denominator.contains(vec)
+                row[theory] = "nontrivial" if nontrivial else "TRIVIAL"
+                all_ok = all_ok and nontrivial
             cells[(k, m)] = row
     return {
         "witness": str(witness),

@@ -1,10 +1,14 @@
-"""Shared fixtures: memoized operator caches for the built-in structures."""
+"""Shared fixtures: memoized operator caches for the built-in structures
+and the n = 6 structure files."""
+
+from functools import cache
+from pathlib import Path
 
 import pytest
 
 from nilcoh.catalog import get
 from nilcoh.deform import concretize
-from nilcoh.dsl import parse_gauss
+from nilcoh.dsl import parse, parse_gauss
 from nilcoh.linalg import OperatorCache
 
 _CACHE = {}
@@ -37,3 +41,10 @@ def ops_for(name, **assign):
 @pytest.fixture(scope="session")
 def ops():
     return ops_for
+
+
+@cache
+def n6_ops_for(path):
+    """The operator cache of an n = 6 structure file, named relative to the
+    tests directory ("data/torus6.txt")."""
+    return OperatorCache(parse((Path(__file__).parent / path).read_text()))

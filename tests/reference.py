@@ -6,18 +6,21 @@ convention is J e_{2j-1} = -e_{2j}, J e_{2j} = e_{2j-1}.  Through that
 coframe come the real structure equations (`realify`), the rho-traces
 tr(J o ad e_j) and the derived algebra (the Nakamura obstruction),
 unimodularity, the real pair of a (2,0)-form and the real frame matrix of a
-deformation.  Besides: the rank of a matrix, whether a de Rham class lies in
-the pure-type sum, and |z|^2 of a Gaussian rational.
+deformation.  Besides: whether a class is trivial, decided by solving for a
+primitive (the route the wedge-class suite is checked against), the rank of
+a matrix, whether a de Rham class lies in the pure-type sum, and |z|^2 of a
+Gaussian rational.
 """
 
 from fractions import Fraction
 from functools import reduce
 
 from nilcoh.algebra import StructureError, SymplecticError
-from nilcoh.cohomology import NotInNumerator, _pure_type_classes
+from nilcoh.cohomology import THEORY_TABLE, _denominator, _pure_type_classes, _shift
 from nilcoh.exterior import BigradedElement, substitute
 from nilcoh.gauss import GaussRat, InternalError
-from nilcoh.linalg import Subspace, mat_mul, rref, transpose
+from nilcoh.linalg import (Subspace, assemble_block_rows, mat_mul, rref, solve, split_blocks,
+                           transpose)
 from nilcoh.scalar import S_I, ScalarExpr
 
 
@@ -235,6 +238,55 @@ def real_frame_matrix(family, assign):
         for part in real_parts(eta, n):
             S.append([part.get((m,), Fraction(0)) for m in range(1, 2 * n + 1)])
     return S
+
+
+class NotInNumerator(ValueError):
+    """The form does not satisfy the closedness conditions of the theory."""
+
+
+_CLOSED = {
+    "de_rham": "d-closed",
+    "dolbeault": "delbar-closed",
+    "del": "del-closed",
+    "bott_chern": "del- and delbar-closed",
+    "aeppli": "del.delbar-closed",
+}
+
+
+def class_is_trivial(ops, theory, element):
+    """Decide triviality with a certificate.
+
+    Returns (True, primitive) where the primitive is an element (or a pair
+    for Aeppli) mapping onto the form, or (False, reduced) with the canonical
+    nonzero residue of the class modulo the denominator subspace.
+    Raises NotInNumerator when the form is not closed for the theory.
+    """
+    if theory == "de_rham":
+        degs = {p + q for p, q in element.bidegrees()}
+        if len(degs) > 1:
+            raise NotInNumerator("mixed total degree")
+        key = degs.pop() if degs else 0
+    else:
+        bidegs = element.bidegrees()
+        if len(bidegs) > 1:
+            raise NotInNumerator("form is not of pure bidegree")
+        key = bidegs.pop() if bidegs else (0, 0)
+    if theory not in THEORY_TABLE:
+        raise ValueError(f"unknown theory {theory!r}")
+    num_op, images = THEORY_TABLE[theory]
+    vec = ops.to_vec(key, element)
+    if mat_mul([vec], transpose(ops.rows(num_op, key), ops.dims(key)))[0]:
+        raise NotInNumerator(f"form is not {_CLOSED[theory]}")
+
+    # solve for all primitives at once: [A | B] (x, y) = vec
+    sources = [_shift(key, by) for _, by in images]
+    blocks = [ops.dims(src) for src in sources]
+    mats = {i: ops.rows(op, src) for i, ((op, _), src) in enumerate(zip(images, sources))}
+    x = solve(assemble_block_rows(blocks, [mats]), vec, sum(blocks))
+    if x is None:
+        return False, ops.to_element(key, _denominator(ops, theory, key).reduce(vec))
+    prims = [ops.to_element(src, part) for src, part in zip(sources, split_blocks(x, blocks))]
+    return True, prims[0] if len(prims) == 1 else tuple(prims)
 
 
 def class_in_pure_sum(ops, k, element):

@@ -550,6 +550,44 @@ def test_frolicher_max_page_below_one_is_refused():
     assert sorted(json.loads(out.getvalue())["results"]["pages"]) == ["1", "2", "3"]
 
 
+def test_out_of_range_degrees_and_stages_are_refused(monkeypatch):
+    # k and the stage lie in 0..2n, p and q in 0..n; the command form and
+    # the task form refuse alike
+    for argv, reason in [
+        (["purefull", "@torus2", "--stage", "-1"], "--stage -1: k = -1 is outside 0..4"),
+        (["purefull", "@torus2", "--stage", "2", "--stage", "5"],
+         "--stage 5: k = 5 is outside 0..4"),
+        (["cohomology", "@torus2", "--theory", "bc", "--degree", "7,-2"],
+         "--degree 7,-2: p = 7 is outside 0..2"),
+        (["cohomology", "@torus2", "--theory", "del", "--degree", "1,-2"],
+         "--degree 1,-2: q = -2 is outside 0..2"),
+        (["cohomology", "@torus2", "--theory", "dr", "--degree", "5"],
+         "--degree 5: k = 5 is outside 0..4"),
+    ]:
+        assert _exit_code(argv) == (2, f"nilcoh: {reason}\n"), argv
+    # deform refuses before it builds a structure of any sample
+    built = []
+    monkeypatch.setattr(linalg.OperatorCache, "__init__",
+                        lambda self, spec: built.append(spec.name))
+    for tasks, reason in [
+        ("validate; cohomology=bc:5,0", "task cohomology: p = 5 is outside 0..4"),
+        ("cohomology=aeppli:0,-1", "task cohomology: q = -1 is outside 0..4"),
+        ("cohomology=dr:-1", "task cohomology: k = -1 is outside 0..8"),
+        ("symplectic; purefull=9", "task purefull: k = 9 is outside 0..8"),
+    ]:
+        argv = ["deform", "@example31", "--samples", "t=0; t=1/2", "--tasks", tasks]
+        assert _exit_code(argv) == (2, f"nilcoh: {reason}\n"), argv
+    assert built == []
+    monkeypatch.undo()
+    # the ends of each range are accepted
+    for argv in (["purefull", "@torus2", "--stage", "0", "--stage", "4"],
+                 ["cohomology", "@torus2", "--theory", "bc", "--degree", "2,2"],
+                 ["cohomology", "@torus2", "--theory", "dr", "--degree", "0"],
+                 ["deform", "@example31", "--samples", "t=0",
+                  "--tasks", "cohomology=dr:8; cohomology=bc:4,0; purefull=0"]):
+        assert _exit_code(argv) == (0, ""), argv
+
+
 def test_assign_refuses_a_repeated_name():
     rc, err = _exit_code(["validate", "@example31", "--assign", "t=0", "--assign", "t=1/2"])
     assert (rc, err) == (2, "nilcoh: --assign assigns t twice\n")
@@ -623,7 +661,9 @@ def test_deform_with_hypotheses_builds_one_cache_per_sample(monkeypatch):
     argv = ["deform", "@example31", "--samples", "t=0; t=1/2; t=i/3",
             "--tasks", "symplectic; hypotheses"]
     assert _exit_code(argv)[0] == 0
-    assert len(built) == 3 and len(set(built)) == 3
+    # one per sample, and one of the undeformed base that checks omega
+    assert built[0] == "example31"
+    assert len(built) == 4 and len(set(built)) == 4
 
 
 def _main_json(argv):

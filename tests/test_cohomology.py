@@ -12,10 +12,8 @@ import pytest
 from nilcoh import cli, cohomology, linalg
 from nilcoh.catalog import catalog, get
 from nilcoh.cohomology import (
-    NotInNumerator,
     THEORIES,
     betti,
-    class_is_trivial,
     group,
     hodge_table,
     invariant_level_banner,
@@ -24,7 +22,8 @@ from nilcoh.cohomology import (
 from nilcoh.dsl import parse, parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.scalar import ScalarExpr
-from reference import class_in_pure_sum
+from conftest import n6_ops_for
+from reference import NotInNumerator, class_in_pure_sum, class_is_trivial
 
 
 def g(i):
@@ -92,10 +91,19 @@ def _angella_tomassini_defects(tables):
     return [c for c in sorted(bc) if bc[c] + ae[c] < dol[c] + dl[c]]
 
 
+# the n = 6 structure files: Iwasawa x Iwasawa and the complex torus T^6
+N6 = ("data/iwasawa_x_iwasawa.txt", "data/torus6.txt")
+
+
+def _cache(ops, name, **assign):
+    """The operator cache of a catalog entry, or of an n = 6 file."""
+    return n6_ops_for(name) if name in N6 else ops(name, **assign)
+
+
 @pytest.mark.parametrize("name, assign", [(e.name, {}) for e in catalog() if not e.spec.params]
-                         + [("example31", {"t": "1/2"})])
+                         + [("example31", {"t": "1/2"})] + [(path, {}) for path in N6])
 def test_angella_tomassini_inequality_in_every_bidegree(ops, name, assign):
-    cache = ops(name, **assign)
+    cache = _cache(ops, name, **assign)
     tables = {t: hodge_table(cache, t) for t in ("bott_chern", "aeppli", "dolbeault", "del")}
     assert _angella_tomassini_defects(tables) == []
     # one Bott-Chern number lowered past the slack at (1,1): the check sees it
@@ -137,12 +145,14 @@ def _tables(cache):
     return {t: hodge_table(cache, t) for t in ("bott_chern", "aeppli", "dolbeault")}
 
 
-@pytest.mark.parametrize("name", TORI)
+@pytest.mark.parametrize("name", TORI + ("data/torus6.txt",))
 def test_angella_tomassini_equality_on_the_tori(ops, name):
-    cache = ops(name)
+    cache = _cache(ops, name)
     tables = _tables(cache)
     b = [betti(cache, k) for k in range(2 * cache.n + 1)]
     assert _theorem_b_defects(tables, b) == []
+    if name == "data/torus6.txt":
+        assert (_degree_sums(tables, 6)[1][0], 2 * b[1]) == (24, 24)
     # one Aeppli number raised at (1,0) and one Dolbeault number lowered at
     # (0,2): each equality sees its own
     tables["aeppli"] = {**tables["aeppli"], (1, 0): tables["aeppli"][(1, 0)] + 1}
@@ -151,12 +161,14 @@ def test_angella_tomassini_equality_on_the_tori(ops, name):
 
 
 @pytest.mark.parametrize("name", [e.name for e in catalog()
-                                  if not e.spec.params and e.name not in TORI])
+                                  if not e.spec.params and e.name not in TORI]
+                         + ["data/iwasawa_x_iwasawa.txt"])
 def test_angella_tomassini_inequality_is_strict_in_degree_one_off_the_tori(ops, name):
     # every other parameter-free entry (the nilmanifolds and the Nakamura
-    # solvmanifold product) fails the del-delbar-lemma already in degree 1;
-    # that is a property of these entries, not of every nilmanifold
-    cache = ops(name)
+    # solvmanifold product) and Iwasawa x Iwasawa fail the del-delbar-lemma
+    # already in degree 1; that is a property of these structures, not of
+    # every nilmanifold
+    cache = _cache(ops, name)
     tables = _tables(cache)
     b1 = betti(cache, 1)
 
@@ -166,6 +178,8 @@ def test_angella_tomassini_inequality_is_strict_in_degree_one_off_the_tori(ops, 
     assert strict(tables)
     if name == "iwasawa":
         assert (_degree_sums(tables, 3)[1][0], 2 * b1) == (10, 8)
+    if name == "data/iwasawa_x_iwasawa.txt":
+        assert (_degree_sums(tables, 6)[1][0], 2 * b1) == (20, 16)
     # Bott-Chern numbers in degree 1 lowered to equality: the check fails
     excess = _degree_sums(tables, cache.n)[1][0] - 2 * b1
     tables["bott_chern"] = {**tables["bott_chern"],
@@ -326,6 +340,8 @@ def test_exactness_invariants_survive_optimize_flag():
         "                  omega=BigradedElement.monomial((1, 2), (), t)),\n"
         "              lambda: DeformationFamily('f', torus, (), A, B,\n"
         "                  omega=BigradedElement.monomial((1,), (1,))),\n"
+        "              lambda: DeformationFamily('f', catalog.get('iwasawa_x_torus').spec, (),\n"
+        "                  *DeformationFamily.identity_matrices(4)),\n"
         "              lambda: OperatorCache(catalog.get('iwasawa_x_torus').spec),\n"
         "              lambda: frolicher.spectral_page(ops, 0),\n"
         "              lambda: catalog.CatalogEntry('x', 'no summary', spec=torus)):\n"
@@ -350,6 +366,7 @@ def test_exactness_invariants_survive_optimize_flag():
         "frame matrices of 'f' must be 2 x 2\n"
         "the distinguished form must be a parameter-free (2,0)-form\n"
         "the distinguished form must be a parameter-free (2,0)-form\n"
+        "the base structure of 'f' must be parameter-free\n"
         "operator matrices need a fully assigned structure\n"
         "spectral sequence pages start at 1, not 0\n"
         "catalog entry 'x' holds structure 'torus2'\n"

@@ -10,11 +10,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import n6_ops_for
 from zigzag import spectral_cell, zigzag_x, zigzag_y
 from nilcoh import cli, frolicher, linalg
 from nilcoh.catalog import catalog, get
 from nilcoh.cohomology import betti, hodge_table
-from nilcoh.dsl import parse
 from nilcoh.frolicher import betti_numbers, degeneration_page, e_infinity, spectral_page
 from nilcoh.gauss import ONE
 from nilcoh.linalg import InternalError, OperatorCache, Subspace
@@ -81,7 +81,7 @@ def test_degeneration_pages(ops):
 
 
 def test_page_equals_limit_once_degenerate(ops):
-    caches = [ops(name) for name in _PARAMETER_FREE] + [_n6_ops(path) for path in _N6]
+    caches = [ops(name) for name in _PARAMETER_FREE] + [n6_ops_for(path) for path in _N6]
     for cache in caches:
         r, cert = degeneration_page(cache)
         for s in range(r, cli.MAX_PAGE + 1):
@@ -250,12 +250,6 @@ def _stdout(*argv):
     with contextlib.chdir(_TESTS), contextlib.redirect_stdout(out):
         rc = cli.main(list(argv))
     return rc, out.getvalue()
-
-
-@cache
-def _n6_ops(path):
-    """The operator cache of an n = 6 structure file in tests/data."""
-    return OperatorCache(parse((_TESTS / path).read_text()))
 
 
 def _pages_argv(target):

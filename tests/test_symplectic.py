@@ -2,7 +2,9 @@
 
 import pytest
 
-from nilcoh.cohomology import betti, bott_chern
+from nilcoh import cohomology
+from nilcoh.catalog import catalog
+from nilcoh.cohomology import CohomologyGroup, betti, bott_chern
 from nilcoh.dsl import parse
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat
@@ -17,7 +19,7 @@ from nilcoh.symplectic import (
     nondegeneracy_polynomial,
     theorem61_suite,
 )
-from reference import real_pair
+from reference import class_is_trivial, real_pair
 
 
 def g(i):
@@ -170,6 +172,58 @@ def test_wedge_class_suite_example31(ops):
             "bott_chern": "nontrivial",
             "aeppli": "nontrivial",
         }
+
+
+def _reference_cells(cache, witness):
+    """The wedge-class cells decided by solving for a primitive."""
+    half, wbar = cache.n // 2, witness.conj()
+    cells = {}
+    for k in range(half + 1):
+        for m in range(half + 1):
+            form = witness.wedge_power(k).wedge(wbar.wedge_power(m))
+            cells[f"({k},{m})"] = {
+                t: "TRIVIAL" if class_is_trivial(cache, t, form)[0] else "nontrivial"
+                for t in cohomology.THEORIES}
+    return cells
+
+
+_WITNESSED = ([(e.name, {}) for e in catalog() if not e.spec.params
+               and e.name not in ("torus3", "iwasawa", "theorem51_family")]
+              + [("theorem51_family", {"t": "1/3"}), ("example45", {"t": "1/2"}),
+                 ("section42_example", {"t": "1/2"}),
+                 ("iwasawa_x_torus", {"t11": "1/2", "t22": "0"})])
+
+
+@pytest.mark.parametrize("name, assign", _WITNESSED)
+def test_wedge_class_suite_agrees_with_the_primitive_solve(ops, name, assign):
+    # the suite reads the memoised groups; the reference solves a block
+    # system for a primitive: the two routes decide every cell alike
+    cache = ops(name, **assign)
+    rep = find_symplectic(cache)
+    assert rep.verdict == "exists"
+    suite = theorem61_suite(cache, rep.witness)
+    assert suite["cells"] == _reference_cells(cache, rep.witness)
+    assert suite["all_nontrivial"] is True
+
+
+def test_wedge_class_suite_reports_a_class_in_the_denominator(ops, monkeypatch):
+    # a Bott-Chern group at (2,0) whose denominator is its whole numerator:
+    # the witness cell (1,0) is reported TRIVIAL there and nowhere else
+    cache = ops("example31")
+    group = cohomology.group
+
+    def padded(ops, theory, degree):
+        g = group(ops, theory, degree)
+        if (theory, degree) != ("bott_chern", (2, 0)):
+            return g
+        return CohomologyGroup(theory, degree, g.numerator, g.numerator, ops)
+
+    monkeypatch.setattr(cohomology, "group", padded)
+    suite = theorem61_suite(cache, find_symplectic(cache).witness)
+    assert suite["all_nontrivial"] is False
+    trivial = [(cell, t) for cell, row in suite["cells"].items()
+               for t, verdict in row.items() if verdict == "TRIVIAL"]
+    assert trivial == [("(1,0)", "bott_chern")]
 
 
 def test_wedge_class_suite_rejects_bad_witnesses(ops):
