@@ -48,14 +48,16 @@ class UsageError(ValueError):
 
 
 def _load_target(target):
-    """Returns (display_name, entry_or_None, parametric_spec)."""
+    """(structure, target) of `@name` or a structure-equation file.  The
+    target is the one thing parameters are assigned to: the entry's
+    deformation family if it has one, otherwise the structure."""
     if target.startswith("@"):
         try:
             entry = catalog.get(target[1:])
         except catalog.CatalogError as e:
             # KeyError str() would re-quote the message
             raise UsageError(e.args[0]) from None
-        return target, entry, entry.spec
+        return entry.spec, entry.family or entry.spec
     try:
         with open(target, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -65,82 +67,73 @@ def _load_target(target):
         spec = dsl.parse(text)
     except DslError as e:
         raise UsageError(f"{target}: {e}") from None
-    return target, None, spec
+    return spec, spec
 
 
-def _parse_assign(pairs):
+def _parse_assignment(option, pairs, where=""):
+    """{name: value} of `name=value` texts, names and values stripped: the
+    one parser of the --assign options and of each --samples sample."""
     assign = {}
-    for raw in pairs or ():
-        name, sep, value = raw.partition("=")
+    for pair in pairs:
+        name, sep, value = pair.partition("=")
+        name = name.strip()
         if not sep or not name:
-            raise UsageError(f"--assign wants name=value, got {raw!r}")
+            raise UsageError(f"{option} wants name=value pairs, got {pair!r}")
         if name in assign:
-            raise UsageError(f"--assign assigns {name} twice")
+            raise UsageError(f"{option} assigns {name} twice{where}")
         try:
-            assign[name] = parse_gauss(value)
+            assign[name] = parse_gauss(value.strip())
         except DslError as e:
-            raise UsageError(f"--assign {raw!r}: {e}") from None
+            raise UsageError(f"{option} {pair!r}: {e}") from None
     return assign
 
 
-def _concretize(entry, spec, assign):
-    """Check --assign against the target's parameters and concretize it.
+def _check_assignment(what, assign, params):
+    """Refuse an assignment that misses one of the target's parameters or
+    names one the target does not have."""
+    missing = [p for p in params if p not in assign]
+    if missing:
+        raise UsageError(f"{what} misses parameters: {', '.join(missing)}")
+    unknown = sorted(set(assign) - set(params))
+    if unknown:
+        raise UsageError(f"{what} has unknown parameters: {', '.join(unknown)}")
 
-    A parametric structure takes its own parameters; with an assignment, a
-    parameter-free entry carrying a deformation family is moved by a frame
-    change.  Returns a parameter-free AlgebraSpec.  Raises UsageError for
-    key/parameter mismatches, DeformationError for singular frames and
-    ScalarEvalError for vanishing denominators.
+
+def _concretize(spec, target, assign):
+    """The structure a single-structure command runs on: the structure
+    itself when it is parameter-free and --assign is not passed, otherwise
+    the target at the assignment, which must assign exactly the target's
+    parameters.  Raises UsageError for a mismatch, DeformationError for a
+    singular frame and ScalarEvalError for a vanishing denominator.
     """
-    family = entry.family if entry is not None else None
-    if spec.params:
-        if any(p not in assign for p in spec.params):
-            raise UsageError(
-                f"the structure has parameters {', '.join(spec.params)}; "
-                "pass --assign for each"
-            )
-        target = spec
-    elif assign and family is not None:
-        missing = [p for p in family.params if p not in assign]
-        if missing:
-            raise UsageError(
-                f"the deformation family has parameters {', '.join(family.params)}; "
-                f"missing: {', '.join(missing)}"
-            )
-        target = family
-    elif assign:
-        raise UsageError("the structure has no parameters; drop --assign")
-    else:
+    if not assign and not spec.params:
         return spec
-    extra = set(assign) - set(target.params)
-    if extra:
-        raise UsageError(f"unknown assignment keys: {', '.join(sorted(extra))}")
+    _check_assignment("--assign", assign, target.params)
     from .deform import concretize
 
     return concretize(target, assign)
 
 
 def _target_ops(args):
-    """(name, digest, assignment, operator cache) of the concrete structure
-    a single-structure command runs on."""
-    name, entry, spec = _load_target(args.target)
-    assign = _parse_assign(args.assign)
-    ops = OperatorCache(_concretize(entry, spec, assign))
-    return name, _digest(entry, spec, assign), assign, ops
+    """(digest, assignment, operator cache) of the concrete structure a
+    single-structure command runs on."""
+    spec, target = _load_target(args.target)
+    assign = _parse_assignment("--assign", args.assign or ())
+    ops = OperatorCache(_concretize(spec, target, assign))
+    return _digest(spec, target, assign), assign, ops
 
 
-def _digest(entry, spec, assign):
+def _digest(spec, target, assign):
     h = hashlib.sha256()
     h.update(dsl.pretty(spec).encode())
-    family = entry.family if entry is not None else None
-    if family is not None:
+    if target is not spec:
         h.update(b"family\n")
-        for row in family.A + family.B:
+        for row in target.A + target.B:
             for x in row:
                 h.update(str(x).encode())
                 h.update(b";")
-        if family.omega is not None:
-            h.update(str(family.omega).encode())
+        if target.omega is not None:
+            h.update(str(target.omega).encode())
     for k in sorted(assign):
         h.update(f"{k}={assign[k]}\n".encode())
     return h.hexdigest()
@@ -201,30 +194,6 @@ def _pq_str(p, q):
 # -- sample-list parsing -----------------------------------------------------
 
 
-def _parse_samples(text):
-    """"t=0; t=1/2" -> [{"t": 0}, {"t": 1/2}] (values Gaussian rationals)."""
-    samples = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        assign = {}
-        for pair in chunk.split(","):
-            name, sep, value = pair.partition("=")
-            if not sep or not name.strip():
-                raise UsageError(f"--samples wants name=value pairs, got {pair!r}")
-            if name.strip() in assign:
-                raise UsageError(f"--samples assigns {name.strip()} twice in {chunk!r}")
-            try:
-                assign[name.strip()] = parse_gauss(value.strip())
-            except DslError as e:
-                raise UsageError(f"--samples {pair!r}: {e}") from None
-        samples.append(assign)
-    if not samples:
-        raise UsageError("--samples is empty")
-    return samples
-
-
 def _parse_grid(text):
     """"t11=0|1/2; t22=0|1/2" -> cartesian product, first key outermost."""
     axes = []
@@ -251,43 +220,48 @@ def _parse_grid(text):
     ]
 
 
-def _default_samples(params):
-    return [{p: v for p in params} for v in DEFAULT_SAMPLES]
-
-
-def _check_samples(samples, params):
-    """Every sample assigns exactly the given parameters.  Samples of a
-    parameter-free target are not checked: each of its rows repeats it."""
-    if not params:
-        return
-    for s in samples:
-        missing = [p for p in params if p not in s]
-        unknown = sorted(set(s) - set(params))
-        text = assignment_label(s)
-        if missing:
-            raise UsageError(f"sample {{{text}}} misses parameters: {', '.join(missing)}")
-        if unknown:
-            raise UsageError(f"sample {{{text}}} has unknown parameters: {', '.join(unknown)}")
+def _samples(args, params):
+    """The samples of deform and hypotheses: --samples ("t=0; t=1/2"),
+    --grid or the default samples, each checked against the target's
+    parameters.  Samples of a parameter-free target are not checked: each
+    of its rows repeats it."""
+    grid = getattr(args, "grid", None)  # hypotheses has no --grid
+    # an option is absent only when not passed: empty text is refused
+    if args.samples is not None and grid is not None:
+        raise UsageError("pass --samples or --grid, not both")
+    if args.samples is not None:
+        chunks = [c.strip() for c in args.samples.split(";") if c.strip()]
+        if not chunks:
+            raise UsageError("--samples is empty")
+        samples = [_parse_assignment("--samples", c.split(","), f" in {c!r}") for c in chunks]
+    elif grid is not None:
+        samples = _parse_grid(grid)
+    else:
+        samples = [dict.fromkeys(params, v) for v in DEFAULT_SAMPLES] if params else [{}]
+    if params:
+        for s in samples:
+            _check_assignment(f"sample {{{assignment_label(s)}}}", s, params)
+    return samples
 
 
 # -- commands ----------------------------------------------------------------
 
 
 def _cmd_validate(args):
-    name, entry, spec = _load_target(args.target)
-    assign = _parse_assign(args.assign)
-    digest = _digest(entry, spec, assign)
+    spec, target = _load_target(args.target)
+    assign = _parse_assignment("--assign", args.assign or ())
+    digest = _digest(spec, target, assign)
     if assign:
         try:
-            concrete = _concretize(entry, spec, assign)
+            concrete = _concretize(spec, target, assign)
         except (DeformationError, ScalarEvalError) as e:
             results = {"ok": False, "error": str(e)}
-            return _emit(_report("validate", name, digest, assign, results), args.format, 1)
+            return _emit(_report("validate", args.target, digest, assign, results), args.format, 1)
         report = concrete.validate()
     else:
         report = spec.validate()
     results = report.as_dict()
-    return _emit(_report("validate", name, digest, assign, results), args.format,
+    return _emit(_report("validate", args.target, digest, assign, results), args.format,
                  0 if report.ok else 1)
 
 
@@ -321,7 +295,7 @@ def _check_degree(what, degree, n):
 def _cmd_cohomology(args):
     from . import cohomology
 
-    name, digest, assign, ops = _target_ops(args)
+    digest, assign, ops = _target_ops(args)
     results = {"scope": cohomology.invariant_level_banner(ops.spec)}
     n = ops.n
     if args.theory == "all":
@@ -333,7 +307,7 @@ def _cmd_cohomology(args):
                 continue
             table = cohomology.hodge_table(ops, theory)
             results[theory] = {_pq_str(p, q): d for (p, q), d in sorted(table.items())}
-        return _emit(_report("cohomology", name, digest, assign, results), args.format)
+        return _emit(_report("cohomology", args.target, digest, assign, results), args.format)
     theory = THEORY_KEYS[args.theory]
     degree = _parse_degree(args.degree, theory)
     if degree is None:
@@ -349,7 +323,7 @@ def _cmd_cohomology(args):
         _check_degree(f"--degree {args.degree}", degree, n)
         groups = [cohomology.group(ops, theory, degree)]
     results["groups"] = [g.as_dict() for g in groups]
-    return _emit(_report("cohomology", name, digest, assign, results), args.format)
+    return _emit(_report("cohomology", args.target, digest, assign, results), args.format)
 
 
 def _cmd_frolicher(args):
@@ -362,7 +336,7 @@ def _cmd_frolicher(args):
         )
     if args.max_page is not None and args.max_page < 1:
         raise UsageError(f"--max-page {args.max_page} is below 1")
-    name, digest, assign, ops = _target_ops(args)
+    digest, assign, ops = _target_ops(args)
     page, certificate = frolicher.degeneration_page(ops)
     pages = certificate["pages"]
     for r in range(page + 1, (args.max_page or 0) + 1):
@@ -377,13 +351,13 @@ def _cmd_frolicher(args):
             for (p, q), d in sorted(certificate["e_infinity"].items())
         },
     }
-    return _emit(_report("frolicher", name, digest, assign, results), args.format)
+    return _emit(_report("frolicher", args.target, digest, assign, results), args.format)
 
 
 def _cmd_symplectic(args):
     from . import symplectic
 
-    name, digest, assign, ops = _target_ops(args)
+    digest, assign, ops = _target_ops(args)
     rep = symplectic.find_symplectic(ops)
     results = {"symplectic": rep.as_dict()}
     if args.suite61:
@@ -398,7 +372,7 @@ def _cmd_symplectic(args):
             results["betti_bounds"] = symplectic.betti_bounds(ops)
         except SymplecticError as e:
             results["betti_bounds"] = {"error": str(e)}
-    return _emit(_report("symplectic", name, digest, assign, results), args.format,
+    return _emit(_report("symplectic", args.target, digest, assign, results), args.format,
                  0 if rep.verdict == "exists" else 1)
 
 
@@ -430,18 +404,21 @@ def _parse_tasks(text):
                     f"{', '.join(THEORY_KEYS)}; got {rest!r}"
                 )
             theory = THEORY_KEYS[tkey]
-            tasks.append(("cohomology", theory, _parse_degree(deg.strip(), theory)))
+            task = ("cohomology", theory, _parse_degree(deg.strip(), theory))
         elif head == "purefull":
             if not sep:
                 raise UsageError("purefull task wants purefull=<stage>")
             try:
-                tasks.append(("purefull", int(rest.strip())))
+                task = ("purefull", int(rest.strip()))
             except ValueError:
                 raise UsageError(f"purefull stage must be an integer, got {rest!r}")
         else:
             if sep:
                 raise UsageError(f"task {head} takes no argument")
-            tasks.append((head,))
+            task = (head,)
+        if task in tasks:
+            raise UsageError(f"--tasks repeats the task {chunk}")
+        tasks.append(task)
     if not tasks:
         raise UsageError("--tasks is empty")
     return tasks
@@ -474,94 +451,61 @@ def _run_tasks(tasks, spec, ops=None):
     return out
 
 
-def _sweep_with_hypotheses(family, samples, tasks):
-    """The hypotheses report and the sweep rows of the other tasks, from one
-    sweep with one deformed structure and one operator cache per sample.  A
-    sample that fails gets the same "error" row in both."""
-    from .deform import sweep
-    from .stability import StabilityCheck, StabilityInputError
+def _hypotheses(family, samples, task):
+    """check_stability_hypotheses, with a family that carries no
+    distinguished form refused as a usage error."""
+    from .stability import StabilityInputError, check_stability_hypotheses
 
     try:
-        check = StabilityCheck(family)
+        return check_stability_hypotheses(family, samples, task)
     except StabilityInputError as e:
         raise UsageError(str(e)) from None
-
-    def both(assign):
-        ops, verdicts = check.sample(assign)
-        return verdicts, _run_tasks(tasks, ops.spec, ops)
-
-    rows = sweep(samples, both)
-    hyp, other = ([{**r, "result": r["result"][i]} if "result" in r else r for r in rows]
-                  for i in (0, 1))
-    return {"hypotheses": check.report(hyp), "samples": other}
 
 
 def _cmd_deform(args):
     from .deform import concretize, sweep
 
-    name, entry, spec = _load_target(args.target)
-    family = entry.family if entry is not None else None
-    # A deformation family sweeps by frame change; a parametric structure by
-    # direct substitution; a parameter-free structure repeats the base row.
-    target = family if family is not None else spec
-    params = family.params if family is not None else spec.params
-    # an option is absent only when not passed: empty text is refused
-    if args.samples is not None and args.grid is not None:
-        raise UsageError("pass --samples or --grid, not both")
-    if args.samples is not None:
-        samples = _parse_samples(args.samples)
-    elif args.grid is not None:
-        samples = _parse_grid(args.grid)
-    elif params:
-        samples = _default_samples(params)
-    else:
-        samples = [{}]
-    _check_samples(samples, params)
+    spec, target = _load_target(args.target)
+    samples = _samples(args, target.params)
     tasks = _parse_tasks(args.tasks)
     for task in tasks:
         if task[0] in ("cohomology", "purefull"):
             _check_degree(f"task {task[0]}", task[-1], spec.n)
     per_sample = [t for t in tasks if t[0] != "hypotheses"]
     if len(per_sample) == len(tasks):
+        # a deformation family sweeps by frame change, a parametric structure
+        # by direct substitution; a parameter-free structure repeats its row
         results = {"samples": sweep(
             samples, lambda a: _run_tasks(per_sample, concretize(target, a)))}
-    elif family is None:
+    elif target is spec:
         raise UsageError("the hypotheses task needs a catalog entry with a deformation family")
     else:
-        results = _sweep_with_hypotheses(family, samples, per_sample)
-    return _emit(_report("deform", name, _digest(entry, spec, {}), {}, results),
+        results = _hypotheses(target, samples,
+                              lambda ops: _run_tasks(per_sample, ops.spec, ops))
+    return _emit(_report("deform", args.target, _digest(spec, target, {}), {}, results),
                  args.format)
 
 
 def _cmd_purefull(args):
     from . import cohomology
 
-    name, digest, assign, ops = _target_ops(args)
+    digest, assign, ops = _target_ops(args)
     for k in args.stage:
         _check_degree(f"--stage {k}", k, ops.n)
     results = {
         "scope": cohomology.invariant_level_banner(ops.spec),
         "stages": [cohomology.pure_full(ops, k).as_dict() for k in args.stage],
     }
-    return _emit(_report("purefull", name, digest, assign, results), args.format)
+    return _emit(_report("purefull", args.target, digest, assign, results), args.format)
 
 
 def _cmd_hypotheses(args):
-    from .stability import StabilityInputError, check_stability_hypotheses
-
-    name, entry, spec = _load_target(args.target)
-    if entry is None or entry.family is None:
+    spec, family = _load_target(args.target)
+    if family is spec:
         raise UsageError("hypotheses needs a catalog entry with a deformation family")
-    family = entry.family
-    samples = (_default_samples(family.params) if args.samples is None
-               else _parse_samples(args.samples))
-    _check_samples(samples, family.params)
-    try:
-        results = check_stability_hypotheses(family, samples)
-    except StabilityInputError as e:
-        raise UsageError(str(e)) from None
-    return _emit(_report("hypotheses", name, _digest(entry, spec, {}), {}, results),
-                 args.format)
+    results = _hypotheses(family, _samples(args, family.params), lambda ops: None)
+    return _emit(_report("hypotheses", args.target, _digest(spec, family, {}), {},
+                         results["hypotheses"]), args.format)
 
 
 def _cmd_catalog(args):

@@ -17,10 +17,14 @@ that guarantee the deformed structures stay complex symplectic nearby:
       stage 2.  This does not verify how the summands map into H²_dR, and the
       report labels it accordingly.
 
+check_stability_hypotheses is the one sweep that pairs the criteria with
+deform.sweep: the `hypotheses` command and the hypotheses task of `deform`
+both call it, the first with a task that computes nothing, the second with
+its other tasks, which run on the operator cache the criteria use.
 StabilityCheck computes the criteria of one sample and builds the report
-from the rows of deform.sweep, which runs the samples and turns a failing
-one into an "error" row.  Everything is invariant (Lie-algebra level); the
-report carries the same scope banner as the cohomology reports.
+from the sweep's rows; deform.sweep turns a failing sample into an "error"
+row.  Everything is invariant (Lie-algebra level); the report carries the
+same scope banner as the cohomology reports.
 """
 
 from __future__ import annotations
@@ -37,16 +41,26 @@ class StabilityInputError(ValueError):
     """The family carries no distinguished (2,0)-form."""
 
 
-def check_stability_hypotheses(family, samples):
-    """Evaluate criteria (a)-(e) at each sample assignment of the family.
+def check_stability_hypotheses(family, samples, task):
+    """Evaluate criteria (a)-(e) at each sample assignment of the family,
+    and run task(ops) on the operator cache of the same deformed structure.
 
     `samples` is an iterable of parameter assignments (name -> GaussRat).
-    The samples run through deform.sweep, so a sample it fails on (singular
-    frame, invalid deformed structure) is an "error" row instead of verdicts.
-    Returns the report: the per-sample rows and the cross-sample verdicts.
+    The samples run through one deform.sweep, so a sample it fails on
+    (singular frame, invalid deformed structure) gets the same "error" row
+    in both lists.  Returns {"hypotheses": the report, with the per-sample
+    rows and the cross-sample verdicts, "samples": the sweep rows of task}.
     """
     check = StabilityCheck(family)
-    return check.report(sweep(samples, lambda assign: check.sample(assign)[1]))
+
+    def both(assign):
+        ops, verdicts = check.sample(assign)
+        return verdicts, task(ops)
+
+    rows = sweep(samples, both)
+    hyp, other = ([{**r, "result": r["result"][i]} if "result" in r else r for r in rows]
+                  for i in (0, 1))
+    return {"hypotheses": check.report(hyp), "samples": other}
 
 
 class StabilityCheck:

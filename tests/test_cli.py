@@ -493,6 +493,28 @@ def test_sample_names_are_checked_alike_for_deform_and_hypotheses():
     assert (rc, err) == (2, "nilcoh: sample {s=0} misses parameters: t\n")
     rc, err = _exit_code(["hypotheses", "@example31", "--samples", "t=0, t=1/2"])
     assert (rc, err) == (2, "nilcoh: --samples assigns t twice in 't=0, t=1/2'\n")
+    # --assign goes through the same parser and the same check
+    out, padded = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["validate", "@example31", "--assign", "t=1/2"]) == 0
+    with contextlib.redirect_stdout(padded):
+        assert cli.main(["validate", "@example31", "--assign", " t=1/2"]) == 0
+    assert padded.getvalue() == out.getvalue()
+    for argv, reason in [
+        (["cohomology", "@iwasawa_x_torus"], "--assign misses parameters: t11, t22"),
+        (["cohomology", "@iwasawa_x_torus", "--assign", "t11=0"],
+         "--assign misses parameters: t22"),
+        (["symplectic", "@example31", "--assign", "s=0"], "--assign misses parameters: t"),
+        (["validate", "@example31", "--assign", "t=0", "--assign", "s=0"],
+         "--assign has unknown parameters: s"),
+        (["validate", "@torus2", "--assign", "t=0"], "--assign has unknown parameters: t"),
+        (["deform", "@example31", "--samples", "t=0", "--tasks", "symplectic; symplectic"],
+         "--tasks repeats the task symplectic"),
+        (["deform", "@example31", "--samples", "t=0",
+          "--tasks", "cohomology=dr:2; cohomology=bc:2,0; cohomology = bc:2, 0"],
+         "--tasks repeats the task cohomology = bc:2, 0"),
+    ]:
+        assert _exit_code(argv) == (2, f"nilcoh: {reason}\n"), argv
     # a repeated grid axis would double the sweep per repeat
     with pytest.raises(cli.UsageError, match="repeats the axis t"):
         cli._parse_grid("; ".join(["t=0|1/2"] * 12))

@@ -79,6 +79,17 @@ def test_pretty_round_trips_every_catalog_entry():
          "each term must be a wedge of exactly two generators, got 3"),
         ('algebra "x" dim 2\nd f1 = f2',
          "each term must be a wedge of exactly two generators, got 1"),
+        ('algebra "x" dim 2\nparam conj', "line 2, col 7: parameter name 'conj' is reserved"),
+        ('algebra "x" dim 2\nparam f1', "line 2, col 7: parameter name 'f1' is reserved"),
+        ('algebra "x" dim 2\nparam t\nparam t', "line 3, col 7: duplicate parameter 't'"),
+        ('algebra "x" dim 2\nflag other true', "line 2, col 6: unknown flag 'other'"),
+        ('algebra "x" dim 2\nalgebra "y" dim 2', "line 2, col 1: duplicate header"),
+        ('algebra "x" dim 2\nd x = f1^f2',
+         "line 2, col 3: expected a generator after 'd', got 'x'"),
+        ('algebra "x" dim 2\nd f2 = f1^F1 +', "line 2, col 15: expected a term"),
+        ('algebra "x" dim 2\nparam t\nd f2 = f1^t',
+         "line 3, col 11: expected a generator, got 't'"),
+        ('algebra "x" dimension 2', "line 1, col 13: expected 'dim', got 'dimension'"),
     ],
 )
 def test_errors_carry_position_and_reason(source, fragment):

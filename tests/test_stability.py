@@ -16,9 +16,13 @@ def _samples(*texts):
     return [{"t": parse_gauss(s)} for s in texts]
 
 
+def _no_task(ops):
+    """The per-sample task of the `hypotheses` command: nothing."""
+
+
 def test_section42_rows(ops):
     fam = get("section42_example").family
-    d = check_stability_hypotheses(fam, _samples("0", "1/2"))
+    d = check_stability_hypotheses(fam, _samples("0", "1/2"), _no_task)["hypotheses"]
     assert d["family"] == "section42_example"
     assert d["omega"] == "f1^f4+f2^f3"
     assert d["omega_closed_at_zero"] is True
@@ -47,7 +51,7 @@ def test_section42_rows(ops):
 
 def test_example31_family_loses_feasibility(ops):
     fam = get("example31").family
-    d = check_stability_hypotheses(fam, _samples("0", "1/2"))
+    d = check_stability_hypotheses(fam, _samples("0", "1/2"), _no_task)["hypotheses"]
     assert d["omega"] == "f1^f2+f1^f3+f1^f4+f2^f4"
     assert [r["h20_bott_chern"] for r in d["samples"]] == [4, 3]
     assert d["h20_bott_chern_constant"] is False
@@ -65,7 +69,7 @@ def test_example31_family_loses_feasibility(ops):
 
 def test_example45_h20_constant_but_correction_breaks(ops):
     fam = get("example45").family
-    d = check_stability_hypotheses(fam, _samples("0", "1/2", "-1/2"))
+    d = check_stability_hypotheses(fam, _samples("0", "1/2", "-1/2"), _no_task)["hypotheses"]
     assert [r["h20_bott_chern"] for r in d["samples"]] == [4, 4, 4]
     assert d["h20_bott_chern_constant"] is True
     feas = [r["correction_system"]["feasible"] for r in d["samples"]]
@@ -76,13 +80,13 @@ def test_example45_h20_constant_but_correction_breaks(ops):
 
 def test_singular_sample_becomes_error_row(ops):
     fam = get("example31").family
-    d = check_stability_hypotheses(fam, _samples("0", "1"))
+    d = check_stability_hypotheses(fam, _samples("0", "1"), _no_task)["hypotheses"]
     assert d["samples"][1] == {
         "assign": {"t": "1"},
         "error": "frame matrix is singular at t=1",
     }
     assert d["h20_bott_chern_constant"] is True  # only the good row counts
-    all_bad = check_stability_hypotheses(fam, _samples("1"))
+    all_bad = check_stability_hypotheses(fam, _samples("1"), _no_task)["hypotheses"]
     assert all_bad["h20_bott_chern_constant"] is None
 
 
@@ -94,8 +98,11 @@ def test_invalid_deformed_structure_becomes_the_sweep_error_row():
     B[0][1] = ScalarExpr.param("t")
     probe = DeformationFamily("probe", fam.base, ("t",), A, B, omega=fam.omega)
     samples = _samples("0", "1/2")
-    d = check_stability_hypotheses(probe, samples)
+    out = check_stability_hypotheses(probe, samples, lambda ops: ops.n)
+    d = out["hypotheses"]
     swept = sweep(samples, lambda a: OperatorCache(frame_change(probe, a)).n)
+    # the task rows are the rows of a plain sweep, error row included
+    assert out["samples"] == swept
     assert "result" in swept[0] and "h20_bott_chern" in d["samples"][0]
     assert d["samples"][1] == swept[1] == {
         "assign": {"t": "1/2"},
@@ -113,7 +120,7 @@ def _with_form(fam, omega):
 def test_missing_or_bad_distinguished_form():
     bare = get("theorem51_family").family
     with pytest.raises(StabilityInputError, match="no distinguished"):
-        check_stability_hypotheses(bare, _samples("0"))
+        check_stability_hypotheses(bare, _samples("0"), _no_task)
     # a parametric or mixed-type form never reaches the checks: the family
     # refuses it
     fam = get("example31").family
@@ -127,7 +134,7 @@ def test_missing_or_bad_distinguished_form():
 def test_override_form_is_used(ops):
     fam = get("section42_example").family
     omega = BigradedElement.gen(1).wedge(BigradedElement.gen(2))
-    d = check_stability_hypotheses(_with_form(fam, omega), _samples("0"))
+    d = check_stability_hypotheses(_with_form(fam, omega), _samples("0"), _no_task)["hypotheses"]
     assert d["omega"] == "f1^f2"
     # closed but degenerate: (f1^f2)^2 = 0
     assert d["omega_closed_at_zero"] is True
