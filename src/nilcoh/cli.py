@@ -9,16 +9,25 @@ failed validation or a report that could not be written, 2 usage error,
 A command imports the theory modules (cohomology, frolicher, symplectic,
 stability, deform) inside the handler that runs them, so each process
 compiles only what its command uses; the errors main maps to exit codes live
-in modules every command loads.
+in modules every command loads.  Start-up loads no native library that a
+report does not need: the digest comes from CPython's built-in SHA-256, not
+from hashlib, whose OpenSSL backend adds about 3.5 MiB to every process.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import itertools
 import json
 import sys
+
+try:  # CPython's built-in SHA-256: hashlib's own fallback without OpenSSL
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10 and 3.11
+    except ImportError:
+        from hashlib import sha256  # a build without the built-in module
 
 from . import __version__, catalog, dsl
 from .algebra import (DEFAULT_SAMPLES, DeformationError, StructureError, SymplecticError,
@@ -124,7 +133,7 @@ def _target_ops(args):
 
 
 def _digest(spec, target, assign):
-    h = hashlib.sha256()
+    h = sha256()
     h.update(dsl.pretty(spec).encode())
     if target is not spec:
         h.update(b"family\n")
@@ -223,8 +232,7 @@ def _parse_grid(text):
 def _samples(args, params):
     """The samples of deform and hypotheses: --samples ("t=0; t=1/2"),
     --grid or the default samples, each checked against the target's
-    parameters.  Samples of a parameter-free target are not checked: each
-    of its rows repeats it."""
+    parameters."""
     grid = getattr(args, "grid", None)  # hypotheses has no --grid
     # an option is absent only when not passed: empty text is refused
     if args.samples is not None and grid is not None:
@@ -238,9 +246,8 @@ def _samples(args, params):
         samples = _parse_grid(grid)
     else:
         samples = [dict.fromkeys(params, v) for v in DEFAULT_SAMPLES] if params else [{}]
-    if params:
-        for s in samples:
-            _check_assignment(f"sample {{{assignment_label(s)}}}", s, params)
+    for s in samples:
+        _check_assignment(f"sample {{{assignment_label(s)}}}", s, params)
     return samples
 
 
@@ -474,7 +481,7 @@ def _cmd_deform(args):
     per_sample = [t for t in tasks if t[0] != "hypotheses"]
     if len(per_sample) == len(tasks):
         # a deformation family sweeps by frame change, a parametric structure
-        # by direct substitution; a parameter-free structure repeats its row
+        # by direct substitution; a parameter-free structure has one row
         results = {"samples": sweep(
             samples, lambda a: _run_tasks(per_sample, concretize(target, a)))}
     elif target is spec:

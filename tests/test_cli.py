@@ -3,6 +3,7 @@ the parameter, task, degree and stage options through cli.main in process."""
 
 import ast
 import contextlib
+import hashlib
 import importlib
 import io
 import json
@@ -82,8 +83,19 @@ import contextlib, io, json, sys
 from nilcoh import cli
 with contextlib.redirect_stdout(io.StringIO()):
     rc = cli.main(sys.argv[1:])
-print(json.dumps([rc, sorted(m for m in sys.modules if m.startswith("nilcoh."))]))
+print(json.dumps([rc, sorted(sys.modules)]))
 """
+
+
+def _modules_loaded(argv):
+    """(exit code, names in sys.modules) after one cli.main call in a fresh
+    interpreter."""
+    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rc, loaded = json.loads(proc.stdout)
+    return rc, set(loaded)
+
 
 _THEORY_MODULES = {"cohomology", "frolicher", "symplectic", "stability", "deform"}
 
@@ -96,12 +108,61 @@ _THEORY_MODULES = {"cohomology", "frolicher", "symplectic", "stability", "deform
      {"stability", "frolicher"}),
 ])
 def test_a_command_imports_only_the_modules_it_runs(argv, absent):
-    proc = subprocess.run([sys.executable, "-c", _MODULES_LOADED, *argv],
+    rc, loaded = _modules_loaded(argv)
+    assert rc == 0
+    assert {m.removeprefix("nilcoh.") for m in loaded if m.startswith("nilcoh.")} & absent == set()
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", "@torus2"],
+    ["cohomology", "@iwasawa"],
+    ["frolicher", "@iwasawa"],
+    ["symplectic", "@torus4"],
+    ["deform", "@example31", "--samples", "t=0", "--tasks", "validate"],
+    ["purefull", "@iwasawa", "--stage", "2"],
+    ["hypotheses", "@section42_example", "--samples", "t=0"],
+    ["catalog"],
+], ids=lambda argv: argv[0])
+def test_no_command_loads_openssl(argv):
+    # the digest uses CPython's built-in SHA-256; hashlib's OpenSSL backend
+    # would add about 3.5 MiB to every process
+    rc, loaded = _modules_loaded(argv)
+    assert rc == 0
+    assert "_hashlib" not in loaded
+
+
+@pytest.mark.parametrize("name, pairs", [
+    ("@iwasawa_sigma_family", ["t11=1/2", "t12=i", "t21=0", "t22=-1/3"]),
+    ("@example31", ["t=1/2+i/3"]),
+])
+def test_digest_is_the_sha256_of_its_input(monkeypatch, name, pairs):
+    spec, target = cli._load_target(name)
+    assign = cli._parse_assignment("--assign", pairs)
+    digest = cli._digest(spec, target, assign)
+    monkeypatch.setattr(cli, "sha256", hashlib.sha256)
+    assert cli._digest(spec, target, assign) == digest
+
+
+_WITHOUT_BUILTIN_SHA256 = """
+import contextlib, io, json, sys
+sys.modules["_sha2"] = sys.modules["_sha256"] = None
+from nilcoh import cli
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    rc = cli.main(sys.argv[1:])
+print(json.dumps([rc, out.getvalue(), "hashlib" in sys.modules]))
+"""
+
+
+def test_digest_falls_back_to_hashlib_with_the_same_report():
+    argv = ["validate", "@example31", "--assign", "t=1/2+i/3"]
+    proc = subprocess.run([sys.executable, "-c", _WITHOUT_BUILTIN_SHA256, *argv],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    rc, loaded = json.loads(proc.stdout)
-    assert rc == 0
-    assert {m.removeprefix("nilcoh.") for m in loaded} & absent == set()
+    rc, report, fell_back = json.loads(proc.stdout)
+    assert fell_back and "hashlib" not in _modules_loaded(argv)[1]
+    normal = run(*argv)
+    assert (rc, report) == (normal.returncode, normal.stdout) and rc == 0
 
 
 def test_bad_dsl_file_is_usage_error(tmp_path):
@@ -264,13 +325,10 @@ def test_deform_parameter_free_target():
     rows = out["results"]["samples"]
     assert len(rows) == 1 and rows[0]["assign"] == {}
     assert rows[0]["result"]["symplectic"]["verdict"] == "exists"
-    # explicit samples on a parameter-free structure: rows repeat the base
-    out2 = run_json(
-        "deform", "@torus4", "--samples", "t=0; t=1/2", "--tasks", "symplectic"
-    )
-    rows2 = out2["results"]["samples"]
-    assert [r["assign"] for r in rows2] == [{"t": "0"}, {"t": "1/2"}]
-    assert all(r["result"] == rows[0]["result"] for r in rows2)
+    # a sample naming a parameter the structure lacks is refused, as --assign is
+    proc = run("deform", "@torus4", "--samples", "t=0; t=1/2", "--tasks", "symplectic")
+    assert (proc.returncode, proc.stderr, proc.stdout) == (
+        2, "nilcoh: sample {t=0} has unknown parameters: t\n", "")
 
 
 def test_deform_singular_sample_is_error_row_not_crash():
