@@ -17,7 +17,7 @@ from itertools import product
 from .gauss import GaussRat
 from .linalg import basis, leibniz_rows, mat_mul, transpose
 from .scalar import ScalarEvalError
-from .exterior import BigradedElement, mono_key
+from .exterior import BigradedElement
 
 # default exact sample points used for pointwise validation of parametric data
 DEFAULT_SAMPLES = (
@@ -89,27 +89,21 @@ class AlgebraSpec:
     def d(self, element):
         """d extended as an odd derivation to any BigradedElement."""
         out = BigradedElement.zero()
-        for (holo, anti), coeff in element.coeffs.items():
-            mono = list((0, i) for i in holo) + list((1, i) for i in anti)
-            for pos, (barred, idx) in enumerate(mono):
-                sign = -1 if pos % 2 else 1
+        for m, coeff in element.coeffs.items():
+            for pos, (barred, idx) in enumerate(m):
                 dg = self.d_gen(idx, barred)
                 if dg.is_zero():
                     continue
-                rest_holo = tuple(i for b, i in mono if (b, i) != (barred, idx) and b == 0)
-                rest_anti = tuple(i for b, i in mono if (b, i) != (barred, idx) and b == 1)
-                rest = BigradedElement.monomial(rest_holo, rest_anti, coeff)
-                term = dg.wedge(rest)
-                out = out + (term if sign == 1 else -term)
+                term = dg.wedge(BigradedElement({m[:pos] + m[pos + 1:]: coeff}))
+                out = out + (-term if pos % 2 else term)
         return out
 
     def d_rows(self, k):
         """Rows of d: Lambda^k -> Lambda^{k+1} of a parameter-free structure,
         assembled once by linalg.leibniz_rows and kept: the spec is immutable."""
         if self._leibniz is None:  # (structure equations by token, {k: rows})
-            d_gen = {(int(barred), i): [(mono_key(m), c.const_value())
-                                        for m, c in self.d_gen(i, barred).coeffs.items()]
-                     for i in range(1, self.n + 1) for barred in (False, True)}
+            d_gen = {(b, i): [(m, c.const_value()) for m, c in self.d_gen(i, b).coeffs.items()]
+                     for i in range(1, self.n + 1) for b in (0, 1)}
             object.__setattr__(self, "_leibniz", (d_gen, {}))
         d_gen, rows = self._leibniz
         if k not in rows:
@@ -183,7 +177,7 @@ class AlgebraSpec:
         columns = transpose(mat_mul(self.d_rows(2), self.d_rows(1)), len(index))
         basis3, _ = basis(self.n, 3)
         for i in range(1, self.n + 1):
-            for g, m in ((f"f{i}", ((i,), ())), (f"F{i}", ((), (i,)))):
+            for g, m in ((f"f{i}", ((0, i),)), (f"F{i}", ((1, i),))):
                 dd = columns[index[m]]
                 if dd:
                     dd = BigradedElement({basis3[r]: x for r, x in dd.items()})

@@ -259,16 +259,13 @@ def _iwasawa_sigma_family():
     s_2b2 = -(alpha * gamma) * (t12 + t12.conj() * det)
     s_12 = -gamma - alpha.conj() * nrm(t22) + (one / gamma.conj()) * (s_1b1 * s_2b2.conj())
 
-    coeffs = {
-        ((1, 2), ()): s_12,
-        ((1,), (1,)): s_1b1,
-        ((1,), (2,)): s_1b2,
-        ((2,), (1,)): s_2b1,
-        ((2,), (2,)): s_2b2,
-    }
-    d_f3 = BigradedElement.zero()
-    for (holo, anti), s in coeffs.items():
-        d_f3 = d_f3 + BigradedElement.monomial(holo, anti, s)
+    d_f3 = BigradedElement({
+        ((0, 1), (0, 2)): s_12,
+        ((0, 1), (1, 1)): s_1b1,
+        ((0, 1), (1, 2)): s_1b2,
+        ((0, 2), (1, 1)): s_2b1,
+        ((0, 2), (1, 2)): s_2b2,
+    })
 
     spec = AlgebraSpec(
         "iwasawa_sigma_family", 3, ("t11", "t12", "t21", "t22"),

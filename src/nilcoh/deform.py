@@ -100,7 +100,7 @@ def deformed_frame(family, assign):
             out = BigradedElement.zero()
             for c, x in inv[n + j if barred else j].items():
                 out = out + BigradedElement.gen(c % n + 1, barred=c >= n, coeff=x)
-            sub[(barred, j + 1)] = out
+            sub[(int(barred), j + 1)] = out
 
     def to_eta(element):
         return substitute(element, sub)

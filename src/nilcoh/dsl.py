@@ -22,7 +22,7 @@ import re
 
 from .gauss import GaussRat
 from .scalar import S_I, ScalarExpr, S_ONE
-from .exterior import BigradedElement
+from .exterior import BigradedElement, mono_str
 from .algebra import AlgebraSpec
 
 
@@ -450,10 +450,8 @@ def pretty(spec):
             out.append(f"d f{k} = 0")
             continue
         terms = []
-        for (holo, anti), coeff in el.items():
-            mono = "^".join(
-                [f"f{j}" for j in holo] + [f"F{j}" for j in anti]
-            )
+        for m, coeff in el.items():
+            mono = mono_str(m)
             if coeff == S_ONE:
                 terms.append(mono)
             else:

@@ -1,38 +1,30 @@
 """Bigraded exterior algebra on phi^1..phi^n, phi^1bar..phi^nbar.
 
-Monomials are kept in the global canonical order: holomorphic generators
-first (ascending index), then antiholomorphic (ascending index).  All signs
-flow from counting transpositions against that order.  Elements are sparse
-maps monomial -> ScalarExpr with zero coefficients absent, so structural
-equality is exact equality of forms.
+A monomial has one spelling throughout nilcoh: the sorted tuple of its
+generator tokens, (0, i) for phi^i and (1, i) for phi^ibar.  Tuple order is
+the global generator order (holomorphic generators first, each kind by
+ascending index), so f1^f3^F2 is ((0, 1), (0, 3), (1, 2)) and the empty
+tuple is the unit.  All signs flow from counting transpositions against that
+order.  Elements are sparse maps monomial -> ScalarExpr with zero
+coefficients absent, so structural equality is exact equality of forms.
 """
 
 from __future__ import annotations
 
 from .scalar import ScalarExpr, S_ONE, S_ZERO
 
-# A Monomial is a pair (holo, anti) of strictly increasing index tuples.
-# Generator tokens used for ordering/merging: (0, i) for phi^i, (1, i) for
-# phi^ibar -- tuple comparison gives exactly the global generator order.
-
-
-def mono_key(m):
-    holo, anti = m
-    return tuple((0, i) for i in holo) + tuple((1, i) for i in anti)
-
 
 def mono_bidegree(m):
-    return (len(m[0]), len(m[1]))
+    q = sum(b for b, _ in m)
+    return (len(m) - q, q)
 
 
 def mono_str(m):
-    holo, anti = m
-    toks = [f"f{i}" for i in holo] + [f"F{i}" for i in anti]
-    return "^".join(toks) if toks else "1"
+    return "^".join(f"{'fF'[b]}{i}" for b, i in m) or "1"
 
 
-def _merge_count(a, b):
-    """Merge two sorted token tuples; return (sign, merged) or (0, None) on repeat."""
+def mono_wedge(a, b):
+    """Wedge of monomials: (sign, monomial), or (0, None) on a repeated token."""
     out = []
     sign = 1
     i = j = 0
@@ -53,21 +45,11 @@ def _merge_count(a, b):
     return sign, tuple(out)
 
 
-def mono_wedge(m1, m2):
-    """Wedge of canonical monomials: (sign, monomial), or (0, None) if degenerate."""
-    sign, merged = _merge_count(mono_key(m1), mono_key(m2))
-    if sign == 0:
-        return 0, None
-    holo = tuple(i for b, i in merged if b == 0)
-    anti = tuple(i for b, i in merged if b == 1)
-    return sign, (holo, anti)
-
-
 def mono_conj(m):
     """Conjugate monomial and the sign of re-sorting it: (-1)^(p*q)."""
-    holo, anti = m
-    sign = -1 if (len(holo) * len(anti)) % 2 else 1
-    return sign, (anti, holo)
+    p, q = mono_bidegree(m)
+    sign = -1 if (p * q) % 2 else 1
+    return sign, tuple((1 - b, i) for b, i in m[p:] + m[:p])
 
 
 class BigradedElement:
@@ -96,16 +78,11 @@ class BigradedElement:
 
     @classmethod
     def gen(cls, index, barred=False, coeff=S_ONE):
-        m = ((), (index,)) if barred else ((index,), ())
-        return cls({m: coeff})
-
-    @classmethod
-    def monomial(cls, holo, anti, coeff=S_ONE):
-        return cls({(tuple(holo), tuple(anti)): coeff})
+        return cls({((int(barred), index),): coeff})
 
     @classmethod
     def one(cls):
-        return cls({((), ()): S_ONE})
+        return cls({(): S_ONE})
 
     # -- structure -----------------------------------------------------------
 
@@ -113,7 +90,7 @@ class BigradedElement:
         return not self.coeffs
 
     def items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: mono_key(kv[0]))
+        return sorted(self.coeffs.items(), key=lambda kv: kv[0])
 
     def bidegrees(self):
         return sorted({mono_bidegree(m) for m in self.coeffs})
@@ -236,19 +213,14 @@ class BigradedElement:
 
 
 def substitute(element, mapping):
-    """Pull a form back along a generator map: replace each generator by the
-    1-form mapping[(barred, index)]."""
+    """Pull a form back along a generator map: replace each generator token
+    by the 1-form mapping[token]."""
     out = BigradedElement.zero()
-    for (holo, anti), coeff in element.coeffs.items():
+    for m, coeff in element.coeffs.items():
         term = BigradedElement.one().scale(coeff)
-        for i in holo:
-            term = term.wedge(mapping[(False, i)])
+        for tok in m:
+            term = term.wedge(mapping[tok])
             if term.is_zero():
                 break
-        if not term.is_zero():
-            for i in anti:
-                term = term.wedge(mapping[(True, i)])
-                if term.is_zero():
-                    break
         out = out + term
     return out

@@ -6,7 +6,9 @@ and subspaces are stored in reduced row echelon form, so equal subspaces have
 byte-identical representations.  Determinism is preferred over speed; the
 tests pin n=6 structures, whose middle degree is 924-dimensional.
 
-This module owns the coordinate layout of forms (basis, block, holo_range):
+This module owns the coordinate layout of forms (basis, block, holo_range).
+A basis lists monomials in the one format of exterior, sorted generator
+token tuples, which the Leibniz assembly reads directly.
 Lambda^k lists its (p,q) blocks in descending p, so every F^p is a column
 prefix, every range of holomorphic degrees one column range, and del and
 delbar are slices of the matrix of d, as is every filtered piece
@@ -15,12 +17,12 @@ delbar are slices of the matrix of d, as is every filtered piece
 
 from __future__ import annotations
 
-from bisect import bisect
+from bisect import bisect, bisect_left
 from functools import cache
 from itertools import combinations
 
 from .gauss import ONE, ZERO, InternalError
-from .exterior import BigradedElement, _merge_count, mono_key
+from .exterior import BigradedElement, mono_wedge
 from .scalar import ScalarExpr
 
 
@@ -48,12 +50,17 @@ def _axpy(v, f, row):
 
 
 def _reduce(rows, pivots, vec):
-    """Residue of vec against the RREF rows: every pivot column cleared."""
+    """Residue of vec against the RREF rows: every pivot column cleared.
+
+    A row is zero at every other pivot column, so subtracting it changes no
+    other pivot entry: only the pivots in vec's support are visited, in
+    column order, each scaled by its entry in vec.
+    """
     v = dict(vec)
-    for row, c in zip(rows, pivots):
-        f = v.get(c)
-        if f is not None:
-            _axpy(v, f, row)
+    for c in sorted(vec):
+        at = bisect_left(pivots, c)
+        if at < len(pivots) and pivots[at] == c:
+            _axpy(v, vec[c], rows[at])
     return v
 
 
@@ -288,17 +295,19 @@ def split_blocks(vec, blocks):
 @cache
 def basis(n, key):
     """(monomials, {monomial: index}) of Lambda^{p,q} for key (p, q), or of
-    Lambda^k for key k, on n generators: lexicographic in the generator order
-    within a bidegree, the blocks of Lambda^k in descending p.  Built once
-    per (n, key) and shared by every structure, so read-only."""
+    Lambda^k for key k, on n generators: sorted token tuples, as everywhere
+    in nilcoh, in tuple order within a bidegree, the blocks of Lambda^k in
+    descending p.  Built once per (n, key) and shared by every structure, so
+    read-only."""
     if isinstance(key, int):
         mons = tuple(m for p in range(min(key, n), -1, -1) for m in basis(n, (p, key - p))[0])
     elif min(key) < 0 or max(key) > n:
         mons = ()
     else:
-        gens = range(1, n + 1)
-        mons = tuple((h, a) for h in combinations(gens, key[0])
-                     for a in combinations(gens, key[1]))
+        holo = [(0, i) for i in range(1, n + 1)]
+        anti = [(1, i) for i in range(1, n + 1)]
+        mons = tuple(h + a for h in combinations(holo, key[0])
+                     for a in combinations(anti, key[1]))
     return mons, {m: i for i, m in enumerate(mons)}
 
 
@@ -325,28 +334,19 @@ def column_slice(rows, cols):
             for row in rows]
 
 
-@cache
-def _basis_keys(n, k):
-    """The token tuples (mono_key) of the basis(n, k) monomials, and the
-    index of each: built once per (n, k) and shared by every structure, so
-    read-only."""
-    keys = tuple(map(mono_key, basis(n, k)[0]))
-    return keys, {t: r for r, t in enumerate(keys)}
-
-
 def leibniz_rows(d_gen, n, k):
     """Rows of d: Lambda^k -> Lambda^{k+1} on n generators, by the Leibniz
-    rule from the structure equations by generator token, d_gen = {(barred,
-    i): [(token pair of a 2-form monomial, coefficient)]}: the one assembly
-    of d in nilcoh, read through the memo AlgebraSpec.d_rows."""
-    src, _ = _basis_keys(n, k)
-    dst, row_of = _basis_keys(n, k + 1)
+    rule from the structure equations by generator token, d_gen = {token:
+    [(2-form monomial, coefficient)]}: the one assembly of d in nilcoh, read
+    through the memo AlgebraSpec.d_rows."""
+    src, _ = basis(n, k)
+    dst, row_of = basis(n, k + 1)
     rows = [{} for _ in dst]
     for c, toks in enumerate(src):
         for pos, tok in enumerate(toks):
             rest = toks[:pos] + toks[pos + 1:]
             for pair, coeff in d_gen[tok]:
-                sign, merged = _merge_count(pair, rest)
+                sign, merged = mono_wedge(pair, rest)
                 if sign:
                     row = rows[row_of[merged]]
                     x = row.get(c, ZERO)

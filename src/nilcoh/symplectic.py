@@ -39,7 +39,7 @@ def closed_20_elements(ops):
 
 
 def _top_coeff(element, n):
-    return element.coeff((tuple(range(1, n + 1)), ()))
+    return element.coeff(tuple((0, i) for i in range(1, n + 1)))
 
 
 def is_nondegenerate(form, n):

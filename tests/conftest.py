@@ -1,15 +1,20 @@
 """Shared fixtures: memoized operator caches for the built-in structures
-and the n = 6 structure files."""
+and the n = 6 structure files.  Hypothesis draws the same examples on every
+run, so a failing draw reproduces."""
 
 from functools import cache
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from nilcoh.catalog import get
 from nilcoh.deform import concretize
 from nilcoh.dsl import parse, parse_gauss
 from nilcoh.linalg import OperatorCache
+
+settings.register_profile("derandomized", derandomize=True)
+settings.load_profile("derandomized")
 
 _CACHE = {}
 _VALIDATIONS = {}

@@ -24,6 +24,12 @@ from nilcoh.linalg import (Subspace, assemble_block_rows, mat_mul, rref, solve, 
 from nilcoh.scalar import S_I, ScalarExpr
 
 
+def mono(holo, anti):
+    """The monomial f{holo}^F{anti} as nilcoh spells it: its sorted
+    generator tokens, (0, i) for f_i and (1, i) for F_i."""
+    return tuple((0, i) for i in holo) + tuple((1, i) for i in anti)
+
+
 def realify(spec):
     """Underlying real structure equations and the complex structure J.
 
@@ -52,8 +58,8 @@ def _real_coframe(n):
     coframe = {}
     for j in range(1, n + 1):
         re, im = BigradedElement.gen(2 * j - 1), BigradedElement.gen(2 * j, coeff=S_I)
-        coframe[(False, j)] = re + im
-        coframe[(True, j)] = re - im
+        coframe[(0, j)] = re + im
+        coframe[(1, j)] = re - im
     return coframe
 
 
@@ -64,7 +70,8 @@ def complex_form_to_real(form, n):
     coefficient fails to be real (the input must be a real form).
     """
     out = {}
-    for (idxs, _), c in substitute(form, _real_coframe(n)).items():
+    for m, c in substitute(form, _real_coframe(n)).items():
+        idxs = tuple(i for _, i in m)  # every token is unbarred
         val = c.const_value()
         if val.im:
             raise InternalError(f"non-real structure constant {val} at e^{idxs}")

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product
 
 from conftest import ops_for, validation_for
-from reference import class_in_pure_sum, rank_of, real_frame_matrix, realify
+from reference import class_in_pure_sum, mono, rank_of, real_frame_matrix, realify
 from zigzag import spectral_cell
 from nilcoh.catalog import catalog, get
 from nilcoh.cohomology import bott_chern, hodge_table, pure_full
@@ -81,12 +81,13 @@ def test_example45_constant_bc_and_certified_witnesses():
         assert not w.wedge_power(2).is_zero()
         support = {m for m, _ in w.items()}
         assert support <= {
-            ((1, 2), ()), ((1, 3), ()), ((1, 4), ()), ((2, 3), ()), ((2, 4), ()),
+            mono((1, 2), ()), mono((1, 3), ()), mono((1, 4), ()), mono((2, 3), ()),
+            mono((2, 4), ()),
         }
-        beta = w.coeff(((1, 3), ())).const_value()
-        gamma = w.coeff(((1, 4), ())).const_value()
-        theta = w.coeff(((2, 4), ())).const_value()
-        assert w.coeff(((2, 3), ())).const_value() == t * gamma
+        beta = w.coeff(mono((1, 3), ())).const_value()
+        gamma = w.coeff(mono((1, 4), ())).const_value()
+        theta = w.coeff(mono((2, 4), ())).const_value()
+        assert w.coeff(mono((2, 3), ())).const_value() == t * gamma
         assert bool(t * gamma * gamma - beta * theta), text
 
 

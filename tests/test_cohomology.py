@@ -314,12 +314,12 @@ def test_exactness_invariants_survive_optimize_flag():
         "import sys\n"
         f"sys.path.insert(0, {str(Path(__file__).parent)!r})\n"
         "from nilcoh import catalog, frolicher\n"
-        "from reference import complex_form_to_real\n"
+        "from reference import complex_form_to_real, mono\n"
         "from nilcoh.cohomology import CohomologyGroup\n"
         "from nilcoh.deform import DeformationFamily\n"
         "from nilcoh.exterior import BigradedElement\n"
         "from nilcoh.linalg import ONE, InternalError, OperatorCache, Subspace\n"
-        "from nilcoh.scalar import ScalarExpr\n"
+        "from nilcoh.scalar import S_ONE, ScalarExpr\n"
         "num = Subspace.zero(2)\n"
         "den = Subspace.span(2, [{0: ONE}])\n"
         "torus = catalog.get('torus2').spec\n"
@@ -333,13 +333,13 @@ def test_exactness_invariants_survive_optimize_flag():
         "              lambda: den.intersect(Subspace.zero(3)),\n"
         "              lambda: ScalarExpr.param('t').const_value(),\n"
         "              lambda: complex_form_to_real(\n"
-        "                  BigradedElement.monomial((1, 2), ()), 2),\n"
+        "                  BigradedElement({mono((1, 2), ()): S_ONE}), 2),\n"
         "              lambda: DeformationFamily('f', torus, (), A[:1], B),\n"
         "              lambda: DeformationFamily('f', torus, (), A, [r[:1] for r in B]),\n"
         "              lambda: DeformationFamily('f', torus, ('t',), A, B,\n"
-        "                  omega=BigradedElement.monomial((1, 2), (), t)),\n"
+        "                  omega=BigradedElement({mono((1, 2), ()): t})),\n"
         "              lambda: DeformationFamily('f', torus, (), A, B,\n"
-        "                  omega=BigradedElement.monomial((1,), (1,))),\n"
+        "                  omega=BigradedElement({mono((1,), (1,)): S_ONE})),\n"
         "              lambda: DeformationFamily('f', catalog.get('iwasawa_x_torus').spec, (),\n"
         "                  *DeformationFamily.identity_matrices(4)),\n"
         "              lambda: OperatorCache(catalog.get('iwasawa_x_torus').spec),\n"

@@ -14,6 +14,7 @@ from nilcoh.deform import (
 from nilcoh.dsl import parse_gauss
 from nilcoh.linalg import OperatorCache
 from nilcoh.scalar import S_ONE, S_ZERO, ScalarExpr
+from reference import mono
 
 
 def _eqs(spec):
@@ -41,10 +42,10 @@ def test_example31_frame_golden_at_half():
 def test_theorem51_frame_golden_at_half():
     spec = frame_change(get("theorem51_family").family, {"t": parse_gauss("1/2")})
     d3 = spec.d_gen(3, False)
-    assert str(d3.coeff(((1, 2), ()))) == "4/3"
-    assert str(d3.coeff(((2,), (1,)))) == "2/3"     # (4/3) * t at t=1/2
-    assert str(d3.coeff(((2,), (2,)))) == "-2/3*i"  # (4/3) * (-i t)
-    assert d3.coeff(((1,), (1,))).is_zero()
+    assert str(d3.coeff(mono((1, 2), ()))) == "4/3"
+    assert str(d3.coeff(mono((2,), (1,)))) == "2/3"     # (4/3) * t at t=1/2
+    assert str(d3.coeff(mono((2,), (2,)))) == "-2/3*i"  # (4/3) * (-i t)
+    assert d3.coeff(mono((1,), (1,))).is_zero()
 
 
 def test_nakamura_frame_golden_at_i_half():
@@ -53,7 +54,7 @@ def test_nakamura_frame_golden_at_i_half():
     d3 = spec.d_gen(3, False)
     # d eta^3 = -t eta^{3 ^ bar1}
     assert len(list(d3.items())) == 1
-    assert d3.coeff(((3,), (1,))).const_value() == -t
+    assert d3.coeff(mono((3,), (1,))).const_value() == -t
 
 
 def test_singular_frame_raises():
@@ -117,7 +118,7 @@ def test_sweep_on_parametric_structure():
         for a in ("0", "1/2")
         for b in ("0", "1/2")
     ]
-    rows = sweep(grid, lambda a: str(concretize(spec, a).d_gen(3, False).coeff(((1, 2), ()))))
+    rows = sweep(grid, lambda a: str(concretize(spec, a).d_gen(3, False).coeff(mono((1, 2), ()))))
     assert [r["result"] for r in rows] == ["-1", "-4/3", "-4/3", "-5/3"]
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from nilcoh import dsl
 from nilcoh.catalog import catalog
 from nilcoh.dsl import DslError, FLAG_NAME, parse, parse_gauss, pretty
+from reference import mono
 
 BASIC = """\
 algebra "demo" dim 4
@@ -29,7 +30,7 @@ def test_parse_basic():
     assert spec.flag_invariant_ok is True
     assert spec.d_gen(1, False).is_zero() and spec.d_gen(2, False).is_zero()
     assert not spec.d_gen(3, False).is_zero()
-    c = spec.d_gen(4, False).coeff(((1, 2), ()))
+    c = spec.d_gen(4, False).coeff(mono((1, 2), ()))
     assert c.evaluate({"t": parse_gauss("1/2")}) == parse_gauss("4/3")
 
 
@@ -43,7 +44,7 @@ def test_flag_name_constant():
 
 def test_unicode_minus_accepted():
     spec = parse('algebra "x" dim 2\nd f2 = −1/2 * f1^F1')
-    assert spec.d_gen(2, False).coeff(((1,), (1,))).const_value() == parse_gauss("-1/2")
+    assert spec.d_gen(2, False).coeff(mono((1,), (1,))).const_value() == parse_gauss("-1/2")
 
 
 def test_pretty_is_canonical_fixed_point():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement, mono_bidegree, mono_conj, mono_str, mono_wedge
 from nilcoh.scalar import S_ONE, ScalarExpr
+from reference import mono
 
 
 def g(i):
@@ -17,14 +18,14 @@ def gb(i):
 
 
 def test_monomial_helpers():
-    m = ((1, 3), (2,))
+    m = mono((1, 3), (2,))
     assert mono_bidegree(m) == (2, 1)
     assert mono_str(m) == "f1^f3^F2"
-    assert mono_conj(((1, 2), ())) == (1, ((), (1, 2)))
-    assert mono_conj(((1,), (2,))) == (-1, ((2,), (1,)))
+    assert mono_conj(mono((1, 2), ())) == (1, mono((), (1, 2)))
+    assert mono_conj(mono((1,), (2,))) == (-1, mono((2,), (1,)))
     # reordering a swapped pair costs a sign
-    assert mono_wedge(((2,), ()), ((1,), ())) == (-1, ((1, 2), ()))
-    assert mono_wedge(((1,), ()), ((1,), ())) == (0, None)
+    assert mono_wedge(mono((2,), ()), mono((1,), ())) == (-1, mono((1, 2), ()))
+    assert mono_wedge(mono((1,), ()), mono((1,), ())) == (0, None)
 
 
 def test_wedge_anticommutativity_and_squares():
@@ -62,7 +63,7 @@ def test_wedge_power_and_unit():
     assert (omega.wedge_power(0) - BigradedElement.one()).is_zero()
     sq = omega.wedge_power(2)
     # (f12 + f34)^2 = 2 f1234
-    coeff = sq.coeff(((1, 2, 3, 4), ()))
+    coeff = sq.coeff(mono((1, 2, 3, 4), ()))
     assert coeff.const_value() == parse_gauss("2")
     assert len(list(sq.items())) == 1
 
@@ -79,9 +80,9 @@ def test_wedge_builds_canonical_monomials():
     # generators wedge into ascending holo-then-anti monomials with the
     # transposition sign tracked
     el = g(3).wedge(g(1))
-    assert (el - BigradedElement.monomial((1, 3), (), ScalarExpr.const(-1))).is_zero()
+    assert (el - BigradedElement({mono((1, 3), ()): ScalarExpr.const(-1)})).is_zero()
     el2 = gb(2).wedge(g(1))
-    assert (el2 - BigradedElement.monomial((1,), (2,), ScalarExpr.const(-1))).is_zero()
+    assert (el2 - BigradedElement({mono((1,), (2,)): ScalarExpr.const(-1)})).is_zero()
 
 
 def test_coefficients_print_in_one_pair_of_parentheses():
@@ -110,7 +111,7 @@ def _elements(draw, n=3):
         holo = tuple(sorted(draw(st.sets(st.integers(1, n), max_size=2))))
         anti = tuple(sorted(draw(st.sets(st.integers(1, n), max_size=2))))
         c = ScalarExpr.const(draw(st.sampled_from(_COEFFS)))
-        el = el + BigradedElement.monomial(holo, anti, c)
+        el = el + BigradedElement({mono(holo, anti): c})
     return el
 
 

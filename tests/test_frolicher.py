@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import re
 from functools import cache
 from pathlib import Path
@@ -247,8 +248,13 @@ def _stdout(*argv):
     """(exit code, stdout) of one command, run from the tests directory so
     that a structure file is named by its relative path in the report."""
     out = io.StringIO()
-    with contextlib.chdir(_TESTS), contextlib.redirect_stdout(out):
-        rc = cli.main(list(argv))
+    cwd = os.getcwd()
+    os.chdir(_TESTS)
+    try:
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
     return rc, out.getvalue()
 
 
