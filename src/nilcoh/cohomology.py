@@ -237,7 +237,7 @@ def pure_full(ops, k):
     report._pure = pure
     report._group_reps = None
     report._pairwise = None
-    report.sum_dim = reduce(Subspace.add, images.values(), Subspace.zero(ops.dims(k))).dim
+    report.sum_dim = reduce(Subspace.add, images.values(), Subspace(ops.dims(k))).dim
     report.total_intersection_dim = (
         reduce(Subspace.intersect, images.values()).dim if images else 0
     )

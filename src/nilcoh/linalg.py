@@ -28,11 +28,12 @@ from .scalar import ScalarExpr
 
 # ---------------------------------------------------------------------------
 # the elimination kernel.  A vector is a sparse row, a dict {column: nonzero
-# GaussRat} with no zero stored; a matrix is a list of sparse rows.  An
-# echelon state is a pair (rows, pivots) in reduced row echelon form.
-# _reduce and _insert are the only row operations; everything below composes
-# them.  No routine edits a row it was given: memoised matrices and
-# subspaces share their row dicts.
+# GaussRat} with no zero stored; a matrix is a list of sparse rows.  The one
+# echelon state is a Subspace, rows in reduced row echelon form and their
+# pivots.  Subspace.reduce and Subspace.extend are the only row operations;
+# everything below composes them.  extend edits its state in place, so it
+# runs only on a state its caller built or copied.  No routine edits a row
+# dict: memoised matrices and subspaces share theirs.
 
 
 def _axpy(v, f, row):
@@ -49,57 +50,11 @@ def _axpy(v, f, row):
                 del v[j]
 
 
-def _reduce(rows, pivots, vec):
-    """Residue of vec against the RREF rows: every pivot column cleared.
-
-    A row is zero at every other pivot column, so subtracting it changes no
-    other pivot entry: only the pivots in vec's support are visited, in
-    column order, each scaled by its entry in vec.
-    """
-    v = dict(vec)
-    for c in sorted(vec):
-        at = bisect_left(pivots, c)
-        if at < len(pivots) and pivots[at] == c:
-            _axpy(v, vec[c], rows[at])
-    return v
-
-
-def _insert(rows, pivots, residue):
-    """Add a nonzero residue of _reduce to the echelon state, in place.
-
-    The residue is scaled to a leading 1, its pivot column is cleared from
-    the other rows, and it goes in at its pivot position.  Rows that change
-    are replaced, never edited.  Callers pass their own lists, never a
-    memoised subspace's.
-    """
-    c = min(residue)
-    inv = ONE / residue[c]
-    new = {j: x * inv for j, x in residue.items()}
-    for i, row in enumerate(rows):
-        f = row.get(c)
-        if f is not None:
-            row = dict(row)
-            _axpy(row, f, new)
-            rows[i] = row
-    at = bisect(pivots, c)
-    rows.insert(at, new)
-    pivots.insert(at, c)
-
-
-def _extend(rows, pivots, vectors):
-    """Fold vectors into the echelon state (rows, pivots), in place."""
-    for vec in vectors:
-        residue = _reduce(rows, pivots, vec)
-        if residue:
-            _insert(rows, pivots, residue)
-
-
 def rref(rows):
     """Reduced row echelon form of a list of rows: (rows, pivot columns),
-    zero rows dropped."""
-    red, pivots = [], []
-    _extend(red, pivots, rows)
-    return red, pivots
+    zero rows dropped.  The state's ambient is never read."""
+    state = Subspace.span(None, rows)
+    return state.rows, state.pivots
 
 
 def kernel_basis(rows, ncols):
@@ -172,31 +127,79 @@ def solve(rows, b, ncols):
 
 
 class Subspace:
-    """A subspace of Q(i)^dim in canonical (RREF) form."""
+    """A subspace of Q(i)^ambient as its echelon state: rows in reduced row
+    echelon form and their pivot columns, ascending, so equal subspaces have
+    equal states.  Subspace(ambient) is the zero subspace; the state owns
+    its lists, and copy() is how a caller gets a state of its own from a
+    memoised one."""
 
     __slots__ = ("ambient", "rows", "pivots")
 
-    def __init__(self, ambient, rows, pivots):
+    def __init__(self, ambient, rows=(), pivots=()):
         self.ambient = ambient
-        self.rows = rows
-        self.pivots = pivots
+        self.rows = list(rows)
+        self.pivots = list(pivots)
 
     @classmethod
     def span(cls, ambient, vectors):
         """Span of a list of vectors."""
-        return cls(ambient, *rref(vectors))
+        state = cls(ambient)
+        state.extend(vectors)
+        return state
 
-    @classmethod
-    def zero(cls, ambient):
-        return cls(ambient, [], [])
+    def copy(self):
+        """The same state in lists of its own; the row dicts are shared,
+        since extend replaces rows and never edits them."""
+        return Subspace(self.ambient, self.rows, self.pivots)
 
     @property
     def dim(self):
         return len(self.rows)
 
     def reduce(self, vec):
-        """Residue of vec modulo this subspace (canonical representative)."""
-        return _reduce(self.rows, self.pivots, vec)
+        """Residue of vec modulo this subspace, its canonical representative:
+        every pivot column cleared.
+
+        A row is zero at every other pivot column, so subtracting it changes
+        no other pivot entry: only the pivots in vec's support are visited,
+        in column order, each scaled by its entry in vec.
+        """
+        rows, pivots = self.rows, self.pivots
+        v = dict(vec)
+        for c in sorted(vec):
+            at = bisect_left(pivots, c)
+            if at < len(pivots) and pivots[at] == c:
+                _axpy(v, vec[c], rows[at])
+        return v
+
+    def extend(self, vectors):
+        """Fold vectors into this state, in place, and return those whose
+        residue was nonzero, in order: the ones that raised the dimension.
+
+        A residue is scaled to a leading 1, its pivot column is cleared from
+        the other rows, and it goes in at its pivot position.  Rows that
+        change are replaced, never edited.
+        """
+        rows, pivots = self.rows, self.pivots
+        raised = []
+        for vec in vectors:
+            residue = self.reduce(vec)
+            if not residue:
+                continue
+            raised.append(vec)
+            c = min(residue)
+            inv = ONE / residue[c]
+            new = {j: x * inv for j, x in residue.items()}
+            for i, row in enumerate(rows):
+                f = row.get(c)
+                if f is not None:
+                    row = dict(row)
+                    _axpy(row, f, new)
+                    rows[i] = row
+            at = bisect(pivots, c)
+            rows.insert(at, new)
+            pivots.insert(at, c)
+        return raised
 
     def contains(self, vec):
         return not self.reduce(vec)
@@ -212,9 +215,9 @@ class Subspace:
 
     def add(self, other):
         self._check_ambient(other)
-        rows, pivots = list(self.rows), list(self.pivots)
-        _extend(rows, pivots, other.rows)
-        return Subspace(self.ambient, rows, pivots)
+        total = self.copy()
+        total.extend(other.rows)
+        return total
 
     def intersect(self, other):
         """Zassenhaus: in the echelon form of the rows (u, u) over self and
@@ -223,11 +226,11 @@ class Subspace:
         intersection."""
         self._check_ambient(other)
         a = self.ambient
-        red, pivots = rref([u | {a + j: x for j, x in u.items()} for u in self.rows]
-                           + other.rows)
-        return Subspace(a, [{j - a: x for j, x in row.items()}
-                            for row, c in zip(red, pivots) if c >= a],
-                        [c - a for c in pivots if c >= a])
+        both = Subspace.span(2 * a, [u | {a + j: x for j, x in u.items()} for u in self.rows]
+                             + other.rows)
+        cut = bisect_left(both.pivots, a)
+        return Subspace(a, [{j - a: x for j, x in row.items()} for row in both.rows[cut:]],
+                        [c - a for c in both.pivots[cut:]])
 
     def quotient_dim(self, sub, what="quotient"):
         """dim(self / sub); raises InternalError unless sub lies in self."""
@@ -247,14 +250,7 @@ class Subspace:
 def quotient_representatives(vectors, den):
     """Deterministic representatives of (span(vectors) + den) / den: greedy
     in the given order, keeping each vector outside den + span(kept)."""
-    rows, pivots = list(den.rows), list(den.pivots)
-    reps = []
-    for v in vectors:
-        residue = _reduce(rows, pivots, v)
-        if residue:
-            reps.append(v)
-            _insert(rows, pivots, residue)
-    return reps
+    return den.copy().extend(vectors)
 
 
 def assemble_block_rows(blocks, rows_of_blocks):
@@ -455,11 +451,11 @@ class OperatorCache:
         a degree at a time; dim{x in F^m : dx in F^c} is the width of the
         prefix F^m less the entries of entry c inside it."""
         def build():
-            d, rows, pivots = self.d_total(k), [], []
+            d, state = self.d_total(k), Subspace(self.dims(k))
             table = [()]
             for c in range(self.n + 1):
-                _extend(rows, pivots, d[holo_range(self.n, k + 1, c, c)])
-                table.append(tuple(pivots))
+                state.extend(d[holo_range(self.n, k + 1, c, c)])
+                table.append(tuple(state.pivots))
             return table
 
         return self._get(("filtered", k), build)

@@ -302,7 +302,7 @@ def class_in_pure_sum(ops, k, element):
     if mat_mul([vec], transpose(ops.d_total(k), ops.dims(k)))[0]:
         raise NotInNumerator("form is not d-closed")
     classes = [c for _, c in _pure_type_classes(ops, k).values()]
-    sum_space = reduce(Subspace.add, classes, Subspace.zero(ops.dims(k)))
+    sum_space = reduce(Subspace.add, classes, Subspace(ops.dims(k)))
     return sum_space.contains(ops.image("d", k - 1).reduce(vec))
 
 

@@ -11,11 +11,13 @@ import sys
 from fractions import Fraction
 from itertools import product
 
-from conftest import ops_for, validation_for
+import pytest
+
+from conftest import n6_ops_for, ops_for, validation_for
 from reference import class_in_pure_sum, mono, rank_of, real_frame_matrix, realify
 from zigzag import spectral_cell
 from nilcoh.catalog import catalog, get
-from nilcoh.cohomology import bott_chern, hodge_table, pure_full
+from nilcoh.cohomology import betti as betti_number, bott_chern, hodge_table, pure_full
 from nilcoh.deform import DeformationError, frame_change
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
@@ -260,6 +262,15 @@ def _sum_compose_vanishes(pairs, src_dim):
         assert all(not v for v in acc.values()), f"column {j} survives"
 
 
+def _duality_defects(n, betti, dol):
+    """Where Poincare duality b_k = b_{2n-k} and Serre duality
+    h^{p,q} = h^{n-p,n-q} of the Dolbeault numbers break, given the Betti
+    numbers by degree and the Dolbeault table of a unimodular algebra."""
+    return ([f"b{k}" for k in range(2 * n + 1) if betti[k] != betti[2 * n - k]]
+            + [f"h{p},{q}" for p in range(n + 1) for q in range(n + 1)
+               if dol[(p, q)] != dol[(n - p, n - q)]])
+
+
 def test_property_suites_over_catalog():
     structures, skipped = _structures()
     # the only irregular joint samples are the two the validator also skips
@@ -317,7 +328,7 @@ def test_property_suites_over_catalog():
             assert total == betti[k], (label, k)
 
         # Frolicher and Angella-Tomassini inequalities, and Bott-Chern /
-        # Aeppli duality on unimodular algebras
+        # Aeppli, Poincare and Serre duality on unimodular algebras
         ae = hodge_table(cache, "aeppli")
         for k in range(2 * n + 1):
             cells = [(p, k - p) for p in range(n + 1) if 0 <= k - p <= n]
@@ -328,6 +339,7 @@ def test_property_suites_over_catalog():
             for p in range(n + 1):
                 for q in range(n + 1):
                     assert bc[(p, q)] == ae[(n - p, n - q)], (label, p, q)
+            assert _duality_defects(n, betti, dol) == [], label
 
         # rank-nullity with an explicit kernel basis on every matrix, and
         # ops.kernel (one elimination, columns reversed) against its span
@@ -374,6 +386,21 @@ def test_property_suites_over_catalog():
                 entry.name,
                 j,
             )
+
+
+@pytest.mark.parametrize("path", ["data/iwasawa_x_iwasawa.txt", "data/torus6.txt"])
+def test_poincare_and_serre_duality_on_six_dimensional_files(path):
+    cache = n6_ops_for(path)
+    n = cache.n
+    assert realify(cache.spec).unimodular()
+    betti = [betti_number(cache, k) for k in range(2 * n + 1)]
+    dol = hodge_table(cache, "dolbeault")
+    assert _duality_defects(n, betti, dol) == []
+    # one Betti number and one Dolbeault cell off by one: each identity
+    # sees it, at both ends of the pair
+    betti[1] += 1
+    dol[(0, 1)] += 1
+    assert _duality_defects(n, betti, dol) == ["b1", "b11", "h0,1", "h6,5"]
 
 
 # ---------------------------------------------------------------------------

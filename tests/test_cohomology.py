@@ -320,7 +320,7 @@ def test_exactness_invariants_survive_optimize_flag():
         "from nilcoh.exterior import BigradedElement\n"
         "from nilcoh.linalg import ONE, InternalError, OperatorCache, Subspace\n"
         "from nilcoh.scalar import S_ONE, ScalarExpr\n"
-        "num = Subspace.zero(2)\n"
+        "num = Subspace(2)\n"
         "den = Subspace.span(2, [{0: ONE}])\n"
         "torus = catalog.get('torus2').spec\n"
         "ops = OperatorCache(torus)\n"
@@ -329,8 +329,8 @@ def test_exactness_invariants_survive_optimize_flag():
         "print(sys.flags.optimize)\n"
         "for check in (lambda: CohomologyGroup('de_rham', 1, num, den, None),\n"
         "              lambda: num.quotient_dim(den),\n"
-        "              lambda: den.add(Subspace.zero(3)),\n"
-        "              lambda: den.intersect(Subspace.zero(3)),\n"
+        "              lambda: den.add(Subspace(3)),\n"
+        "              lambda: den.intersect(Subspace(3)),\n"
         "              lambda: ScalarExpr.param('t').const_value(),\n"
         "              lambda: complex_form_to_real(\n"
         "                  BigradedElement({mono((1, 2), ()): S_ONE}), 2),\n"

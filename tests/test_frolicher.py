@@ -121,14 +121,16 @@ def test_degeneration_page_fails_closed_on_a_corrupt_pivot_table(monkeypatch, k,
 def test_pages_come_from_one_pivot_table_per_degree(ops, monkeypatch):
     """Every page through cli.MAX_PAGE is a formula over the pivot tables:
     one echelon state per degree, n+1 row blocks fed into it, and no
-    kernel, subspace or RREF."""
+    kernel, span, sum, intersection or RREF."""
     cache = OperatorCache(get("frolicher_example").spec)
     extends = []
-    real = linalg._extend
-    monkeypatch.setattr(linalg, "_extend", lambda *a: extends.append(1) or real(*a))
+    real = linalg.Subspace.extend
+    monkeypatch.setattr(linalg.Subspace, "extend",
+                        lambda *a: extends.append(1) or real(*a))
     for name in ("rref", "kernel_basis"):
         monkeypatch.setattr(linalg, name, None)
-    monkeypatch.setattr(linalg, "Subspace", None)
+    for name in ("span", "add", "intersect"):
+        monkeypatch.setattr(linalg.Subspace, name, None)
     pages = [spectral_page(cache, r).dims for r in range(1, cli.MAX_PAGE + 1)]
     monkeypatch.undo()
     assert len(extends) == (2 * cache.n + 1) * (cache.n + 1)
@@ -241,6 +243,14 @@ _N6_SHA256 = {
     "cohomology data/torus6.txt":
         "62b6402d10ab0457bb7362a51c08c1e2819ba409f499502616fc384dbd23d4ea",
 }
+# n = 7, d f3 = f1^f2 on seven generators: the widest elimination of the
+# suite (Lambda^7 is 3432-dimensional); pages through n + 1 as above
+_N7_SHA256 = {
+    "frolicher data/probe7.txt --max-page 8":
+        "549e4ddc5c256c6a4900b6ea2ef71884edce33b90263b3ff935057a02aa9ea12",
+    "cohomology data/probe7.txt":
+        "5a6b95a1c9552197dbf9ccfa97ecc8b2cd40d72b8d354db78352ed9bca267f2c",
+}
 
 
 @cache
@@ -277,6 +287,13 @@ def test_six_dimensional_reports_are_pinned(command):
     rc, out = _stdout(*command.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _N6_SHA256[command]
+
+
+@pytest.mark.parametrize("command", list(_N7_SHA256))
+def test_seven_dimensional_probe_is_pinned(command):
+    rc, out = _stdout(*command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _N7_SHA256[command]
 
 
 def _euler_defects(report, dels):

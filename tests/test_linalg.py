@@ -79,7 +79,7 @@ def test_subspace_operations():
     assert join.dim == 3
     assert join.contains_subspace(u) and join.contains_subspace(v)
     assert join.quotient_dim(meet) == 2
-    assert u.add(Subspace.zero(amb)) == u
+    assert u.add(Subspace(amb)) == u
     assert Subspace.span(amb, [{i: ONE} for i in range(amb)]).contains_subspace(join)
 
 
@@ -198,10 +198,15 @@ def _quotient_representatives_reference(vectors, den):
     return reps
 
 
+def _sparse_rows(width):
+    """Dense rows over width columns with about half the entries zero:
+    sparse rows give fill-in and vectors whose support misses some pivots."""
+    return st.lists(st.one_of(st.just(_V[0]), st.sampled_from(_V)),
+                    min_size=width, max_size=width)
+
+
 _ROWS4 = st.lists(st.sampled_from(_V), min_size=4, max_size=4)
-# about half the entries zero: sparse rows over 7 columns give fill-in and vectors
-# whose support misses some pivots
-_ROWS7 = st.lists(st.one_of(st.just(_V[0]), st.sampled_from(_V)), min_size=7, max_size=7)
+_ROWS7 = _sparse_rows(7)
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,6 +230,67 @@ def test_elimination_kernel_matches_references(den_rows, vectors, repeats):
     assert reps == _quotient_representatives_reference(_sp(vectors), den)
     assert len(reps) == joined.dim - den.dim
     assert (den.rows, den.pivots) == (kept_rows, kept_pivots)
+
+
+def _check_echelon_state(state):
+    """Pivots strictly increase, and each row has a leading 1 at its pivot
+    and zeros at every other pivot."""
+    pivots = state.pivots
+    assert len(state.rows) == len(pivots)
+    assert all(a < b for a, b in zip(pivots, pivots[1:]))
+    for row, c in zip(state.rows, pivots):
+        assert min(row) == c and row[c] == ONE
+        assert set(pivots) & row.keys() == {c}
+
+
+def _fold(state, chunks, original=None):
+    """Extend state by each chunk in turn.  After every extend the state is
+    an echelon state, it is the reference RREF of all it has folded, extend
+    returned exactly the vectors that raised the reference rank, and
+    original, the memoised subspace state was copied from, is unchanged."""
+    width = state.ambient
+    if original is not None:
+        kept = [dict(r) for r in original.rows], list(original.pivots)
+    folded, rank = _densify(state.rows, width), state.dim
+    for chunk in chunks:
+        raised = state.extend(chunk)
+        want = []
+        for v in chunk:
+            folded.append(_densify([v], width)[0])
+            ref = _rref_reference(folded)
+            if len(ref[1]) > rank:
+                want.append(v)
+                rank = len(ref[1])
+        assert [id(v) for v in raised] == [id(v) for v in want]
+        _check_echelon_state(state)
+        assert (_densify(state.rows, width), state.pivots) == _rref_reference(folded)
+        if original is not None:
+            assert (original.rows, original.pivots) == kept
+
+
+# memoised OperatorCache subspaces: (entry, "kernel" or "image", op, key)
+_MEMOISED = [("iwasawa", "kernel", "d", 1), ("iwasawa", "image", "d", 1),
+             ("frolicher_example", "kernel", "delbar", (1, 1)),
+             ("example31", "image", "delbar", (1, 0))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([None, *_MEMOISED]), st.data())
+def test_echelon_state_after_every_extend(ops, source, data):
+    """Drawn vectors, with repeats of earlier ones and of the start rows,
+    folded in chunks into a fresh state or into a copy of a memoised one."""
+    if source is None:
+        original, state = None, linalg.Subspace(7)
+    else:
+        name, kind, op, key = source
+        original = getattr(ops(name), kind)(op, key)
+        state = original.copy()
+    vectors = _sp(data.draw(st.lists(_sparse_rows(state.ambient), min_size=1, max_size=6)))
+    pool = state.rows + vectors
+    vectors += [pool[i % len(pool)] for i in data.draw(st.lists(st.integers(0, 20), max_size=4))]
+    cuts = sorted(data.draw(st.lists(st.integers(0, len(vectors)), max_size=3)))
+    bounds = [0, *cuts, len(vectors)]
+    _fold(state, [vectors[a:b] for a, b in zip(bounds, bounds[1:])], original)
 
 
 @settings(max_examples=60, deadline=None)
