@@ -5,12 +5,17 @@ family, and a short mathematical summary.  Entries marked unverified
 transcribe coefficient formulas whose published source is ambiguous; they
 validate as complex structures but their provenance is not certified by the
 golden tests.
+
+Every entry but the four-parameter sigma family is a row of text that dsl
+parses when the entry is asked for; the sigma family's coefficients
+conjugate whole subexpressions, which the text format cannot, so it is
+built in code.
 """
 
 from __future__ import annotations
 
 from .gauss import InternalError
-from .scalar import S_I, ScalarExpr
+from .scalar import ScalarExpr
 from . import dsl
 from .algebra import AlgebraSpec
 from .exterior import BigradedElement
@@ -23,11 +28,10 @@ class CatalogError(KeyError):
 class CatalogEntry:
     __slots__ = ("name", "summary", "spec", "family", "unverified")
 
-    def __init__(self, name, summary, source=None, spec=None,
-                 family=None, unverified=False):
+    def __init__(self, name, summary, spec, family=None, unverified=False):
         self.name = name
         self.summary = summary
-        self.spec = dsl.parse(source) if spec is None else spec
+        self.spec = spec
         self.family = family
         self.unverified = unverified
         if self.spec.name != name:
@@ -49,191 +53,76 @@ class CatalogEntry:
         return out
 
 
-def _gen(j, barred=False):
-    return BigradedElement.gen(j, barred=barred)
-
-
-def _wedge(a, b):
-    return a.wedge(b)
-
-
-def _family(name, base, params, b_entries, omega=None):
-    """Deformation eta = phi + sum B[i][j] phi^{jbar} (A stays the identity).
-    deform is imported here: only entries with a family need it."""
-    from .deform import DeformationFamily
-
-    A, B = DeformationFamily.identity_matrices(base.n)
-    for (i, j), expr in b_entries.items():
-        B[i][j] = expr
-    return DeformationFamily(name, base, params, A, B, omega=omega)
-
-
-_T = ScalarExpr.param("t")
-
-
-def _torus(n):
-    lines = [f'algebra "torus{n}" dim {n}',
-             "flag invariant_cohomology_is_manifold_cohomology true"]
-    lines += [f"d f{k} = 0" for k in range(1, n + 1)]
-    return CatalogEntry(
-        f"torus{n}",
-        f"complex torus of complex dimension {n}; every generator closed",
-        "\n".join(lines) + "\n",
-    )
-
-
-def _iwasawa():
-    src = (
-        'algebra "iwasawa" dim 3\n'
-        "flag invariant_cohomology_is_manifold_cohomology true\n"
-        "d f3 = f1^f2\n"
-    )
-    return CatalogEntry(
-        "iwasawa",
-        "complex-parallelizable nilmanifold of complex dimension 3",
-        src,
-    )
-
-
-def _iwasawa_x_torus():
-    src = (
-        'algebra "iwasawa_x_torus" dim 4\n'
-        "param t11\n"
-        "param t22\n"
-        "flag invariant_cohomology_is_manifold_cohomology true\n"
-        "d f3 = -((1-t11*conj(t11)*t22*conj(t22))"
-        "/((1-t11*conj(t11))*(1-t22*conj(t22)))) * f1^f2"
-        " + (t22/(1-t22*conj(t22))) * f1^F2"
-        " - (t11/(1-t11*conj(t11))) * f2^F1\n"
-    )
-    return CatalogEntry(
-        "iwasawa_x_torus",
+# name: (summary, dimension, flag, structure equations, family), the flag
+# being invariant_cohomology_is_manifold_cohomology.  A family is
+# (parameters, B entries, omega): A stays the identity, B[i][j] is the scalar
+# text at (i, j), so eta^(i+1) = phi^(i+1) + sum_j B[i][j] phi^((j+1)bar), and
+# omega, if not None, is the distinguished (2,0)-form of the base.  example31
+# and example45 are one structure under two deformation directions.
+_EQ_31, _OMEGA_31 = "d f3 = f1^F1\nd f4 = f1^f2", "f1^f2 + f1^f3 + f1^f4 + f2^f4"
+_ENTRIES = {
+    **{f"torus{n}": (f"complex torus of complex dimension {n}; every generator closed",
+                     n, True, "", None) for n in (2, 3, 4)},
+    "iwasawa": ("complex-parallelizable nilmanifold of complex dimension 3",
+                3, True, "d f3 = f1^f2", None),
+    "iwasawa_x_torus": (
         "Iwasawa nilmanifold times a torus, deformed along the diagonal "
         "two-parameter directions; admissible for |t11|, |t22| < 1",
-        src,
-    )
-
-
-def _example31():
-    src = (
-        'algebra "example31" dim 4\n'
-        "flag invariant_cohomology_is_manifold_cohomology true\n"
-        "d f3 = f1^F1\n"
-        "d f4 = f1^f2\n"
-    )
-    entry = CatalogEntry(
-        "example31",
+        4, True,
+        "param t11\nparam t22\n"
+        "d f3 = -((1-t11*conj(t11)*t22*conj(t22))"
+        "/((1-t11*conj(t11))*(1-t22*conj(t22)))) * f1^f2"
+        " + (t22/(1-t22*conj(t22))) * f1^F2 - (t11/(1-t11*conj(t11))) * f2^F1",
+        None),
+    # eta^2 = phi^2 + t phi^{2bar}; admissible for |t| < 1
+    "example31": (
         "nilmanifold of complex dimension 4 whose one-parameter deformation "
         "destroys the complex symplectic structure",
-        src,
-    )
-    omega = (_wedge(_gen(1), _gen(2)) + _wedge(_gen(1), _gen(3))
-             + _wedge(_gen(1), _gen(4)) + _wedge(_gen(2), _gen(4)))
-    # eta^2 = phi^2 + t phi^{2bar}; admissible for |t| < 1
-    entry.family = _family(
-        "example31", entry.spec, ("t",), {(1, 1): _T}, omega=omega,
-    )
-    return entry
-
-
-def _example45():
-    src = (
-        'algebra "example45" dim 4\n'
-        "flag invariant_cohomology_is_manifold_cohomology true\n"
-        "d f3 = f1^F1\n"
-        "d f4 = f1^f2\n"
-    )
-    entry = CatalogEntry(
-        "example45",
+        4, True, _EQ_31, (("t",), {(1, 1): "t"}, _OMEGA_31)),
+    # eta^1 = phi^1 + t phi^{1bar}; admissible for |t| < 1
+    "example45": (
         "same nilmanifold as example31 under the deformation direction that "
         "preserves the complex symplectic structure",
-        src,
-    )
-    omega = (_wedge(_gen(1), _gen(2)) + _wedge(_gen(1), _gen(3))
-             + _wedge(_gen(1), _gen(4)) + _wedge(_gen(2), _gen(4)))
-    # eta^1 = phi^1 + t phi^{1bar}; admissible for |t| < 1
-    entry.family = _family(
-        "example45", entry.spec, ("t",), {(0, 0): _T}, omega=omega,
-    )
-    return entry
-
-
-def _nakamura_x_torus():
-    src = (
-        'algebra "nakamura_x_torus" dim 4\n'
-        "flag invariant_cohomology_is_manifold_cohomology false\n"
-        "d f1 = -f1^F3\n"
-        "d f2 = f2^F3\n"
-    )
-    entry = CatalogEntry(
-        "nakamura_x_torus",
+        4, True, _EQ_31, (("t",), {(0, 0): "t"}, _OMEGA_31)),
+    # eta^3 = phi^3 - t phi^{1bar}
+    "nakamura_x_torus": (
         "completely-solvable-free solvmanifold times a torus; invariant "
         "computations are not declared to match the compact quotient",
-        src,
-    )
-    # eta^3 = phi^3 - t phi^{1bar}
-    entry.family = _family(
-        "nakamura_x_torus", entry.spec, ("t",), {(2, 0): -_T},
-    )
-    return entry
-
-
-def _theorem51_family():
-    src = (
-        'algebra "theorem51_family" dim 4\n'
-        "flag invariant_cohomology_is_manifold_cohomology true\n"
-        "d f3 = f1^f2\n"
-        "d f4 = i * f1^F1 + f1^F2 + f2^F1\n"
-    )
-    entry = CatalogEntry(
-        "theorem51_family",
+        4, False, "d f1 = -f1^F3\nd f2 = f2^F3", (("t",), {(2, 0): "-t"}, None)),
+    # eta^1 = phi^1 + t phi^{1bar} - i t phi^{2bar}; admissible for |t| < 1
+    "theorem51_family": (
         "nilmanifold with no invariant complex symplectic structure whose "
         "arbitrarily small deformations acquire one",
-        src,
-    )
-    # eta^1 = phi^1 + t phi^{1bar} - i t phi^{2bar}; admissible for |t| < 1
-    entry.family = _family(
-        "theorem51_family", entry.spec, ("t",),
-        {(0, 0): _T, (0, 1): -(S_I * _T)},
-    )
-    return entry
-
-
-def _section42_example():
-    src = (
-        'algebra "section42_example" dim 4\n'
-        "flag invariant_cohomology_is_manifold_cohomology true\n"
-        "d f3 = f1^f2\n"
-        "d f4 = f1^f3\n"
-    )
-    entry = CatalogEntry(
-        "section42_example",
+        4, True, "d f3 = f1^f2\nd f4 = i * f1^F1 + f1^F2 + f2^F1",
+        (("t",), {(0, 0): "t", (0, 1): "-i*t"}, None)),
+    # eta^3 = phi^3 + t phi^{1bar}
+    "section42_example": (
         "complex symplectic nilmanifold whose deformation satisfies the "
         "degree-2 correction-form stability hypotheses",
-        src,
-    )
-    omega = _wedge(_gen(1), _gen(4)) + _wedge(_gen(2), _gen(3))
-    # eta^3 = phi^3 + t phi^{1bar}
-    entry.family = _family(
-        "section42_example", entry.spec, ("t",), {(2, 0): _T}, omega=omega,
-    )
-    return entry
-
-
-def _frolicher_example():
-    src = (
-        'algebra "frolicher_example" dim 4\n'
-        "flag invariant_cohomology_is_manifold_cohomology true\n"
-        "d f2 = f1^F1\n"
-        "d f3 = f2^F1\n"
-        "d f4 = f3^F1\n"
-    )
-    return CatalogEntry(
-        "frolicher_example",
+        4, True, "d f3 = f1^f2\nd f4 = f1^f3", (("t",), {(2, 0): "t"}, "f1^f4 + f2^f3")),
+    "frolicher_example": (
         "complex symplectic nilmanifold whose spectral sequence degenerates "
         "only at the third page",
-        src,
-    )
+        4, True, "d f2 = f1^F1\nd f3 = f2^F1\nd f4 = f3^F1", None),
+}
+
+
+def _entry(name):
+    """The table entry `name`, parsed."""
+    summary, n, flag, equations, family = _ENTRIES[name]
+    spec = dsl.parse(f'algebra "{name}" dim {n}\n'
+                     f"flag {dsl.FLAG_NAME} {str(flag).lower()}\n{equations}\n")
+    if family is not None:
+        # deform is imported here: only entries with a family need it
+        from .deform import DeformationFamily
+
+        params, b_entries, omega = family
+        A, B = DeformationFamily.identity_matrices(n)
+        for (i, j), text in b_entries.items():
+            B[i][j] = dsl.parse_scalar(text, params)
+        omega = None if omega is None else dsl.parse_form(omega, n)
+        family = DeformationFamily(name, spec, params, A, B, omega=omega)
+    return CatalogEntry(name, summary, spec, family)
 
 
 def _iwasawa_sigma_family():
@@ -278,37 +167,24 @@ def _iwasawa_sigma_family():
         "coefficient transcription not certified (the published formula is "
         "typographically ambiguous), though its coefficients specialize "
         "exactly to the iwasawa_x_torus ones at t12 = t21 = 0",
-        spec=spec,
+        spec,
         unverified=True,
     )
 
 
-# entry name -> builder, in stable presentation order
-_BUILDERS = {
-    "torus2": lambda: _torus(2),
-    "torus3": lambda: _torus(3),
-    "torus4": lambda: _torus(4),
-    "iwasawa": _iwasawa,
-    "iwasawa_x_torus": _iwasawa_x_torus,
-    "example31": _example31,
-    "example45": _example45,
-    "nakamura_x_torus": _nakamura_x_torus,
-    "theorem51_family": _theorem51_family,
-    "section42_example": _section42_example,
-    "frolicher_example": _frolicher_example,
-    "iwasawa_sigma_family": _iwasawa_sigma_family,
-}
+_NAMES = (*_ENTRIES, "iwasawa_sigma_family")  # stable presentation order
 
 
 def catalog():
     """All built-in entries, in stable presentation order."""
-    return [build() for build in _BUILDERS.values()]
+    return [get(name) for name in _NAMES]
 
 
 def get(name):
     """The entry called `name`; builds no other entry."""
-    build = _BUILDERS.get(name)
-    if build is None:
-        known = ", ".join(_BUILDERS)
+    if name == "iwasawa_sigma_family":
+        return _iwasawa_sigma_family()
+    if name not in _ENTRIES:
+        known = ", ".join(_NAMES)
         raise CatalogError(f"no catalog entry named {name!r}; known entries: {known}")
-    return build()
+    return _entry(name)

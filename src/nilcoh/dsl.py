@@ -13,7 +13,8 @@ a sum of scalar multiples of two-fold wedges (or the literal 0).  Scalars are
 rational expressions in declared parameters, conj(param), integers, and the
 imaginary unit i (also as a literal like 2i).  Unstated differentials vanish.
 A unary sign may open a term or appear inside scalars.  Both '-' and the
-unicode minus sign are accepted.
+unicode minus sign are accepted.  parse_scalar and parse_form read a
+lone scalar or a lone right-hand side in the same grammar.
 """
 
 from __future__ import annotations
@@ -90,11 +91,11 @@ def _unquoted_hash(text):
 class _Parser:
     """Single-pass, line-oriented recursive descent."""
 
-    def __init__(self, text):
+    def __init__(self, text, n=None, params=()):
         self.lines = text.split("\n")
         self.name = None
-        self.n = None
-        self.params = []
+        self.n = n
+        self.params = list(params)
         self.flag = None
         self.eqs = {}
         self.depth = 0  # open parentheses in the scalar being parsed
@@ -422,16 +423,33 @@ def parse(text):
     return _Parser(text).parse()
 
 
-def parse_gauss(text):
-    """Parse a Q(i) literal such as 1/2, -i, 1/3+2i, i/2 (for CLI assignments)."""
+def _one_line(text, n, params):
+    """A parser on n generators and the given parameters, and the tokens of
+    the one-line text it is to read."""
     toks = _tokenize_line(text, 1)
     if not toks:
         raise DslError("empty value", 1, 1)
-    p = _Parser("")
-    p.n = 0
-    t = _TokStream(toks)
+    return _Parser("", n, params), _TokStream(toks)
+
+
+def parse_scalar(text, params=()):
+    """Parse a scalar such as -i*t or 1/(1-t*conj(t)) in the given parameters."""
+    p, t = _one_line(text, 0, params)
     v = p._scalar_sum(t)
     t.expect_end()
+    return v
+
+
+def parse_form(text, n):
+    """Parse a parameter-free 2-form on n generators, written as the
+    right-hand side of a structure equation, such as f1^f2 + f2^F1."""
+    p, t = _one_line(text, n, ())
+    return p._rhs(t)
+
+
+def parse_gauss(text):
+    """Parse a Q(i) literal such as 1/2, -i, 1/3+2i, i/2 (for CLI assignments)."""
+    v = parse_scalar(text)
     if not v.is_const():
         raise DslError("value must be a constant", 1, 1)
     return v.const_value()

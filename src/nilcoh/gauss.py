@@ -106,8 +106,9 @@ class GaussRat:
         return self._a == other._a and self._b == other._b and self._q == other._q
 
     def __hash__(self):
-        if self._q == 1:  # an int hashes as the equal Fraction does
-            return hash((self._a, self._b))
+        # a real value hashes as the int or Fraction it equals
+        if not self._b:
+            return hash(self._a) if self._q == 1 else hash(self.re)
         return hash((self.re, self.im))
 
     # -- printing ----------------------------------------------------------

@@ -253,37 +253,6 @@ def quotient_representatives(vectors, den):
     return den.copy().extend(vectors)
 
 
-def assemble_block_rows(blocks, rows_of_blocks):
-    """Rows of a block matrix whose unknowns are consecutive column blocks.
-
-    blocks: list of column counts per unknown block.
-    rows_of_blocks: list of {block_index: matrix_rows} row groups; the
-      matrices of a group have the same number of rows, and each has at most
-      blocks[i] columns, filling the first columns of its block.
-    """
-    offsets = [sum(blocks[:i]) for i in range(len(blocks))]
-    a_rows = []
-    for mats in rows_of_blocks:
-        offs = [offsets[bi] for bi in mats]
-        for parts in zip(*mats.values(), strict=True):
-            row = {}
-            for off, part in zip(offs, parts):
-                for c, x in part.items():
-                    row[off + c] = x
-            a_rows.append(row)
-    return a_rows
-
-
-def split_blocks(vec, blocks):
-    """The per-block vectors of vec over consecutive column blocks."""
-    starts = [sum(blocks[:i]) for i in range(len(blocks))]
-    parts = [{} for _ in blocks]
-    for j, x in vec.items():
-        b = bisect(starts, j) - 1
-        parts[b][j - starts[b]] = x
-    return parts
-
-
 # ---------------------------------------------------------------------------
 # graded bases and operator matrices
 

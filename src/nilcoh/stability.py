@@ -30,8 +30,7 @@ same scope banner as the cohomology reports.
 from __future__ import annotations
 
 from .gauss import ONE
-from .linalg import (InternalError, OperatorCache, assemble_block_rows, block, column_slice,
-                     mat_mul, solve, split_blocks, transpose)
+from .linalg import InternalError, OperatorCache, block, column_slice, mat_mul, solve, transpose
 from .deform import deformed_frame, sweep
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import closed_20_space, is_nondegenerate
@@ -145,28 +144,28 @@ def _delta_feasibility(ops, omega_t):
       del(delbar(pi^{1,0} gamma)) = 0.
     Returns a dict with the verdict and witness strings.
     """
-    keys = [1, (2, 0), (1, 1), (0, 2)]  # gamma, then the alpha blocks
-    blocks = [ops.dims(key) for key in keys]
+    g, ncols = ops.dims(1), ops.dims(1) + ops.dims(2)
+    keys = [1, (2, 0), (1, 1), (0, 2)]
+    # the columns of gamma, then those of the alpha blocks: in this order,
+    # the columns of Lambda^2
+    cols = [slice(0, g)] + [slice(g + b.start, g + b.stop)
+                            for b in (block(ops.n, *key) for key in keys[1:])]
     # d(gamma) + sum(alpha) = omega_t, one row per Lambda^2 monomial
-    sum_rows = {0: ops.d_total(1)}
-    groups = [sum_rows]
-    eye = [{j: ONE} for j in range(ops.dims(2))]
-    for i, key in enumerate(keys[1:], 1):
-        sum_rows[i] = column_slice(eye, block(ops.n, *key))  # the inclusion in Lambda^2
-        # each alpha^{p,q} is d-closed: its del and its delbar vanish
-        groups.append({i: ops.rows("d", key)})
+    a_rows = [{**row, g + r: ONE} for r, row in enumerate(ops.d_total(1))]
+    # each alpha^{p,q} is d-closed: its del and its delbar vanish
+    for key, c in zip(keys[1:], cols[1:]):
+        a_rows += [{c.start + j: x for j, x in row.items()} for row in ops.rows("d", key)]
     # del(delbar(pi^{1,0} gamma)) = 0; the (1,0) coordinates of gamma come
     # first (total bases list descending p first)
-    groups.append({0: ops.deldelbar_pq(1, 0)})
-    a_rows = assemble_block_rows(blocks, groups)
+    a_rows += ops.deldelbar_pq(1, 0)
     b = ops.to_vec(2, omega_t)
-    x = solve(a_rows, b, sum(blocks))
+    x = solve(a_rows, b, ncols)
     if x is None:
         return {"feasible": False}
     # certificate: the witness solves the assembled system exactly
-    if mat_mul([x], transpose(a_rows, sum(blocks)))[0] != b:
+    if mat_mul([x], transpose(a_rows, ncols))[0] != b:
         raise InternalError("correction witness does not solve its system")
 
-    forms = [str(ops.to_element(key, part)) for key, part in zip(keys, split_blocks(x, blocks))]
+    forms = [str(ops.to_element(key, column_slice([x], c)[0])) for key, c in zip(keys, cols)]
     return {"feasible": True, "gamma": forms[0],
             "alpha_20": forms[1], "alpha_11": forms[2], "alpha_02": forms[3]}

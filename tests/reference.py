@@ -8,10 +8,12 @@ tr(J o ad e_j) and the derived algebra (the Nakamura obstruction),
 unimodularity, the real pair of a (2,0)-form and the real frame matrix of a
 deformation.  Besides: whether a class is trivial, decided by solving for a
 primitive (the route the wedge-class suite is checked against), the rank of
-a matrix, whether a de Rham class lies in the pure-type sum, and |z|^2 of a
-Gaussian rational.
+a matrix, whether a de Rham class lies in the pure-type sum, |z|^2 of a
+Gaussian rational, and the rows of a block matrix over consecutive column
+blocks with the split of a vector back into those blocks.
 """
 
+from bisect import bisect
 from fractions import Fraction
 from functools import reduce
 
@@ -19,8 +21,7 @@ from nilcoh.algebra import StructureError, SymplecticError
 from nilcoh.cohomology import THEORY_TABLE, _denominator, _pure_type_classes, _shift
 from nilcoh.exterior import BigradedElement, substitute
 from nilcoh.gauss import GaussRat, InternalError
-from nilcoh.linalg import (Subspace, assemble_block_rows, mat_mul, rref, solve, split_blocks,
-                           transpose)
+from nilcoh.linalg import Subspace, mat_mul, rref, solve, transpose
 from nilcoh.scalar import S_I, ScalarExpr
 
 
@@ -313,3 +314,34 @@ def rank_of(op_rows):
 def norm2(z):
     """|z|^2 = z * conj(z) of a GaussRat, read as an ordinary rational."""
     return (z * z.conj()).re
+
+
+def assemble_block_rows(blocks, rows_of_blocks):
+    """Rows of a block matrix whose unknowns are consecutive column blocks.
+
+    blocks: list of column counts per unknown block.
+    rows_of_blocks: list of {block_index: matrix_rows} row groups; the
+      matrices of a group have the same number of rows, and each has at most
+      blocks[i] columns, filling the first columns of its block.
+    """
+    offsets = [sum(blocks[:i]) for i in range(len(blocks))]
+    a_rows = []
+    for mats in rows_of_blocks:
+        offs = [offsets[bi] for bi in mats]
+        for parts in zip(*mats.values(), strict=True):
+            row = {}
+            for off, part in zip(offs, parts):
+                for c, x in part.items():
+                    row[off + c] = x
+            a_rows.append(row)
+    return a_rows
+
+
+def split_blocks(vec, blocks):
+    """The per-block vectors of vec over consecutive column blocks."""
+    starts = [sum(blocks[:i]) for i in range(len(blocks))]
+    parts = [{} for _ in blocks]
+    for j, x in vec.items():
+        b = bisect(starts, j) - 1
+        parts[b][j - starts[b]] = x
+    return parts

@@ -1,8 +1,16 @@
-"""Built-in entries: integrity, round-trips, and the sigma specialization."""
+"""Built-in entries: integrity, round-trips, pins, and the sigma specialization."""
+
+import contextlib
+import hashlib
+import io
+import json
+import subprocess
+import sys
 
 import pytest
 
 from conftest import validation_for
+from nilcoh import cli
 from nilcoh.catalog import CatalogEntry, CatalogError, catalog, get
 from nilcoh.deform import frame_change
 from nilcoh.dsl import parse, parse_gauss, pretty
@@ -30,6 +38,12 @@ def test_listing_order_and_freshness():
     assert [get(name).name for name in names] == names
     a, b = catalog(), catalog()
     assert a is not b and a[0] is not b[0]
+
+
+def test_import_parses_nothing():
+    # every command imports the catalog; a row is parsed when its entry is asked for
+    script = "import nilcoh.dsl as dsl; dsl._Parser = None; import nilcoh.catalog"
+    subprocess.run([sys.executable, "-c", script], check=True)
 
 
 def test_get_unknown_name_lists_known_entries():
@@ -127,3 +141,48 @@ def test_sigma_specializes_to_the_diagonal_family(t11, t22, expected):
     for j in range(1, 4):
         assert (s.d_gen(j, False) - d.d_gen(j, False)).is_zero()
     assert str(s.d_gen(3, False)) == expected
+
+
+# Recorded from the hand-built entries the text table replaced.  The input
+# digest of `validate @name` hashes dsl.pretty of the structure and, for a
+# family, its A, B and omega, so a mistyped row of the table fails its pin.
+_INPUT_DIGESTS = {
+    "torus2": "33c38b17561fc2717b6d528bf35f812fee9249f166417381e35f601acc1a1619",
+    "torus3": "ddaeb3d68fbce4dc93b9bb3c41fe84447334cc464c54da8cab3321d66bbcc9c3",
+    "torus4": "f23239bd4581386b809bb7a9ebe925536e37bec317480e969169c457be3742ec",
+    "iwasawa": "5e4dd11d908415a7b5546992ef4d0bd23169f93f1926acad9e0757718d5cc41a",
+    "iwasawa_x_torus": "e4fe65b7a94acc8c373b0b2293ba33d6d757149430fad8d00b64362b975080a8",
+    "example31": "f94f767e35941691c26afd0fbe37a185c97207ec2bd5838d397f122fa58c05c6",
+    "example45": "e27e10e68fda0adf5d626e543f7636420b4b63234a5a02e4b859e7d2aebd7c2b",
+    "nakamura_x_torus": "d481bc6e5c0cc89e72d2ddfea53bc831280d1f0ae61b342b4323c7d78758b995",
+    "theorem51_family": "c12f218facb799703879e2bec2fc2dec26ca3b904b11b96634a586f32ba491fd",
+    "section42_example": "baa27c810096803c71db4133cd3d8f91561fc89a94e28c87883ea548455fec76",
+    "frolicher_example": "e7d6d9a7576267adf18b7229db99fe22501d1a0c0311ce1dac7de7a5ba76a2fe",
+    "iwasawa_sigma_family": "8e747a720bfbdda5956739c734755b20c06957b35927db4cdfb3b08800e7d6f8",
+}
+
+_CATALOG_SHA256 = {
+    "json": "586064d99d9986c876cb1ffac896b9930a8ec478c281285b5044e1fe3d5e7384",
+    "table": "e500582b187bbfa115e672116e8eb2b5948adaf5026b910c42bbb2f6c4adeaa8",
+}
+
+
+def _stdout(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(list(argv))
+    assert rc == 0, argv
+    return out.getvalue()
+
+
+def test_every_entry_input_is_pinned():
+    assert list(_INPUT_DIGESTS) == EXPECTED_ORDER
+    for name, digest in _INPUT_DIGESTS.items():
+        report = json.loads(_stdout("validate", f"@{name}"))
+        assert report["input"]["digest"] == digest, name
+
+
+@pytest.mark.parametrize("fmt", list(_CATALOG_SHA256))
+def test_catalog_report_is_pinned(fmt):
+    out = _stdout("catalog", "--format", fmt)
+    assert hashlib.sha256(out.encode()).hexdigest() == _CATALOG_SHA256[fmt]

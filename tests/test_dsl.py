@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from nilcoh import dsl
 from nilcoh.catalog import catalog
-from nilcoh.dsl import DslError, FLAG_NAME, parse, parse_gauss, pretty
+from nilcoh.dsl import DslError, FLAG_NAME, parse, parse_form, parse_gauss, parse_scalar, pretty
+from nilcoh.exterior import BigradedElement
+from nilcoh.scalar import S_I, ScalarExpr
 from reference import mono
 
 BASIC = """\
@@ -106,6 +108,33 @@ def test_parse_gauss_rejects_parameters():
         parse_gauss("t")
     with pytest.raises(DslError):
         parse_gauss("")
+
+
+def test_parse_scalar_and_parse_form_read_one_line():
+    t = ScalarExpr.param("t")
+    assert parse_scalar("-i*t", ("t",)) == -(S_I * t)
+    assert parse_scalar("1/(1-t*conj(t))", ("t",)) == 1 / (1 - t * t.conj())
+    f1, f2, g1 = (BigradedElement.gen(1), BigradedElement.gen(2),
+                  BigradedElement.gen(1, barred=True))
+    assert parse_form("f1^f2 - 2i * f2^F1", 2) == f1.wedge(f2) - f2.wedge(g1).scale(2 * S_I)
+    assert parse_form("0", 2).is_zero()
+
+
+@pytest.mark.parametrize("parser, text, arg, message", [
+    (parse_scalar, "-i*s", ("t",), "line 1, col 4: undeclared parameter 's'"),
+    (parse_scalar, "1/(1-t*conj(s))", ("t",), "line 1, col 13: undeclared parameter 's'"),
+    (parse_scalar, "", ("t",), "line 1, col 1: empty value"),
+    (parse_form, "f1^f2 + t*f1^f3", 4, "line 1, col 9: undeclared parameter 't'"),
+    (parse_form, "f1^f2 + f1^F5", 4, "line 1, col 12: unknown generator 'F5' (dim is 4)"),
+    (parse_form, "f1^f2 + f3", 4,
+     "line 1, col 9: each term must be a wedge of exactly two generators, got 1"),
+    (parse_form, "f1^f2^f3", 4,
+     "line 1, col 7: each term must be a wedge of exactly two generators, got 3"),
+])
+def test_parse_scalar_and_parse_form_errors_are_positioned(parser, text, arg, message):
+    with pytest.raises(DslError) as exc:
+        parser(text, arg)
+    assert str(exc.value) == message
 
 
 def test_comments_and_blank_lines_ignored():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from nilcoh.dsl import parse_gauss
 from nilcoh.gauss import GaussRat, I, ONE, ZERO
+from nilcoh.scalar import ScalarExpr
 from reference import norm2
 
 
@@ -110,6 +111,14 @@ def _normal_form(z):
 _small = st.one_of(_fracs, st.integers(-3, 3).map(Fraction))
 
 
+def test_equal_values_hash_equal_across_types():
+    for value in (0, 3, -2, Fraction(1, 2), Fraction(-7, 3)):
+        z = GaussRat(value)
+        assert z == value and hash(z) == hash(value)
+        assert len({z, value}) == 1 and hash(ScalarExpr.const(value)) == hash(value)
+    assert len({ScalarExpr.const(3), 3}) == 1
+
+
 @given(_small, _small, _small, _small)
 def test_int_backed_scalar_matches_fraction_pair_reference(ar, ai, br, bi):
     a, b = GaussRat(ar, ai), GaussRat(br, bi)
@@ -129,8 +138,9 @@ def test_int_backed_scalar_matches_fraction_pair_reference(ar, ai, br, bi):
         with pytest.raises(ZeroDivisionError):
             a / b
     assert (a == b) == ((ar, ai) == (br, bi))
-    assert hash(a) == hash((ar, ai))
-    assert (hash(a) == hash(b)) or a != b
+    # equal values hash equal, whether int, Fraction or GaussRat
+    for other in (b, br, int(br)):
+        assert hash(a) == hash(other) or a != other
     assert str(a) == _str_reference(ar, ai)
     assert bool(a) == (ar != 0 or ai != 0) == (not a.is_zero())
     # mixed with int and Fraction operands, on either side

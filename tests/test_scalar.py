@@ -422,8 +422,8 @@ if sys.argv[1] == "reordered":
     for name in ("zz", "t22", "t", "t21", "s"):
         ScalarExpr.param(name).conj()
     ScalarExpr.conj_param("t12") * ScalarExpr.param("t11")
-for name in catalog._BUILDERS:
-    print(dsl.pretty(catalog.get(name).spec))
+for entry in catalog.catalog():
+    print(dsl.pretty(entry.spec))
 """
 
 

@@ -14,8 +14,9 @@ The systems are stacked here from the del and delbar blocks, apart from the
 pivot counts of d that nilcoh.frolicher reads its pages from.
 """
 
-from nilcoh.linalg import (Subspace, assemble_block_rows, kernel_basis, mat_mul,
-                           quotient_representatives, transpose)
+from nilcoh.linalg import (Subspace, kernel_basis, mat_mul, quotient_representatives,
+                           transpose)
+from reference import assemble_block_rows
 
 
 def zigzag_x(ops, r, p, q):
