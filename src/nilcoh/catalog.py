@@ -6,19 +6,13 @@ transcribe coefficient formulas whose published source is ambiguous; they
 validate as complex structures but their provenance is not certified by the
 golden tests.
 
-Every entry but the four-parameter sigma family is a row of text that dsl
-parses when the entry is asked for; the sigma family's coefficients
-conjugate whole subexpressions, which the text format cannot, so it is
-built in code.
+Every entry is a row of text that dsl parses when the entry is asked for.
 """
 
 from __future__ import annotations
 
 from .gauss import InternalError
-from .scalar import ScalarExpr
 from . import dsl
-from .algebra import AlgebraSpec
-from .exterior import BigradedElement
 
 
 class CatalogError(KeyError):
@@ -58,7 +52,9 @@ class CatalogEntry:
 # (parameters, B entries, omega): A stays the identity, B[i][j] is the scalar
 # text at (i, j), so eta^(i+1) = phi^(i+1) + sum_j B[i][j] phi^((j+1)bar), and
 # omega, if not None, is the distinguished (2,0)-form of the base.  example31
-# and example45 are one structure under two deformation directions.
+# and example45 are one structure under two deformation directions.  The
+# sigma family's text keeps the operation tree of its published formula, so
+# its expanded coefficients (758/798 terms at most) are pinned byte for byte.
 _EQ_31, _OMEGA_31 = "d f3 = f1^F1\nd f4 = f1^f2", "f1^f2 + f1^f3 + f1^f4 + f2^f4"
 _ENTRIES = {
     **{f"torus{n}": (f"complex torus of complex dimension {n}; every generator closed",
@@ -104,7 +100,28 @@ _ENTRIES = {
         "complex symplectic nilmanifold whose spectral sequence degenerates "
         "only at the third page",
         4, True, "d f2 = f1^F1\nd f3 = f2^F1\nd f4 = f3^F1", None),
+    "iwasawa_sigma_family": (
+        "general four-parameter deformation of the Iwasawa nilmanifold; "
+        "coefficient transcription not certified (the published formula is "
+        "typographically ambiguous), though its coefficients specialize "
+        "exactly to the iwasawa_x_torus ones at t12 = t21 = 0",
+        3, True,
+        "param t11\nparam t12\nparam t21\nparam t22\n"
+        "let det = t11*t22 - t12*t21\n"
+        "let alpha = 1/(1 - t22*conj(t22) - t21*conj(t12))\n"
+        "let re_cross = t11*t22*conj(t12)*conj(t21)\n"
+        "let gamma = 1/(1 - t11*conj(t11) - t12*conj(t21)"
+        " - alpha*(t11*conj(t11)*t21*conj(t12) + t22*conj(t22)*t12*conj(t21)"
+        " + re_cross + conj(re_cross)))\n"
+        "let s1b1 = conj(alpha)*conj(gamma)*(t21 + conj(t21)*det)\n"
+        "let s2b2 = -(alpha*gamma)*(t12 + conj(t12)*det)\n"
+        "d f3 = (-gamma - conj(alpha)*(t22*conj(t22)) + (1/conj(gamma))*(s1b1*conj(s2b2)))"
+        " * f1^f2 + s1b1 * f1^F1"
+        " + conj(alpha)*(t22 + (t12*conj(t11) + t22*conj(t12))*s1b1) * f1^F2"
+        " + (-(alpha*gamma)*(t11 - conj(t22)*det)) * f2^F1 + s2b2 * f2^F2",
+        None),
 }
+_UNVERIFIED = {"iwasawa_sigma_family"}
 
 
 def _entry(name):
@@ -122,69 +139,17 @@ def _entry(name):
             B[i][j] = dsl.parse_scalar(text, params)
         omega = None if omega is None else dsl.parse_form(omega, n)
         family = DeformationFamily(name, spec, params, A, B, omega=omega)
-    return CatalogEntry(name, summary, spec, family)
-
-
-def _iwasawa_sigma_family():
-    one = ScalarExpr.const(1)
-    t11, t12 = ScalarExpr.param("t11"), ScalarExpr.param("t12")
-    t21, t22 = ScalarExpr.param("t21"), ScalarExpr.param("t22")
-
-    def nrm(x):
-        return x * x.conj()
-
-    det = t11 * t22 - t12 * t21
-    alpha = one / (one - nrm(t22) - t21 * t12.conj())
-    re_cross = t11 * t22 * t12.conj() * t21.conj()
-    gamma = one / (
-        one - nrm(t11) - t12 * t21.conj()
-        - alpha * (nrm(t11) * t21 * t12.conj()
-                   + nrm(t22) * t12 * t21.conj()
-                   + re_cross + re_cross.conj())
-    )
-    s_1b1 = alpha.conj() * gamma.conj() * (t21 + t21.conj() * det)
-    s_1b2 = alpha.conj() * (t22 + (t12 * t11.conj() + t22 * t12.conj()) * s_1b1)
-    s_2b1 = -(alpha * gamma) * (t11 - t22.conj() * det)
-    s_2b2 = -(alpha * gamma) * (t12 + t12.conj() * det)
-    s_12 = -gamma - alpha.conj() * nrm(t22) + (one / gamma.conj()) * (s_1b1 * s_2b2.conj())
-
-    d_f3 = BigradedElement({
-        ((0, 1), (0, 2)): s_12,
-        ((0, 1), (1, 1)): s_1b1,
-        ((0, 1), (1, 2)): s_1b2,
-        ((0, 2), (1, 1)): s_2b1,
-        ((0, 2), (1, 2)): s_2b2,
-    })
-
-    spec = AlgebraSpec(
-        "iwasawa_sigma_family", 3, ("t11", "t12", "t21", "t22"),
-        [BigradedElement.zero(), BigradedElement.zero(), d_f3],
-        flag_invariant_ok=True,
-    )
-    return CatalogEntry(
-        "iwasawa_sigma_family",
-        "general four-parameter deformation of the Iwasawa nilmanifold; "
-        "coefficient transcription not certified (the published formula is "
-        "typographically ambiguous), though its coefficients specialize "
-        "exactly to the iwasawa_x_torus ones at t12 = t21 = 0",
-        spec,
-        unverified=True,
-    )
-
-
-_NAMES = (*_ENTRIES, "iwasawa_sigma_family")  # stable presentation order
+    return CatalogEntry(name, summary, spec, family, unverified=name in _UNVERIFIED)
 
 
 def catalog():
     """All built-in entries, in stable presentation order."""
-    return [get(name) for name in _NAMES]
+    return [get(name) for name in _ENTRIES]
 
 
 def get(name):
     """The entry called `name`; builds no other entry."""
-    if name == "iwasawa_sigma_family":
-        return _iwasawa_sigma_family()
     if name not in _ENTRIES:
-        known = ", ".join(_NAMES)
+        known = ", ".join(_ENTRIES)
         raise CatalogError(f"no catalog entry named {name!r}; known entries: {known}")
     return _entry(name)

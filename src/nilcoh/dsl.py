@@ -4,26 +4,31 @@
     algebra "name" dim 4
     param t
     flag invariant_cohomology_is_manifold_cohomology true
+    let r = 1/(1-t*conj(t))
     d f3 = f1^F1
-    d f4 = (1/(1-t*conj(t))) * f1^f2 - (t/(1-t*conj(t))) * f1^F2
+    d f4 = r * f1^f2 - (t*r) * f1^F2
 
 Generators are f1..fn (holomorphic) and F1..Fn (their conjugates); structure
 equations are given on the holomorphic generators only, each right-hand side
 a sum of scalar multiples of two-fold wedges (or the literal 0).  Scalars are
-rational expressions in declared parameters, conj(param), integers, and the
-imaginary unit i (also as a literal like 2i).  Unstated differentials vanish.
-A unary sign may open a term or appear inside scalars.  Both '-' and the
-unicode minus sign are accepted.  parse_scalar and parse_form read a
-lone scalar or a lone right-hand side in the same grammar.
+rational expressions in declared parameters, let names, integers, the
+imaginary unit i (also as a literal like 2i) and conj(<scalar>).  A let name
+is one shared scalar, as is each parameter and literal within one parse.
+Unstated differentials vanish.  A unary sign may open a term or appear
+inside scalars.  Both '-' and the unicode minus sign are accepted.
+parse_scalar and parse_form read a lone scalar or a lone right-hand side in
+the same grammar.  Input asking for too much work is refused (the _MAX_*
+bounds below) with a positioned DslError, like any other parse error.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 
 from .gauss import GaussRat
 from .scalar import S_I, ScalarExpr, S_ONE
-from .exterior import BigradedElement, mono_str
+from .exterior import BigradedElement, mono_str, mono_wedge
 from .algebra import AlgebraSpec
 
 
@@ -48,7 +53,7 @@ _TOKEN = re.compile(
 
 _GEN = re.compile(r"^([fF])([0-9]+)$")
 
-_RESERVED = {"algebra", "dim", "param", "flag", "d", "conj", "i", "true", "false"}
+_RESERVED = {"algebra", "dim", "param", "let", "flag", "d", "conj", "i", "true", "false"}
 
 FLAG_NAME = "invariant_cohomology_is_manifold_cohomology"
 
@@ -56,6 +61,10 @@ _MAX_NESTING = 100
 _MAX_EXPONENT = 100
 # int() refuses longer digit strings (sys.get_int_max_str_digits)
 _MAX_DIGITS = 4300
+# the most one arithmetic step may cost (ScalarExpr.work); the catalog's
+# costliest step, in iwasawa_sigma_family, costs 10734
+_MAX_WORK = 1 << 18
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _tokenize_line(text, lineno):
@@ -96,6 +105,9 @@ class _Parser:
         self.name = None
         self.n = n
         self.params = list(params)
+        # each parameter, let name and literal read so far, by its text: one
+        # object, so one node of the straight-line programs that use it
+        self.shared = {name: ScalarExpr.param(name) for name in params}
         self.flag = None
         self.eqs = {}
         self.depth = 0  # open parentheses in the scalar being parsed
@@ -108,15 +120,15 @@ class _Parser:
             head = toks[0]
             if head[0] == "IDENT" and head[1] == "algebra":
                 self._header(toks)
-            elif head[0] == "IDENT" and head[1] == "param":
-                self._param(toks)
+            elif head[0] == "IDENT" and head[1] in ("param", "let"):
+                self._declare(toks)
             elif head[0] == "IDENT" and head[1] == "flag":
                 self._flag(toks)
             elif head[0] == "IDENT" and head[1] == "d":
                 self._equation(toks)
             else:
                 raise DslError(
-                    f"expected 'algebra', 'param', 'flag' or 'd', got {head[1]!r}",
+                    f"expected 'algebra', 'param', 'let', 'flag' or 'd', got {head[1]!r}",
                     head[2],
                     head[3],
                 )
@@ -142,18 +154,25 @@ class _Parser:
         self.name = name
         self.n = n
 
-    def _param(self, toks):
+    def _declare(self, toks):
+        """A `param NAME` or a `let NAME = <scalar>` line."""
         self._need_header(toks)
         t = _TokStream(toks)
-        t.expect_ident("param")
+        kind = "parameter" if t.take()[1] == "param" else "let"
         tok = t.expect("IDENT")
-        t.expect_end()
         name = tok[1]
         if name in _RESERVED or _GEN.match(name):
-            raise DslError(f"parameter name {name!r} is reserved", tok[2], tok[3])
-        if name in self.params:
-            raise DslError(f"duplicate parameter {name!r}", tok[2], tok[3])
-        self.params.append(name)
+            raise DslError(f"{kind} name {name!r} is reserved", tok[2], tok[3])
+        if name in self.shared:
+            raise DslError(f"duplicate {kind} {name!r}", tok[2], tok[3])
+        if kind == "let":
+            t.expect_op("=")
+            value = self._scalar_sum(t)
+        else:
+            self.params.append(name)
+            value = ScalarExpr.param(name)
+        t.expect_end()
+        self.shared[name] = value
 
     def _flag(self, toks):
         self._need_header(toks)
@@ -227,10 +246,15 @@ class _Parser:
             nxt = t.peek()
             if nxt and nxt[0] == "OP" and nxt[1] == "*":
                 t.take()
-        el = self._wedge(t).scale(coeff)
-        return -el if negate else el
+        # the coefficient itself, not a product with the wedge's sign: a
+        # multiplication by 1 would add a step to its straight-line program
+        sign, mono = self._wedge(t)
+        if sign == 0:
+            return BigradedElement.zero()
+        return BigradedElement({mono: -coeff if (sign < 0) != negate else coeff})
 
     def _wedge(self, t):
+        """(sign, monomial) of the two-generator wedge at t."""
         gens = [self._gen_ref(t)]
         while t.peek() and t.peek()[0] == "OP" and t.peek()[1] == "^":
             t.take()
@@ -242,10 +266,7 @@ class _Parser:
                 tok[2],
                 tok[3],
             )
-        (b1, i1), (b2, i2) = gens
-        e1 = BigradedElement.gen(i1, barred=b1)
-        e2 = BigradedElement.gen(i2, barred=b2)
-        return e1.wedge(e2)
+        return mono_wedge((gens[0],), (gens[1],))
 
     def _gen_ref(self, t):
         tok = t.expect("IDENT")
@@ -253,7 +274,7 @@ class _Parser:
         if not m:
             raise DslError(f"expected a generator, got {tok[1]!r}", tok[2], tok[3])
         idx = self._gen_index(m, tok)
-        return (m.group(1) == "F", idx)
+        return (int(m.group(1) == "F"), idx)
 
     # scalar grammar; a '*' whose right neighbour is a generator belongs to
     # the wedge term, not to the scalar, so the product loop stops there
@@ -263,8 +284,7 @@ class _Parser:
             tok = t.peek()
             if tok and tok[0] == "OP" and tok[1] in "+-":
                 t.take()
-                w = self._scalar_product(t)
-                v = v + w if tok[1] == "+" else v - w
+                v = self._apply(tok, v, self._scalar_product(t))
             else:
                 return v
 
@@ -283,14 +303,7 @@ class _Parser:
             ):
                 return v  # the '*' introduces the wedge monomial
             t.take()
-            w = self._scalar_signed(t)
-            if tok[1] == "*":
-                v = v * w
-            else:
-                try:
-                    v = v / w
-                except ZeroDivisionError:
-                    raise DslError("division by zero", tok[2], tok[3]) from None
+            v = self._apply(tok, v, self._scalar_signed(t))
 
     def _scalar_signed(self, t):
         negate = False
@@ -311,54 +324,71 @@ class _Parser:
                 raise DslError(f"exponent {n} exceeds {_MAX_EXPONENT}", e[2], e[3])
         if n == 1:
             return v
-        # square-and-multiply
+        # square-and-multiply, each product bounded and blamed on the exponent
+        times = ("OP", "*", e[2], e[3])
         out = S_ONE
         while n:
             if n & 1:
-                out = out * v
+                out = self._apply(times, out, v)
             n >>= 1
             if n:
-                v = v * v
+                v = self._apply(times, v, v)
         return out
+
+    def _apply(self, op, a, b):
+        """a op b for the operator token op, refused before it runs when it
+        would cost more than _MAX_WORK (ScalarExpr.work)."""
+        _, sym, line, col = op
+        work = a.work(sym, b)
+        if work > _MAX_WORK:
+            raise DslError(
+                f"operands of {sym!r} too large: the step costs {work}, more than {_MAX_WORK}",
+                line,
+                col,
+            )
+        try:
+            return _ARITH[sym](a, b)
+        except ZeroDivisionError:
+            raise DslError("division by zero", line, col) from None
 
     def _scalar_atom(self, t):
         tok = t.take()
         if tok is None:
             raise DslError("unexpected end of line in scalar", t.last[2], t.last[3])
         kind, text, line, col = tok
+        v = self.shared.get(text)
+        if v is not None:
+            return v
         if kind == "NUMBER":
-            return ScalarExpr.const(int(text))
+            v = self.shared[text] = ScalarExpr.const(int(text))
+            return v
         if kind == "IMAG":
-            return ScalarExpr.const(GaussRat(0, int(text[:-1])))
+            v = self.shared[text] = ScalarExpr.const(GaussRat(0, int(text[:-1])))
+            return v
         if kind == "IDENT":
             if text == "i":
                 return S_I
             if text == "conj":
-                t.expect_op("(")
-                name = t.expect("IDENT")
-                t.expect_op(")")
-                self._check_param(name)
-                return ScalarExpr.conj_param(name[1])
+                return self._parenthesized(t, t.expect_op("(")).conj()
             if _GEN.match(text):
                 raise DslError(
                     f"generator {text!r} cannot appear inside a scalar", line, col
                 )
-            self._check_param(tok)
-            return ScalarExpr.param(text)
+            raise DslError(f"undeclared parameter {text!r}", line, col)
         if kind == "OP" and text == "(":
-            # each level costs a few Python frames; fail before the interpreter does
-            if self.depth == _MAX_NESTING:
-                raise DslError(f"parentheses nested deeper than {_MAX_NESTING}", line, col)
-            self.depth += 1
-            v = self._scalar_sum(t)
-            t.expect_op(")")
-            self.depth -= 1
-            return v
+            return self._parenthesized(t, tok)
         raise DslError(f"unexpected {text!r} in scalar", line, col)
 
-    def _check_param(self, tok):
-        if tok[1] not in self.params:
-            raise DslError(f"undeclared parameter {tok[1]!r}", tok[2], tok[3])
+    def _parenthesized(self, t, paren):
+        """The scalar after the opening parenthesis paren, up to its ')'."""
+        # each level costs a few Python frames; fail before the interpreter does
+        if self.depth == _MAX_NESTING:
+            raise DslError(f"parentheses nested deeper than {_MAX_NESTING}", paren[2], paren[3])
+        self.depth += 1
+        v = self._scalar_sum(t)
+        t.expect_op(")")
+        self.depth -= 1
+        return v
 
 
 class _TokStream:

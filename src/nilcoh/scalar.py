@@ -33,6 +33,7 @@ give the same element of Q(i).
 from __future__ import annotations
 
 from collections import defaultdict
+from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
@@ -212,6 +213,12 @@ def _p_params(a):
     return names
 
 
+def _p_size(a):
+    """The terms of a, each counted once per started 64 bits of its
+    coefficient's numerators and denominator."""
+    return sum(1 + (abs(c._a) | abs(c._b) | c._q).bit_length() // 64 for c in a.values())
+
+
 def _p_str(a):
     if not a:
         return "0"
@@ -241,7 +248,7 @@ class ScalarEvalError(ArithmeticError):
     """Raised when evaluation hits a vanishing denominator or a free parameter."""
 
 
-# A node is a tuple (op, a, b).  ("param", name, barred) reads the assignment;
+# A node is a tuple (op, a, b).  ("param", name, None) reads the assignment;
 # ("leaf", num, den) is a node-less operand, evaluated on its expanded form;
 # "add", "mul" and "div" take two operand nodes, "neg" and "conj" take a and
 # leave b None.  Nodes hold nodes, never ScalarExprs, so the expanded
@@ -310,7 +317,7 @@ def _run(program, assign):
             z = assign.get(a)
             if z is None:
                 return None
-            push(z.conj() if b else z)
+            push(z)
         else:
             try:
                 push(_p_eval(a, assign) / _p_eval(b, assign))
@@ -357,11 +364,7 @@ class ScalarExpr:
 
     @classmethod
     def param(cls, name):
-        return cls({_m_symbol(name, 0): _ONE}, node=("param", name, 0))
-
-    @classmethod
-    def conj_param(cls, name):
-        return cls({_m_symbol(name, 1): _ONE}, node=("param", name, 1))
+        return cls({_m_symbol(name, 0): _ONE}, node=("param", name, None))
 
     # -- predicates ----------------------------------------------------------
 
@@ -380,6 +383,19 @@ class ScalarExpr:
 
     def params(self):
         return _p_params(self.num) | _p_params(self.den)
+
+    def work(self, op, other):
+        """What self op other costs, for op one of + - * /: the polynomial
+        products it multiplies out, each as the product of the operands'
+        sizes (_p_size), or the operands' sizes where a sum needs none."""
+        na, da, nb, db = map(_p_size, (self.num, self.den, other.num, other.den))
+        if op == "*":
+            return na * nb + da * db
+        if op == "/":
+            return na * db + da * nb
+        if self.den == other.den:
+            return na + nb
+        return na * db + nb * da + da * db
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -446,10 +462,9 @@ class ScalarExpr:
     # -- equality is mathematical (cross-multiplication), not structural ----
 
     def __eq__(self, other):
-        if isinstance(other, (int, GaussRat)):
-            other = ScalarExpr.const(other)
-        if not isinstance(other, ScalarExpr):
+        if not isinstance(other, _OPERANDS):
             return NotImplemented
+        other = _coerce(other)
         if other.is_const():
             return _equals_const(self, other.const_value())
         if self.is_const():
@@ -483,10 +498,14 @@ def _equals_const(e, c):
     return e.num.keys() == e.den.keys() and all(v == c * e.den[m] for m, v in e.num.items())
 
 
+# what arithmetic and == accept as the other operand
+_OPERANDS = (ScalarExpr, int, Fraction, GaussRat)
+
+
 def _coerce(x):
     if isinstance(x, ScalarExpr):
         return x
-    if isinstance(x, (int, GaussRat)):
+    if isinstance(x, _OPERANDS):
         return ScalarExpr.const(x)
     raise TypeError(f"cannot use {type(x).__name__} as a scalar")
 

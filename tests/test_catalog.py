@@ -10,11 +10,13 @@ import sys
 import pytest
 
 from conftest import validation_for
+from nilcoh import catalog as catalog_module
 from nilcoh import cli
 from nilcoh.catalog import CatalogEntry, CatalogError, catalog, get
 from nilcoh.deform import frame_change
 from nilcoh.dsl import parse, parse_gauss, pretty
 from nilcoh.gauss import GaussRat
+from nilcoh.scalar import _compile
 
 EXPECTED_ORDER = [
     "torus2",
@@ -186,3 +188,23 @@ def test_every_entry_input_is_pinned():
 def test_catalog_report_is_pinned(fmt):
     out = _stdout("catalog", "--format", fmt)
     assert hashlib.sha256(out.encode()).hexdigest() == _CATALOG_SHA256[fmt]
+
+
+def test_sigma_row_keeps_its_shared_subexpressions():
+    # each parameter, literal and let name of the row is one program node,
+    # and no coefficient gains a multiplication by the wedge's sign
+    coeffs = [c for _, c in get("iwasawa_sigma_family").spec.d_phi[2].items()]
+    steps = [len(_compile(c.node)) for c in coeffs]
+    assert all(s <= bound for s, bound in zip(steps, [79, 59, 68, 59, 58])), steps
+
+
+def test_sigma_row_in_a_file_has_the_entry_digest(tmp_path):
+    _, n, flag, equations, _ = catalog_module._ENTRIES["iwasawa_sigma_family"]
+    path = tmp_path / "sigma.txt"
+    path.write_text(f'algebra "iwasawa_sigma_family" dim {n}\n'
+                    f"flag invariant_cohomology_is_manifold_cohomology {str(flag).lower()}\n"
+                    f"{equations}\n")
+    from_file = json.loads(_stdout("validate", str(path)))
+    assert from_file["input"]["digest"] == _INPUT_DIGESTS["iwasawa_sigma_family"]
+    from_entry = json.loads(_stdout("validate", "@iwasawa_sigma_family"))
+    assert from_file["results"] == from_entry["results"]

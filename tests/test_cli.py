@@ -17,7 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nilcoh import algebra, cli, linalg
+from nilcoh import algebra, cli, dsl, linalg
 
 BASE = [sys.executable, "-m", "nilcoh"]
 
@@ -789,3 +789,17 @@ def test_readme_quick_start_runs():
         want = int(comment.split(":")[0]) if comment else 0
         rc, err = _exit_code(shlex.split(line, comments=True)[1:])
         assert rc == want, (line, err)
+
+
+def test_readme_structure_file_example_parses_and_validates(tmp_path):
+    block = README.read_text(encoding="utf-8").split("## Structure-equation files\n", 1)[1]
+    block = block.split("```\n", 1)[1].split("```", 1)[0]
+    assert any(line.startswith("let ") for line in block.splitlines())
+    spec = dsl.parse(block)
+    assert spec.params == ("t",)
+    path = tmp_path / "example.txt"
+    path.write_text(block)
+    assert _exit_code(["validate", str(path)]) == (0, "")
+    # at t = 1/2, r = 4/3: t*r = 2/3 on f1^F2, and conj(conj(t)*r) is its value too
+    half = {"t": dsl.parse_gauss("1/2")}
+    assert str(spec.d_gen(3, False).evaluate(half)) == "(-5/3)*f1^f2+(2/3)*f1^F2+(-2/3)*f2^F1"

@@ -1,12 +1,14 @@
 """Structure-equation language: parsing, canonical printing, errors."""
 
+import contextlib
+import io
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nilcoh import dsl
+from nilcoh import cli, dsl
 from nilcoh.catalog import catalog
 from nilcoh.dsl import DslError, FLAG_NAME, parse, parse_form, parse_gauss, parse_scalar, pretty
 from nilcoh.exterior import BigradedElement
@@ -146,7 +148,7 @@ _HEADER = 'algebra "x" dim 3\nparam t\n'
 _TOKENS = [
     "algebra", '"x"', "dim", "0", "1", "2", "3", "12", "2i", "i", "param", "t",
     "s", "flag", FLAG_NAME, "true", "false", "d", "f1", "f2", "f3", "F1", "F2",
-    "f0", "conj", "=", "^", "+", "-", "−", "*", "/", "(", ")", "#", '"', "$",
+    "f0", "conj", "let", "=", "^", "+", "-", "−", "*", "/", "(", ")", "#", '"', "$",
 ]
 _soup = st.lists(
     st.tuples(st.sampled_from(_TOKENS), st.sampled_from(["", " ", "\n", "\t"])),
@@ -195,3 +197,121 @@ def test_exponents_are_bounded_and_squared():
     powered = parse('algebra "p" dim 3\nparam t\nd f3 = (1+t)^5*f1^f2\n')
     expanded = parse('algebra "p" dim 3\nparam t\nd f3 = (1+t)*(1+t)*(1+t)*(1+t)*(1+t)*f1^f2\n')
     assert powered.d_gen(3, False) == expanded.d_gen(3, False)
+
+
+def test_conj_takes_any_parenthesized_scalar():
+    t = ScalarExpr.param("t")
+    assert parse_scalar("conj(1/(1+t))", ("t",)) == (1 / (1 + t)).conj()
+    assert parse_scalar("conj(conj(t))", ("t",)) == t
+    assert parse_scalar("conj(2i - t)^2", ("t",)) == (-2 * S_I - t.conj()) * (-2 * S_I - t.conj())
+    assert parse_gauss("conj((1+2i)/3)") == parse_gauss("(1-2i)/3")
+    assert parse_scalar("conj(" * 100 + "t" + ")" * 100, ("t",)) == t
+    # the parenthesis of conj( counts against the nesting bound like any other
+    with pytest.raises(DslError, match="^line 1, col 505: parentheses nested deeper than 100$"):
+        parse_scalar("conj(" * 101 + "t" + ")" * 101, ("t",))
+    with pytest.raises(DslError, match="^line 1, col 6: expected '\\(', got 't'$"):
+        parse_scalar("conj t", ("t",))
+
+
+LET = """\
+algebra "let" dim 3
+param t
+let r = 1/(1-t*conj(t))
+let s = conj(r*t) + r
+d f3 = r * f1^f2 + s * f1^F2 - r * f2^F1
+"""
+
+
+def test_let_names_a_scalar_for_the_lines_below():
+    d3 = parse(LET).d_gen(3, False)
+    t = ScalarExpr.param("t")
+    r = 1 / (1 - t * t.conj())
+    assert d3.coeff(mono((1, 2), ())) == r
+    assert d3.coeff(mono((1,), (2,))) == (r * t).conj() + r
+    assert d3.coeff(mono((2,), (1,))) == -r
+
+
+def test_parameters_literals_and_let_names_are_shared_within_a_parse():
+    # a coefficient is the scalar written, not a product with the wedge's
+    # sign, and each name or literal is one object: one program node
+    d3 = parse('algebra "s" dim 3\nparam t\nlet r = 2*t\n'
+               "d f3 = t * f1^f2 + t * f1^F1 + r * f2^F1 + r * f2^F2\n").d_gen(3, False)
+    assert d3.coeff(mono((1, 2), ())) is d3.coeff(mono((1,), (1,)))
+    assert d3.coeff(mono((2,), (1,))) is d3.coeff(mono((2,), (2,)))
+    d3 = parse('algebra "s" dim 3\nd f3 = 2 * f1^f2 + 2 * f1^F1\n').d_gen(3, False)
+    assert d3.coeff(mono((1, 2), ())) is d3.coeff(mono((1,), (1,)))
+
+
+@pytest.mark.parametrize("source, message", [
+    ("let a = 1", "line 1, col 1: the header line must come first"),
+    ('algebra "x" dim 2\nlet a = 1\nlet a = 2', "line 3, col 5: duplicate let 'a'"),
+    ('algebra "x" dim 2\nparam t\nlet t = 1',
+     "line 3, col 5: duplicate let 't'"),
+    ('algebra "x" dim 2\nlet t = 1\nparam t',
+     "line 3, col 7: duplicate parameter 't'"),
+    ('algebra "x" dim 2\nlet conj = 1', "line 2, col 5: let name 'conj' is reserved"),
+    ('algebra "x" dim 2\nlet i = 1', "line 2, col 5: let name 'i' is reserved"),
+    ('algebra "x" dim 2\nlet f1 = 1', "line 2, col 5: let name 'f1' is reserved"),
+    ('algebra "x" dim 2\nlet let = 1', "line 2, col 5: let name 'let' is reserved"),
+    ('algebra "x" dim 2\nparam let', "line 2, col 7: parameter name 'let' is reserved"),
+    ('algebra "x" dim 2\nparam t\nlet a = t + s', "line 3, col 13: undeclared parameter 's'"),
+    ('algebra "x" dim 2\nlet a = a', "line 2, col 9: undeclared parameter 'a'"),
+    ('algebra "x" dim 2\nlet a = 1 * f1^f2', "line 2, col 11: unexpected '*'"),
+    ('algebra "x" dim 2\nlet a 1', "line 2, col 7: expected '=', got '1'"),
+])
+def test_let_errors_are_positioned(source, message):
+    with pytest.raises(DslError) as exc:
+        parse(source)
+    assert str(exc.value) == message
+
+
+def _cli_rc_err_seconds(argv):
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, err.getvalue(), time.perf_counter() - t0
+
+
+def _squarings(first):
+    lines = ['algebra "sq" dim 3', "param t", f"let a0 = {first}"]
+    lines += [f"let a{k} = a{k - 1}*a{k - 1}" for k in range(1, 41)]
+    return "\n".join(lines + ["d f3 = a40 * f1^f2", ""])
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["deform", "@example31", "--samples", "t=((((2^100)^100)^100)^100)^100"], None,
+     "line 1, col 17: operands of '*' too large: the step costs 391877, more than 262144"),
+    (["validate"], 'algebra "big" dim 3\nparam t\nd f3 = (((1+t+conj(t))^100)^100) * f1^f2\n',
+     "line 3, col 24: operands of '*' too large: the step costs 314722, more than 262144"),
+    (["validate"], _squarings("1+t+conj(t)"),
+     "line 9, col 12: operands of '*' too large: the step costs 314722, more than 262144"),
+    (["validate"], _squarings("2^100"),
+     "line 13, col 13: operands of '*' too large: the step costs 641602, more than 262144"),
+])
+def test_oversized_input_exits_2_before_the_work(tmp_path, argv, text, message):
+    # nested powers and squaring through let names multiply past any one
+    # exponent bound; each step is refused before it runs, not after
+    if text is not None:
+        path = tmp_path / "big.txt"
+        path.write_text(text)
+        argv = [*argv, str(path)]
+    rc, err, seconds = _cli_rc_err_seconds(argv)
+    assert rc == 2
+    assert message in err
+    assert seconds < 1
+
+
+def test_work_bound_admits_the_catalog_and_its_printed_form(monkeypatch):
+    # the costliest step of any catalog row, or of parsing its printed form
+    costs = []
+    apply = dsl._Parser._apply
+
+    def recording(self, op, a, b):
+        costs.append(a.work(op[1], b))
+        return apply(self, op, a, b)
+
+    monkeypatch.setattr(dsl._Parser, "_apply", recording)
+    for entry in catalog():
+        parse(pretty(entry.spec))
+    assert max(costs) == 10734 < dsl._MAX_WORK // 16

@@ -31,7 +31,7 @@ def test_constants_and_predicates():
 
 def test_conjugate_symbol_is_independent():
     t = _t()
-    tc = ScalarExpr.conj_param("t")
+    tc = ScalarExpr.param("t").conj()
     assert t.conj() == tc
     assert tc.conj() == t
     assert not (t - tc).is_zero()
@@ -95,7 +95,7 @@ def _exprs(draw, depth=0):
             return ScalarExpr.const(draw(_vals))
         if kind == 1:
             return ScalarExpr.param(draw(st.sampled_from("tuv")))
-        return ScalarExpr.conj_param(draw(st.sampled_from("tuv")))
+        return ScalarExpr.param(draw(st.sampled_from("tuv"))).conj()
     a = draw(_exprs(depth=depth + 1))
     b = draw(_exprs(depth=depth + 1))
     op = draw(st.integers(0, 2))
@@ -146,7 +146,7 @@ def _rational_exprs(draw, depth=0):
         if kind == 1:
             return ScalarExpr.param("t")
         if kind == 2:
-            return ScalarExpr.conj_param("t")
+            return ScalarExpr.param("t").conj()
         return ScalarExpr.param("s")
     a = draw(_rational_exprs(depth=depth + 1))
     op = draw(st.integers(0, 4))
@@ -201,6 +201,22 @@ def test_fractions_equal_in_other_shapes_are_not_hashed_apart():
         {BigradedElement.gen(1, coeff=pairs[1][0]), BigradedElement.gen(1, coeff=pairs[1][1])}
     # constants keep their hash, that of the GaussRat they equal
     assert hash(ScalarExpr.const(GaussRat(Fraction(1, 2)))) == hash(GaussRat(Fraction(1, 2)))
+
+
+def test_fraction_operands_are_accepted_as_by_gauss_rat():
+    # == and arithmetic take the same operand types as GaussRat does
+    half = Fraction(1, 2)
+    assert ScalarExpr.const(half) == half and half == ScalarExpr.const(half)
+    assert ScalarExpr.const(half) != Fraction(1, 3)
+    assert ScalarExpr.const(GaussRat(half)) == GaussRat(half) == half
+    t = _t()
+    assert t + half == t + ScalarExpr.const(half) == half + t
+    assert (t * half - half / t).evaluate({"t": GaussRat(2)}) == Fraction(3, 4)
+    assert not t == half and t != half
+    for foreign in (0.5, "1/2"):
+        assert not ScalarExpr.const(half) == foreign
+        with pytest.raises(TypeError):
+            t + foreign
 
 
 def test_program_failure_falls_back_to_expanded_fraction():
@@ -421,7 +437,7 @@ from nilcoh.scalar import ScalarExpr
 if sys.argv[1] == "reordered":
     for name in ("zz", "t22", "t", "t21", "s"):
         ScalarExpr.param(name).conj()
-    ScalarExpr.conj_param("t12") * ScalarExpr.param("t11")
+    ScalarExpr.param("t12").conj() * ScalarExpr.param("t11")
 for entry in catalog.catalog():
     print(dsl.pretty(entry.spec))
 """
