@@ -587,7 +587,6 @@ def _build_parser():
     p.set_defaults(fn=_cmd_hypotheses)
 
     p = sub.add_parser("catalog", help="list built-in structures")
-    p.add_argument("--list", action="store_true", help="accepted for symmetry")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(fn=_cmd_catalog)
 

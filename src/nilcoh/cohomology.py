@@ -10,6 +10,9 @@ Everything is a quotient of exact kernels and images:
 
 plus the H^{p,q}_J subgroups of de Rham cohomology (classes with a pure-type
 representative) and the stage-k pure / full verdicts built from them.
+A group's dimension is rank arithmetic on memoised images, dim of the source
+less the rank of the numerator's operator and dim of the denominator: the
+d.d = 0 certificate of OperatorCache puts the denominator in the numerator.
 All reports are at the invariant (Lie-algebra) level; whether that computes
 the cohomology of a compact quotient is governed by the spec's flag and is
 surfaced as a banner, never silently assumed.
@@ -17,7 +20,7 @@ surfaced as a banner, never silently assumed.
 
 from __future__ import annotations
 
-from functools import reduce
+from functools import cached_property, reduce
 
 from .linalg import Subspace, block, quotient_representatives
 
@@ -40,68 +43,63 @@ def _shift(key, by):
     return (key[0] + by[0], key[1] + by[1])
 
 
-def _denominator(ops, theory, key):
-    images = [ops.image(op, _shift(key, by)) for op, by in THEORY_TABLE[theory][1]]
-    return reduce(Subspace.add, images)
-
-
 class CohomologyGroup:
-    """One cohomology space: numerator/denominator subspaces; representatives
-    are computed the first time they are read."""
+    """One cohomology space; nothing is computed when it is built.  dim is
+    the rank rule above; the subspaces and the representatives are built
+    when first read, and a printed group counts its representatives."""
 
-    __slots__ = ("theory", "degree", "numerator", "denominator", "dim", "ops", "_reps")
-
-    def __init__(self, theory, degree, numerator, denominator, ops):
-        self.dim = numerator.quotient_dim(denominator, f"{theory} {degree}")
+    def __init__(self, theory, degree, ops):
         self.theory = theory
         self.degree = degree
-        self.numerator = numerator
-        self.denominator = denominator
         self.ops = ops
-        self._reps = None
 
     @property
+    def numerator(self):
+        return self.ops.kernel(THEORY_TABLE[self.theory][0], self.degree)
+
+    @cached_property
+    def denominator(self):
+        return reduce(Subspace.add, [self.ops.image(op, _shift(self.degree, by))
+                                     for op, by in THEORY_TABLE[self.theory][1]])
+
+    @property
+    def dim(self):
+        op, key = THEORY_TABLE[self.theory][0], self.degree
+        return self.ops.dims(key) - self.ops.image(op, key).dim - self.denominator.dim
+
+    @cached_property
     def reps(self):
-        if self._reps is None:
-            self._reps = [
-                self.ops.to_element(self.degree, v)
-                for v in quotient_representatives(self.numerator.rows, self.denominator)
-            ]
-        return self._reps
+        return [self.ops.to_element(self.degree, v)
+                for v in quotient_representatives(self.numerator.rows, self.denominator)]
 
     def as_dict(self):
         deg = self.degree if isinstance(self.degree, int) else list(self.degree)
         return {
             "theory": self.theory,
             "degree": deg,
-            "dim": self.dim,
+            "dim": len(self.reps),
             "representatives": [str(r) for r in self.reps],
         }
 
 
-def _group(ops, theory, key):
-    num = ops.kernel(THEORY_TABLE[theory][0], key)
-    return CohomologyGroup(theory, key, num, _denominator(ops, theory, key), ops)
-
-
 def de_rham(ops, k):
-    return _group(ops, "de_rham", k)
+    return CohomologyGroup("de_rham", k, ops)
 
 
 def dolbeault(ops, p, q):
-    return _group(ops, "dolbeault", (p, q))
+    return CohomologyGroup("dolbeault", (p, q), ops)
 
 
 def del_cohomology(ops, p, q):
-    return _group(ops, "del", (p, q))
+    return CohomologyGroup("del", (p, q), ops)
 
 
 def bott_chern(ops, p, q):
-    return _group(ops, "bott_chern", (p, q))
+    return CohomologyGroup("bott_chern", (p, q), ops)
 
 
 def aeppli(ops, p, q):
-    return _group(ops, "aeppli", (p, q))
+    return CohomologyGroup("aeppli", (p, q), ops)
 
 
 def group(ops, theory, degree):

@@ -204,9 +204,6 @@ class Subspace:
     def contains(self, vec):
         return not self.reduce(vec)
 
-    def contains_subspace(self, other):
-        return not any(self.reduce(r) for r in other.rows)
-
     def _check_ambient(self, other):
         if self.ambient != other.ambient:
             raise InternalError(
@@ -231,12 +228,6 @@ class Subspace:
         cut = bisect_left(both.pivots, a)
         return Subspace(a, [{j - a: x for j, x in row.items()} for row in both.rows[cut:]],
                         [c - a for c in both.pivots[cut:]])
-
-    def quotient_dim(self, sub, what="quotient"):
-        """dim(self / sub); raises InternalError unless sub lies in self."""
-        if not self.contains_subspace(sub):
-            raise InternalError(f"{what}: denominator escapes numerator")
-        return self.dim - sub.dim
 
     def __eq__(self, other):
         if not isinstance(other, Subspace):
@@ -329,6 +320,9 @@ class OperatorCache:
     Leibniz matrices the d^2 check already assembled; since the structure is
     integrable, d maps Lambda^{p,q} into Lambda^{p+1,q} + Lambda^{p,q+1}, so
     del and delbar are bidegree blocks of d and del.delbar is their product.
+    d.d = 0 is certified on every pair of adjacent degrees built; by
+    bidegree it is del^2 = delbar^2 = 0 and del.delbar = -delbar.del, so a
+    group that reads its degrees has its denominator in its numerator.
     Matrices and subspaces are built lazily, once each, and memoized;
     callers must not mutate them.  Matrices act on column vectors and are
     stored as lists of sparse rows.
@@ -361,8 +355,16 @@ class OperatorCache:
         return mat_mul(self.del_pq(p, q + 1), self.delbar_pq(p, q))
 
     def d_total(self, k):
-        """d: Lambda^k -> Lambda^{k+1}."""
-        return self._get(("d", k), lambda: self._matrix("d", k))
+        """d: Lambda^k -> Lambda^{k+1}, d.d = 0 checked on its built neighbours."""
+        def build():
+            d = self._matrix("d", k)
+            for j, upper, lower in ((k - 1, d, self._memo.get(("d", k - 1))),
+                                    (k, self._memo.get(("d", k + 1)), d)):
+                if upper is not None and lower is not None and any(mat_mul(upper, lower)):
+                    raise InternalError(f"d.d is not zero on Lambda^{j}")
+            return d
+
+        return self._get(("d", k), build)
 
     def del_pq(self, p, q):
         """del: (p,q) -> (p+1,q)."""

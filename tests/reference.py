@@ -8,7 +8,8 @@ tr(J o ad e_j) and the derived algebra (the Nakamura obstruction),
 unimodularity, the real pair of a (2,0)-form and the real frame matrix of a
 deformation.  Besides: whether a class is trivial, decided by solving for a
 primitive (the route the wedge-class suite is checked against), the rank of
-a matrix, whether a de Rham class lies in the pure-type sum, |z|^2 of a
+a matrix, whether a de Rham class lies in the pure-type sum, whether one
+subspace contains another and the dimension of their quotient, |z|^2 of a
 Gaussian rational, and the rows of a block matrix over consecutive column
 blocks with the split of a vector back into those blocks.
 """
@@ -18,7 +19,7 @@ from fractions import Fraction
 from functools import reduce
 
 from nilcoh.algebra import StructureError, SymplecticError
-from nilcoh.cohomology import THEORY_TABLE, _denominator, _pure_type_classes, _shift
+from nilcoh.cohomology import THEORY_TABLE, CohomologyGroup, _pure_type_classes, _shift
 from nilcoh.exterior import BigradedElement, substitute
 from nilcoh.gauss import GaussRat, InternalError
 from nilcoh.linalg import Subspace, mat_mul, rref, solve, transpose
@@ -292,7 +293,7 @@ def class_is_trivial(ops, theory, element):
     mats = {i: ops.rows(op, src) for i, ((op, _), src) in enumerate(zip(images, sources))}
     x = solve(assemble_block_rows(blocks, [mats]), vec, sum(blocks))
     if x is None:
-        return False, ops.to_element(key, _denominator(ops, theory, key).reduce(vec))
+        return False, ops.to_element(key, CohomologyGroup(theory, key, ops).denominator.reduce(vec))
     prims = [ops.to_element(src, part) for src, part in zip(sources, split_blocks(x, blocks))]
     return True, prims[0] if len(prims) == 1 else tuple(prims)
 
@@ -309,6 +310,18 @@ def class_in_pure_sum(ops, k, element):
 
 def rank_of(op_rows):
     return len(rref(op_rows)[0])
+
+
+def contains_subspace(space, sub):
+    """Does the Subspace `space` contain the Subspace `sub`?"""
+    return not any(space.reduce(r) for r in sub.rows)
+
+
+def quotient_dim(num, den, what="quotient"):
+    """dim(num / den); raises InternalError unless den lies in num."""
+    if not contains_subspace(num, den):
+        raise InternalError(f"{what}: denominator escapes numerator")
+    return num.dim - den.dim
 
 
 def norm2(z):

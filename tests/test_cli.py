@@ -375,6 +375,13 @@ def test_catalog_listing():
     assert names[0] == "torus2" and names[-1] == "iwasawa_sigma_family"
 
 
+def test_catalog_takes_no_list_option():
+    # listing is what the command does; an option that changes nothing is refused
+    proc = run("catalog", "--list")
+    assert proc.returncode == 2
+    assert "unrecognized arguments: --list" in proc.stderr
+
+
 def test_table_format():
     proc = run("catalog", "--format", "table")
     assert proc.returncode == 0

@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from conftest import n6_ops_for
+from reference import quotient_dim
 from zigzag import spectral_cell, zigzag_x, zigzag_y
 from nilcoh import cli, frolicher, linalg
 from nilcoh.catalog import catalog, get
@@ -208,7 +209,7 @@ def test_spaces_match_zigzag_systems(ops, name, assign):
         page = spectral_page(cache, r)
         for p in range(n + 1):
             for q in range(n + 1):
-                ref = zigzag_x(cache, r, p, q).quotient_dim(zigzag_y(cache, r, p, q))
+                ref = quotient_dim(zigzag_x(cache, r, p, q), zigzag_y(cache, r, p, q))
                 assert page.dims[(p, q)] == ref, (r, p, q)
 
 
@@ -250,6 +251,13 @@ _N7_SHA256 = {
         "549e4ddc5c256c6a4900b6ea2ef71884edce33b90263b3ff935057a02aa9ea12",
     "cohomology data/probe7.txt":
         "5a6b95a1c9552197dbf9ccfa97ecc8b2cd40d72b8d354db78352ed9bca267f2c",
+}
+# n = 8, Iwasawa x Iwasawa x T^2: every table of the widest structure in
+# the suite (Lambda^8 is 12870-dimensional), recorded when each dimension
+# was a quotient of subspaces, so it holds the rank rule to that route
+_N8_SHA256 = {
+    "cohomology data/probe8.txt":
+        "ab4688784a9959774643082ec38b2d3bcb0f94ae7822d4eb1aee1bafbbd3b49d",
 }
 
 
@@ -294,6 +302,13 @@ def test_seven_dimensional_probe_is_pinned(command):
     rc, out = _stdout(*command.split())
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == _N7_SHA256[command]
+
+
+@pytest.mark.parametrize("command", list(_N8_SHA256))
+def test_eight_dimensional_probe_is_pinned(command):
+    rc, out = _stdout(*command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _N8_SHA256[command]
 
 
 def _euler_defects(report, dels):

@@ -16,7 +16,7 @@ pivot counts of d that nilcoh.frolicher reads its pages from.
 
 from nilcoh.linalg import (Subspace, kernel_basis, mat_mul, quotient_representatives,
                            transpose)
-from reference import assemble_block_rows
+from reference import assemble_block_rows, quotient_dim
 
 
 def zigzag_x(ops, r, p, q):
@@ -53,7 +53,7 @@ def spectral_cell(ops, r, p, q):
     checked) and greedy representatives of X_r/Y_r as forms."""
     x, y = zigzag_x(ops, r, p, q), zigzag_y(ops, r, p, q)
     return {
-        "dim": x.quotient_dim(y, f"page {r} cell ({p},{q})"),
+        "dim": quotient_dim(x, y, f"page {r} cell ({p},{q})"),
         "cycles": x,
         "boundaries": y,
         "representatives": [ops.to_element((p, q), v)
