@@ -187,14 +187,6 @@ class AlgebraSpec:
 class ValidationReport:
     """Outcome of AlgebraSpec.validate()."""
 
-    __slots__ = (
-        "name",
-        "integrability_failures",
-        "d2_failures",
-        "samples_checked",
-        "skipped_samples",
-    )
-
     def __init__(self, name):
         self.name = name
         self.integrability_failures = []

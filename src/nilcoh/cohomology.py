@@ -138,47 +138,46 @@ def hodge_table(ops, theory):
 
 
 class PureFullReport:
-    """Stage-k verdicts; the pure-type representatives and the pairwise
-    intersections are computed the first time they are read."""
+    """Stage-k report on the H^{p,q}_J subgroups of H^k_dR.  The verdicts
+    are computed when it is built; the pure-type representatives and the
+    pairwise intersections the first time they are read."""
 
-    __slots__ = (
-        "stage",
-        "betti",
-        "group_dims",
-        "sum_dim",
-        "total_intersection_dim",
-        "single_group",
-        "pure",
-        "full",
-        "ops",
-        "_pure",
-        "_group_reps",
-        "_pairwise",
-    )
+    def __init__(self, ops, k):
+        self.ops = ops
+        self.stage = k
+        self._pure = _pure_type_classes(ops, k)
+        images = [classes for _, classes in self._pure.values()]
+        self.betti = betti(ops, k)
+        self.group_dims = {c: classes.dim for c, (_, classes) in self._pure.items()}
+        self.sum_dim = reduce(Subspace.add, images, Subspace(ops.dims(k))).dim
+        self.total_intersection_dim = reduce(Subspace.intersect, images).dim if images else 0
+        self.single_group = len(images) == 1
+        # a single-subgroup stage is pure by convention (the intersection over a
+        # one-element family is the subgroup itself, which carries no clash)
+        self.pure = self.single_group or self.total_intersection_dim == 0
+        # every subgroup lies in H^k_dR, so their sum is all of it iff the
+        # dimensions agree
+        self.full = self.sum_dim == self.betti
 
-    @property
+    @cached_property
     def group_reps(self):
         """{(p,q): pure-type representatives whose classes span H^{p,q}_J}."""
-        if self._group_reps is None:
-            img = self.ops.image("d", self.stage - 1)
-            self._group_reps = {
-                c: [self.ops.to_element(self.stage, v)
-                    for v in quotient_representatives(closed, img)]
-                for c, (closed, _) in self._pure.items()
-            }
-        return self._group_reps
+        img = self.ops.image("d", self.stage - 1)
+        return {
+            c: [self.ops.to_element(self.stage, v)
+                for v in quotient_representatives(closed, img)]
+            for c, (closed, _) in self._pure.items()
+        }
 
-    @property
+    @cached_property
     def pairwise(self):
         """{((p,q), (r,s)): dim of H^{p,q}_J meet H^{r,s}_J} over pairs of cells."""
-        if self._pairwise is None:
-            cells = list(self._pure)
-            self._pairwise = {
-                (a, b): self._pure[a][1].intersect(self._pure[b][1]).dim
-                for i, a in enumerate(cells)
-                for b in cells[i + 1 :]
-            }
-        return self._pairwise
+        cells = list(self._pure)
+        return {
+            (a, b): self._pure[a][1].intersect(self._pure[b][1]).dim
+            for i, a in enumerate(cells)
+            for b in cells[i + 1 :]
+        }
 
     def as_dict(self):
         return {
@@ -224,29 +223,7 @@ def _pure_type_classes(ops, k):
 
 def pure_full(ops, k):
     """Stage-k report on the H^{p,q}_J subgroups of H^k_dR."""
-    pure = _pure_type_classes(ops, k)
-    images = {c: classes for c, (_, classes) in pure.items()}
-
-    report = PureFullReport()
-    report.stage = k
-    report.ops = ops
-    report.betti = betti(ops, k)
-    report.group_dims = {c: classes.dim for c, classes in images.items()}
-    report._pure = pure
-    report._group_reps = None
-    report._pairwise = None
-    report.sum_dim = reduce(Subspace.add, images.values(), Subspace(ops.dims(k))).dim
-    report.total_intersection_dim = (
-        reduce(Subspace.intersect, images.values()).dim if images else 0
-    )
-    report.single_group = len(images) == 1
-    # a single-subgroup stage is pure by convention (the intersection over a
-    # one-element family is the subgroup itself, which carries no clash)
-    report.pure = report.single_group or report.total_intersection_dim == 0
-    # every subgroup lies in H^k_dR, so their sum is all of it iff the
-    # dimensions agree
-    report.full = report.sum_dim == report.betti
-    return report
+    return PureFullReport(ops, k)
 
 
 def invariant_level_banner(spec):

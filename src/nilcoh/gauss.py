@@ -23,6 +23,10 @@ class GaussRat:
     __slots__ = ("_a", "_b", "_q")
 
     def __init__(self, re=0, im=0):
+        for x in (re, im):
+            if not isinstance(x, (int, Fraction)):
+                raise TypeError(f"a part of a Q(i) number is an int or a Fraction, "
+                                f"not {type(x).__name__}")
         re, im = Fraction(re), Fraction(im)
         dr, di = re.denominator, im.denominator
         q = dr * di // gcd(dr, di)

@@ -66,24 +66,45 @@ def nondegeneracy_polynomial(ops):
 
 
 class SymplecticReport:
-    """Existence verdict with witness / grid certificate and scope notes."""
+    """Existence verdict with witness / grid certificate and scope notes.
 
-    __slots__ = (
-        "n",
-        "closed_dim",
-        "poly",
-        "verdict",
-        "witness_coeffs",
-        "witness",
-        "grid_points_checked",
-        "grid_side",
-        "banner",
-        "statement",
-    )
+    The flag of ops.spec only affects the wording of the emitted statement,
+    never the verdict.
+    """
 
-    def __init__(self, **kw):
-        for k in self.__slots__:
-            setattr(self, k, kw.get(k))
+    def __init__(self, ops):
+        n = self.n = ops.n
+        s = self.closed_dim = closed_20_space(ops).dim
+        self.poly = self.witness_coeffs = self.witness = None
+        self.grid_points_checked = self.grid_side = None
+        if n % 2:
+            self.verdict = "odd_dimension"
+        else:
+            side = self.grid_side = n // 2 + 1
+            if side ** s > GRID_LIMIT:
+                raise SymplecticError(
+                    f"the witness grid {{0..{side - 1}}}^{s} has {side ** s} points, above "
+                    f"the limit of {GRID_LIMIT}"
+                )
+            elems = closed_20_elements(ops)
+            self.poly = nondegeneracy_polynomial(ops)
+            # the grid has at least one point, the empty one when s = 0
+            for checked, point in enumerate(product(range(side), repeat=s), 1):
+                comb = BigradedElement.zero()
+                for aj, e in zip(point, elems):
+                    if aj:
+                        comb = comb + e.scale(GaussRat(aj))
+                if is_nondegenerate(comb, n):
+                    self.witness_coeffs = [GaussRat(aj) for aj in point]
+                    self.witness = comb
+                    break
+            self.grid_points_checked = checked
+            # the symbolic and grid routes must agree (degree <= n/2 per variable)
+            if (self.witness is None) != self.poly.is_zero():
+                raise InternalError("grid and symbolic routes disagree")
+            self.verdict = "none" if self.witness is None else "exists"
+        self.banner = invariant_level_banner(ops.spec)
+        self.statement = _STATEMENTS[self.verdict, bool(ops.spec.flag_invariant_ok)]
 
     def as_dict(self):
         d = {
@@ -124,52 +145,8 @@ _STATEMENTS = {
 
 
 def find_symplectic(ops):
-    """Decide existence of a closed non-degenerate invariant (2,0)-form.
-
-    The flag of ops.spec only affects the wording of the emitted statement,
-    never the verdict.
-    """
-    n = ops.n
-    s = closed_20_space(ops).dim
-    poly = witness_coeffs = witness = checked = side = None
-    if n % 2:
-        verdict = "odd_dimension"
-    else:
-        side = n // 2 + 1
-        if side ** s > GRID_LIMIT:
-            raise SymplecticError(
-                f"the witness grid {{0..{side - 1}}}^{s} has {side ** s} points, above "
-                f"the limit of {GRID_LIMIT}"
-            )
-        elems = closed_20_elements(ops)
-        poly = nondegeneracy_polynomial(ops)
-        checked = 0
-        for point in product(range(side), repeat=s):
-            checked += 1
-            comb = BigradedElement.zero()
-            for aj, e in zip(point, elems):
-                if aj:
-                    comb = comb + e.scale(GaussRat(aj))
-            if is_nondegenerate(comb, n):
-                witness_coeffs = [GaussRat(aj) for aj in point]
-                witness = comb
-                break
-        # the symbolic and grid routes must agree (degree <= n/2 per variable)
-        if (witness is None) != poly.is_zero():
-            raise InternalError("grid and symbolic routes disagree")
-        verdict = "none" if witness is None else "exists"
-    return SymplecticReport(
-        n=n,
-        closed_dim=s,
-        poly=poly,
-        verdict=verdict,
-        witness_coeffs=witness_coeffs,
-        witness=witness,
-        grid_points_checked=checked,
-        grid_side=side,
-        banner=invariant_level_banner(ops.spec),
-        statement=_STATEMENTS[verdict, bool(ops.spec.flag_invariant_ok)],
-    )
+    """Decide existence of a closed non-degenerate invariant (2,0)-form."""
+    return SymplecticReport(ops)
 
 
 def _check_witness(ops, witness):

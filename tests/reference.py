@@ -10,16 +10,19 @@ deformation.  Besides: whether a class is trivial, decided by solving for a
 primitive (the route the wedge-class suite is checked against), the rank of
 a matrix, whether a de Rham class lies in the pure-type sum, whether one
 subspace contains another and the dimension of their quotient, |z|^2 of a
-Gaussian rational, and the rows of a block matrix over consecutive column
-blocks with the split of a vector back into those blocks.
+Gaussian rational, the rows of a block matrix over consecutive column
+blocks with the split of a vector back into those blocks, and the structure
+equations of the product of two structures.
 """
 
+import re
 from bisect import bisect
 from fractions import Fraction
 from functools import reduce
 
 from nilcoh.algebra import StructureError, SymplecticError
 from nilcoh.cohomology import THEORY_TABLE, CohomologyGroup, _pure_type_classes, _shift
+from nilcoh.dsl import parse, pretty
 from nilcoh.exterior import BigradedElement, substitute
 from nilcoh.gauss import GaussRat, InternalError
 from nilcoh.linalg import Subspace, mat_mul, rref, solve, transpose
@@ -358,3 +361,24 @@ def split_blocks(vec, blocks):
         b = bisect(starts, j) - 1
         parts[b][j - starts[b]] = x
     return parts
+
+
+_GENERATOR = re.compile(r"\b([fF])([0-9]+)\b")
+
+
+def product(text_a, text_b):
+    """Structure-equation text of the product of two parameter-free
+    structures: the generators of the second factor are renumbered to follow
+    those of the first, so f1 of b becomes f(n_a + 1).  The product's
+    invariant complex is the tensor product of the factors' double
+    complexes."""
+    a, b = parse(text_a), parse(text_b)
+    if a.params or b.params:
+        raise StructureError("a product takes parameter-free factors")
+
+    def equations(spec, shift):
+        return [_GENERATOR.sub(lambda m: f"{m[1]}{int(m[2]) + shift}", line)
+                for line in pretty(spec).splitlines() if line.startswith("d ")]
+
+    return "\n".join([f'algebra "{a.name}_x_{b.name}" dim {a.n + b.n}',
+                      *equations(a, 0), *equations(b, a.n)]) + "\n"

@@ -462,8 +462,10 @@ def test_the_process_delivers_every_byte_of_the_in_process_run(argv, rc):
 
 def test_the_installed_script_is_the_module_entry():
     tomllib = pytest.importorskip("tomllib")
-    scripts = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]["scripts"]
-    module, _, attr = scripts["nilcoh"].partition(":")
+    project = tomllib.loads((_ROOT / "pyproject.toml").read_text())["project"]
+    # `pip show nilcoh` finds what `pip install .` installed
+    assert project["name"] == "nilcoh"
+    module, _, attr = project["scripts"]["nilcoh"].partition(":")
     assert module == "nilcoh.__main__"
     entry = importlib.import_module(module)
     assert callable(getattr(entry, attr))

@@ -479,7 +479,8 @@ def test_stability_verdicts_compute_no_pure_type_representatives(ops, rep_calls,
     assert len(rep_calls) == 2
 
 
-def test_stability_verdicts_compute_no_pairwise_intersections(ops, monkeypatch, capsys):
+def test_stability_verdicts_compute_no_pairwise_intersections(ops, rep_calls, monkeypatch,
+                                                               capsys):
     calls = []
     orig = linalg.Subspace.intersect
 
@@ -498,3 +499,8 @@ def test_stability_verdicts_compute_no_pairwise_intersections(ops, monkeypatch, 
     assert len(calls) == 3
     report.as_dict()
     assert len(calls) == 3
+    # as_dict read both lazy parts, one representative call per cell;
+    # reading them again repeats no work
+    assert len(rep_calls) == 3
+    report.pairwise, report.group_reps
+    assert len(calls) == 3 and len(rep_calls) == 3

@@ -1,5 +1,6 @@
 """Exact Gaussian-rational arithmetic."""
 
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from nilcoh.dsl import parse_gauss
+from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat, I, ONE, ZERO
 from nilcoh.scalar import ScalarExpr
 from reference import norm2
@@ -37,6 +39,21 @@ def test_field_operations_exact():
 def test_division_by_zero_raises():
     with pytest.raises(ZeroDivisionError):
         ONE / ZERO
+
+
+@pytest.mark.parametrize("inexact", [0.1, "1/3", Decimal("0.5"), 1j])
+def test_constructor_refuses_inexact_parts(inexact):
+    with pytest.raises(TypeError, match="an int or a Fraction"):
+        GaussRat(inexact)
+    with pytest.raises(TypeError):
+        GaussRat(1, inexact)
+    # nor does one reach a form through its coefficients or a scaling
+    with pytest.raises(TypeError):
+        ScalarExpr.const(inexact)
+    with pytest.raises(TypeError):
+        BigradedElement({((0, 1),): inexact})
+    with pytest.raises(TypeError):
+        BigradedElement.gen(1).scale(inexact)
 
 
 def test_conjugation_and_i():
