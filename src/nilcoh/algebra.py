@@ -52,8 +52,7 @@ class DeformationError(ValueError):
 
 
 class SymplecticError(ValueError):
-    """Structure outside the op's domain (odd dimension, bad witness, a
-    witness grid above symplectic.GRID_LIMIT)."""
+    """Structure outside the op's domain (odd dimension, bad witness)."""
 
 
 class AlgebraSpec:

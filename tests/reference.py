@@ -11,14 +11,17 @@ primitive (the route the wedge-class suite is checked against), the rank of
 a matrix, whether a de Rham class lies in the pure-type sum, whether one
 subspace contains another and the dimension of their quotient, |z|^2 of a
 Gaussian rational, the rows of a block matrix over consecutive column
-blocks with the split of a vector back into those blocks, and the structure
-equations of the product of two structures.
+blocks with the split of a vector back into those blocks, the structure
+equations of the product of two structures, and the exhaustive walk of the
+symplectic witness grid, against which the descent of `find_symplectic` is
+checked.
 """
 
 import re
 from bisect import bisect
 from fractions import Fraction
 from functools import reduce
+from itertools import product as cartesian
 
 from nilcoh.algebra import StructureError, SymplecticError
 from nilcoh.cohomology import THEORY_TABLE, CohomologyGroup, _pure_type_classes, _shift
@@ -27,6 +30,7 @@ from nilcoh.exterior import BigradedElement, substitute
 from nilcoh.gauss import GaussRat, InternalError
 from nilcoh.linalg import Subspace, mat_mul, rref, solve, transpose
 from nilcoh.scalar import S_I, ScalarExpr
+from nilcoh.symplectic import closed_20_elements, is_nondegenerate
 
 
 def mono(holo, anti):
@@ -382,3 +386,25 @@ def product(text_a, text_b):
 
     return "\n".join([f'algebra "{a.name}_x_{b.name}" dim {a.n + b.n}',
                       *equations(a, 0), *equations(b, a.n)]) + "\n"
+
+
+def grid_walk(ops):
+    """The first point of {0..m}^s, in lexicographic order, at which the
+    combination of the closed (2,0) basis is non-degenerate (n = 2m even).
+
+    One numeric wedge power per point.  Returns (witness coefficients,
+    witness, points checked); the first two are None when no point is
+    non-degenerate, and then every point was checked.
+    """
+    n = ops.n
+    side = n // 2 + 1
+    elems = closed_20_elements(ops)
+    # the grid has at least one point, the empty one when s = 0
+    for checked, point in enumerate(cartesian(range(side), repeat=len(elems)), 1):
+        comb = BigradedElement.zero()
+        for aj, e in zip(point, elems):
+            if aj:
+                comb = comb + e.scale(GaussRat(aj))
+        if is_nondegenerate(comb, n):
+            return [GaussRat(aj) for aj in point], comb, checked
+    return None, None, checked

@@ -182,7 +182,7 @@ def test_nakamura_rho_obstruction_and_derived_algebra():
 def test_theorem61_suite_wedge_classes_nontrivial():
     cache = ops_for("example31")
     rep = find_symplectic(cache)
-    assert str(rep.witness) == "f1^f3+f2^f4"  # first hit in lexicographic scan
+    assert str(rep.witness) == "f1^f3+f2^f4"  # lexicographically first grid point
     suite = theorem61_suite(cache, rep.witness)
     assert suite["all_nontrivial"] is True
     assert len(suite["cells"]) == 9

@@ -1,14 +1,19 @@
 """Existence decisions for closed non-degenerate (2,0)-forms."""
 
+import contextlib
+import io
+import json
+
 import pytest
 
-from nilcoh import cohomology
+from nilcoh import cli, cohomology, symplectic
+from nilcoh.algebra import DEFAULT_SAMPLES
 from nilcoh.catalog import catalog
 from nilcoh.cohomology import betti, bott_chern
 from nilcoh.dsl import parse
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat
-from nilcoh.linalg import OperatorCache
+from nilcoh.linalg import InternalError, OperatorCache
 from nilcoh.scalar import S_I
 from nilcoh.symplectic import (
     SymplecticError,
@@ -19,7 +24,7 @@ from nilcoh.symplectic import (
     nondegeneracy_polynomial,
     theorem61_suite,
 )
-from reference import class_is_trivial, real_pair
+from reference import class_is_trivial, grid_walk, real_pair
 
 
 def g(i):
@@ -128,8 +133,8 @@ def test_statement_without_upgrade_flag(ops):
 
 
 def test_grid_decision_matches_symbolic_polynomial(ops):
-    """Evaluating P over the very grid the scan walks must reproduce the
-    verdict: degree <= m per variable makes {0..m}^s a zero-test set."""
+    """Evaluating P over the grid {0..m}^s must reproduce the verdict:
+    degree <= m per variable makes the grid a zero-test set."""
     cases = [
         ("example31", {}),
         ("example31", {"t": "1/2"}),
@@ -153,6 +158,56 @@ def test_grid_decision_matches_symbolic_polynomial(ops):
         assert grid_all_zero == poly.is_zero(), (name, assign)
         verdict = find_symplectic(cache).as_dict()["verdict"]
         assert verdict == ("none" if grid_all_zero else "exists")
+
+
+_EVEN = [e for e in catalog() if e.spec.n % 2 == 0]
+_DECIDED = ([(e.name, {}) for e in _EVEN if not e.spec.params]
+            + [(e.name, dict.fromkeys((e.family or e.spec).params, str(v)))
+               for e in _EVEN if (e.family or e.spec).params for v in DEFAULT_SAMPLES])
+
+
+@pytest.mark.parametrize("name, assign", _DECIDED)
+def test_descent_reports_what_the_grid_walk_finds(ops, name, assign):
+    # every parameter-free entry and every family at its default samples:
+    # the descent's witness is the walk's first non-degenerate point, and a
+    # `none` verdict certifies exactly the points the walk checks
+    cache = ops(name, **assign)
+    coeffs, witness, checked = grid_walk(cache)
+    d = find_symplectic(cache).as_dict()
+    if witness is None:
+        assert d["verdict"] == "none"
+        assert d["grid_certificate"]["points_checked"] == checked
+    else:
+        assert d["verdict"] == "exists"
+        assert d["witness_coefficients"] == [str(c) for c in coeffs]
+        assert d["witness"] == str(witness)
+
+
+@pytest.mark.parametrize("assign", [{}, {"t": "1/2"}])
+def test_the_one_point_check_fails_closed(ops, monkeypatch, assign):
+    # with the numeric wedge power negated, the witness of t = 0 is
+    # degenerate and the all-ones point of the P = 0 sample t = 1/2 is not
+    cache = ops("example31", **assign)
+    nondegenerate = symplectic.is_nondegenerate
+    monkeypatch.setattr(symplectic, "is_nondegenerate", lambda form, n: not nondegenerate(form, n))
+    with pytest.raises(InternalError):
+        find_symplectic(cache)
+
+
+def test_report_converts_the_closed_basis_to_forms_once(monkeypatch):
+    # P, every specialisation of the descent and the witness read one list
+    calls = []
+    to_element = OperatorCache.to_element
+
+    def counting(self, *args):
+        calls.append(args)
+        return to_element(self, *args)
+
+    monkeypatch.setattr(OperatorCache, "to_element", counting)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["symplectic", "@example31"]) == 0
+    assert len(calls) == json.loads(out.getvalue())["results"]["symplectic"]["closed_20_dim"] == 4
 
 
 def test_wedge_class_suite_example31(ops):
