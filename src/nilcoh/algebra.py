@@ -52,7 +52,8 @@ class DeformationError(ValueError):
 
 
 class SymplecticError(ValueError):
-    """Structure outside the op's domain (odd dimension, bad witness)."""
+    """Structure outside the op's domain (odd dimension, bad witness, a
+    family without a distinguished (2,0)-form)."""
 
 
 class AlgebraSpec:

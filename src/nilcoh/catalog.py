@@ -12,6 +12,7 @@ Every entry is a row of text that dsl parses when the entry is asked for.
 from __future__ import annotations
 
 from .gauss import InternalError
+from .scalar import S_ZERO
 from . import dsl
 
 
@@ -49,12 +50,13 @@ class CatalogEntry:
 
 # name: (summary, dimension, flag, structure equations, family), the flag
 # being invariant_cohomology_is_manifold_cohomology.  A family is
-# (parameters, B entries, omega): A stays the identity, B[i][j] is the scalar
-# text at (i, j), so eta^(i+1) = phi^(i+1) + sum_j B[i][j] phi^((j+1)bar), and
-# omega, if not None, is the distinguished (2,0)-form of the base.  example31
-# and example45 are one structure under two deformation directions.  The
-# sigma family's text keeps the operation tree of its published formula, so
-# its expanded coefficients (758/798 terms at most) are pinned byte for byte.
+# (parameters, B entries, omega): B is the Beltrami matrix, zero but for the
+# scalar text at each (i, j) listed, so eta^(i+1) = phi^(i+1) + sum_j B[i][j]
+# phi^((j+1)bar), and omega, if not None, is the distinguished (2,0)-form of
+# the base.  example31 and example45 are one structure under two deformation
+# directions.  The sigma family's text keeps the operation tree of its
+# published formula, so its expanded coefficients (758/798 terms at most) are
+# pinned byte for byte.
 _EQ_31, _OMEGA_31 = "d f3 = f1^F1\nd f4 = f1^f2", "f1^f2 + f1^f3 + f1^f4 + f2^f4"
 _ENTRIES = {
     **{f"torus{n}": (f"complex torus of complex dimension {n}; every generator closed",
@@ -134,11 +136,11 @@ def _entry(name):
         from .deform import DeformationFamily
 
         params, b_entries, omega = family
-        A, B = DeformationFamily.identity_matrices(n)
+        B = [[S_ZERO] * n for _ in range(n)]
         for (i, j), text in b_entries.items():
             B[i][j] = dsl.parse_scalar(text, params)
         omega = None if omega is None else dsl.parse_form(omega, n)
-        family = DeformationFamily(name, spec, params, A, B, omega=omega)
+        family = DeformationFamily(name, spec, params, B, omega=omega)
     return CatalogEntry(name, summary, spec, family, unverified=name in _UNVERIFIED)
 
 

@@ -137,7 +137,11 @@ def _digest(spec, target, assign):
     h.update(dsl.pretty(spec).encode())
     if target is not spec:
         h.update(b"family\n")
-        for row in target.A + target.B:
+        # the identity rows stand where a holomorphic frame matrix A was once
+        # hashed ahead of B, so every pinned digest stays as it was
+        n = len(target.B)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        for row in (*identity, *target.B):
             for x in row:
                 h.update(str(x).encode())
                 h.update(b";")
@@ -350,7 +354,8 @@ def _cmd_frolicher(args):
         pages.append(frolicher.spectral_page(ops, r))
     results = {
         "scope": cohomology.invariant_level_banner(ops.spec),
-        "pages": {str(pg.r): pg.as_dict()["dims"] for pg in pages},
+        "pages": {str(r): {f"({p},{q})": d for (p, q), d in sorted(pg.items())}
+                  for r, pg in enumerate(pages, 1)},
         "degeneration_page": page,
         "betti": {str(k): v for k, v in certificate["betti"].items()},
         "e_infinity": {
@@ -458,17 +463,6 @@ def _run_tasks(tasks, spec, ops=None):
     return out
 
 
-def _hypotheses(family, samples, task):
-    """check_stability_hypotheses, with a family that carries no
-    distinguished form refused as a usage error."""
-    from .stability import StabilityInputError, check_stability_hypotheses
-
-    try:
-        return check_stability_hypotheses(family, samples, task)
-    except StabilityInputError as e:
-        raise UsageError(str(e)) from None
-
-
 def _cmd_deform(args):
     from .deform import concretize, sweep
 
@@ -487,8 +481,10 @@ def _cmd_deform(args):
     elif target is spec:
         raise UsageError("the hypotheses task needs a catalog entry with a deformation family")
     else:
-        results = _hypotheses(target, samples,
-                              lambda ops: _run_tasks(per_sample, ops.spec, ops))
+        from .stability import check_stability_hypotheses
+
+        results = check_stability_hypotheses(
+            target, samples, lambda ops: _run_tasks(per_sample, ops.spec, ops))
     return _emit(_report("deform", args.target, _digest(spec, target, {}), {}, results),
                  args.format)
 
@@ -510,7 +506,10 @@ def _cmd_hypotheses(args):
     spec, family = _load_target(args.target)
     if family is spec:
         raise UsageError("hypotheses needs a catalog entry with a deformation family")
-    results = _hypotheses(family, _samples(args, family.params), lambda ops: None)
+    from .stability import check_stability_hypotheses
+
+    results = check_stability_hypotheses(family, _samples(args, family.params),
+                                         lambda ops: None)
     return _emit(_report("hypotheses", args.target, _digest(spec, family, {}), {},
                          results["hypotheses"]), args.format)
 

@@ -1,16 +1,17 @@
-"""Deformations of a complex structure along a family of coframes.
+"""Deformations of a complex structure along a Beltrami matrix.
 
-A family is given by matrices A(t), B(t): the deformed coframe is
-eta^i = sum_j A_ij(t) phi^j + B_ij(t) phi^jbar.  At an admissible parameter
-value the combined 2n x 2n matrix [[A, B], [conj B, conj A]] is invertible;
-the structure equations in the eta-frame follow by substituting the inverse
-relation into d(eta^i) = sum_j A_ij d(phi^j) + B_ij conj(d(phi^j)).
+A family is given by its Beltrami matrix B(t): the deformed coframe is
+eta^i = phi^i + sum_j B_ij(t) phi^jbar (Kodaira-Spencer, Kuranishi).  At an
+admissible parameter value the combined 2n x 2n matrix [[1, B], [conj B, 1]]
+is invertible; the structure equations in the eta-frame follow by
+substituting the inverse relation into
+d(eta^i) = d(phi^i) + sum_j B_ij conj(d(phi^j)).
 """
 
 from __future__ import annotations
 
-from .gauss import InternalError
-from .scalar import S_ONE, S_ZERO, ScalarExpr, ScalarEvalError
+from .gauss import ONE, InternalError
+from .scalar import ScalarEvalError
 from .exterior import BigradedElement, substitute
 from .algebra import (AlgebraSpec, DeformationError, StructureError, assignment_label,
                       assignment_strings)
@@ -18,19 +19,20 @@ from . import linalg
 
 
 class DeformationFamily:
-    """Parameter-free base structure plus parameter-dependent frame matrices A, B.
+    """Parameter-free base structure plus a parameter-dependent Beltrami
+    matrix B of ScalarExpr entries.
 
     `omega` optionally records a distinguished closed non-degenerate
     (2,0)-form of the undeformed structure, written in the base coframe;
     the stability checks transport it along the family.
     """
 
-    __slots__ = ("name", "base", "params", "A", "B", "omega")
+    __slots__ = ("name", "base", "params", "B", "omega")
 
-    def __init__(self, name, base, params, A, B, omega=None):
+    def __init__(self, name, base, params, B, omega=None):
         n = base.n
-        if len(A) != n or len(B) != n or any(len(r) != n for r in (*A, *B)):
-            raise InternalError(f"frame matrices of '{name}' must be {n} x {n}")
+        if len(B) != n or any(len(r) != n for r in B):
+            raise InternalError(f"the Beltrami matrix of '{name}' must be {n} x {n}")
         if base.params:
             raise InternalError(f"the base structure of '{name}' must be parameter-free")
         if omega is not None and (omega.params() or set(omega.bidegrees()) - {(2, 0)}):
@@ -38,42 +40,29 @@ class DeformationFamily:
         self.name = name
         self.base = base
         self.params = tuple(params)
-        self.A = tuple(tuple(_as_scalar(x) for x in row) for row in A)
-        self.B = tuple(tuple(_as_scalar(x) for x in row) for row in B)
+        self.B = tuple(tuple(row) for row in B)
         self.omega = omega
 
-    @classmethod
-    def identity_matrices(cls, n):
-        A = [[S_ONE if i == j else S_ZERO for j in range(n)] for i in range(n)]
-        B = [[S_ZERO for _ in range(n)] for _ in range(n)]
-        return A, B
-
-    def matrices_at(self, assign):
-        """Evaluate A, B to GaussRat matrices at a parameter assignment."""
+    def matrix_at(self, assign):
+        """Evaluate B to a GaussRat matrix at a parameter assignment."""
         missing = [p for p in self.params if p not in assign]
         if missing:
             raise ScalarEvalError(f"unassigned parameters: {', '.join(missing)}")
         try:
-            A = [[x.evaluate(assign) for x in row] for row in self.A]
-            B = [[x.evaluate(assign) for x in row] for row in self.B]
+            return [[x.evaluate(assign) for x in row] for row in self.B]
         except ScalarEvalError as e:
             raise DeformationError(f"inadmissible parameter value: {e}") from None
-        return A, B
 
 
-def _as_scalar(x):
-    if isinstance(x, ScalarExpr):
-        return x
-    return ScalarExpr.const(x)
-
-
-def combined_matrix(A, B):
-    """Rows of [[A, B], [conj B, conj A]], mapping (phi, phibar) coords to
+def combined_matrix(B):
+    """Rows of [[1, B], [conj B, 1]], mapping (phi, phibar) coords to
     (eta, etabar)."""
-    n = len(A)
-    top = [list(A[i]) + list(B[i]) for i in range(n)]
-    bot = [[x.conj() for x in B[i]] + [x.conj() for x in A[i]] for i in range(n)]
-    return [{j: x for j, x in enumerate(row) if x} for row in top + bot]
+    n = len(B)
+    top = [{i: ONE, **{n + j: x for j, x in enumerate(row) if x}}
+           for i, row in enumerate(B)]
+    bot = [{**{j: x.conj() for j, x in enumerate(row) if x}, n + i: ONE}
+           for i, row in enumerate(B)]
+    return top + bot
 
 
 def deformed_frame(family, assign):
@@ -86,8 +75,8 @@ def deformed_frame(family, assign):
     the assignment.
     """
     n = family.base.n
-    A, B = family.matrices_at(assign)
-    inv = linalg.mat_inverse(combined_matrix(A, B))
+    B = family.matrix_at(assign)
+    inv = linalg.mat_inverse(combined_matrix(B))
     if inv is None:
         raise DeformationError(
             f"frame matrix is singular at {assignment_label(assign)}"
@@ -108,10 +97,8 @@ def deformed_frame(family, assign):
     d_phi = family.base.d_phi
     d_eta = []
     for i in range(n):
-        dphi = BigradedElement.zero()
+        dphi = d_phi[i]
         for j in range(n):
-            if A[i][j]:
-                dphi = dphi + d_phi[j].scale(A[i][j])
             if B[i][j]:
                 dphi = dphi + d_phi[j].conj().scale(B[i][j])
         d_eta.append(to_eta(dphi))

@@ -25,25 +25,6 @@ from .cohomology import betti
 from .linalg import InternalError, block, reverse_columns, rref
 
 
-class SpectralPage:
-    """Dimension table of one page."""
-
-    __slots__ = ("r", "dims")
-
-    def __init__(self, r, dims):
-        self.r = r
-        self.dims = dims
-
-    def total(self, k):
-        return sum(d for (p, q), d in self.dims.items() if p + q == k)
-
-    def as_dict(self):
-        return {
-            "r": self.r,
-            "dims": {f"({p},{q})": d for (p, q), d in sorted(self.dims.items())},
-        }
-
-
 def _nullity(ops, k, m, c):
     """z(k, m, c) of the module docstring; 0 below degree 0."""
     if k < 0:
@@ -53,15 +34,15 @@ def _nullity(ops, k, m, c):
 
 
 def spectral_page(ops, r):
-    """Page r, each cell from four filtered nullities of d."""
+    """Page r as {(p, q): dim}, each cell from four filtered nullities of d."""
     if r < 1:
         raise InternalError(f"spectral sequence pages start at 1, not {r}")
     n = ops.n
-    return SpectralPage(r, {
+    return {
         (p, q): (_nullity(ops, p + q, p, p + r) - _nullity(ops, p + q, p + 1, p + r)
                  - _nullity(ops, p + q - 1, p - r + 1, p)
                  + _nullity(ops, p + q - 1, p - r + 1, p + 1))
-        for p in range(n + 1) for q in range(n + 1)})
+        for p in range(n + 1) for q in range(n + 1)}
 
 
 def e_infinity(ops):
@@ -100,30 +81,25 @@ def degeneration_page(ops):
     larger than on the page before, and the page that meets the Betti
     numbers (cohomology.betti, an elimination apart from the pivot table)
     must equal e_infinity cell by cell.  Returns (r, certificate dict); the
-    certificate's "pages" lists the pages 1..r it built.
+    certificate's "pages" lists the pages 1..r it built, page r at index
+    r-1.
     """
     n = ops.n
     target = betti_numbers(ops)
     pages = []
     for r in range(1, n + 2):
         page = spectral_page(ops, r)
-        for cell, dim in page.dims.items():
+        for cell, dim in page.items():
             if dim < 0:
                 raise InternalError(f"page {r} cell {cell} has dimension {dim}")
-            if pages and dim > pages[-1].dims[cell]:
-                raise InternalError(f"page {r} cell {cell} grows from {pages[-1].dims[cell]}")
+            if pages and dim > pages[-1][cell]:
+                raise InternalError(f"page {r} cell {cell} grows from {pages[-1][cell]}")
         pages.append(page)
-        totals = {k: page.total(k) for k in range(2 * n + 1)}
-        if totals == target:
+        if target == {k: sum(d for (p, q), d in page.items() if p + q == k) for k in target}:
             limit = e_infinity(ops)
-            if page.dims != limit:
+            if page != limit:
                 raise InternalError(f"page {r} meets the Betti numbers but not the limit page")
-            return r, {
-                "page_totals": totals,
-                "betti": target,
-                "e_infinity": limit,
-                "pages": pages,
-            }
+            return r, {"betti": target, "e_infinity": limit, "pages": pages}
     raise InternalError(
         f"no stabilization by page {n + 1}; the pivot table is inconsistent"
     )

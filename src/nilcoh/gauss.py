@@ -24,7 +24,7 @@ class GaussRat:
 
     def __init__(self, re=0, im=0):
         for x in (re, im):
-            if not isinstance(x, (int, Fraction)):
+            if not isinstance(x, _RATIONALS):
                 raise TypeError(f"a part of a Q(i) number is an int or a Fraction, "
                                 f"not {type(x).__name__}")
         re, im = Fraction(re), Fraction(im)
@@ -54,7 +54,9 @@ class GaussRat:
 
     def __add__(self, other):
         if other.__class__ is not GaussRat:
-            other = _coerce(other)
+            if not isinstance(other, _RATIONALS):
+                return NotImplemented
+            other = GaussRat(other)
         q, r = self._q, other._q
         if q == r:
             return _normal(self._a + other._a, self._b + other._b, q)
@@ -64,21 +66,27 @@ class GaussRat:
 
     def __sub__(self, other):
         if other.__class__ is not GaussRat:
-            other = _coerce(other)
+            if not isinstance(other, _RATIONALS):
+                return NotImplemented
+            other = GaussRat(other)
         q, r = self._q, other._q
         if q == r:
             return _normal(self._a - other._a, self._b - other._b, q)
         return _normal(self._a * r - other._a * q, self._b * r - other._b * q, q * r)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        if not isinstance(other, _RATIONALS):
+            return NotImplemented
+        return GaussRat(other) - self
 
     def __neg__(self):
         return _normal(-self._a, -self._b, self._q)
 
     def __mul__(self, other):
         if other.__class__ is not GaussRat:
-            other = _coerce(other)
+            if not isinstance(other, _RATIONALS):
+                return NotImplemented
+            other = GaussRat(other)
         a, b, c, d = self._a, self._b, other._a, other._b
         return _normal(a * c - b * d, a * d + b * c, self._q * other._q)
 
@@ -86,7 +94,9 @@ class GaussRat:
 
     def __truediv__(self, other):
         if other.__class__ is not GaussRat:
-            other = _coerce(other)
+            if not isinstance(other, _RATIONALS):
+                return NotImplemented
+            other = GaussRat(other)
         a, b, c, d = self._a, self._b, other._a, other._b
         n = c * c + d * d
         if not n:
@@ -95,7 +105,9 @@ class GaussRat:
         return _normal(r * (a * c + b * d), r * (b * c - a * d), self._q * n)
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        if not isinstance(other, _RATIONALS):
+            return NotImplemented
+        return GaussRat(other) / self
 
     def conj(self):
         return _normal(self._a, -self._b, self._q)
@@ -104,7 +116,7 @@ class GaussRat:
 
     def __eq__(self, other):
         if other.__class__ is not GaussRat:
-            if not isinstance(other, (int, Fraction)):
+            if not isinstance(other, _RATIONALS):
                 return NotImplemented
             other = GaussRat(other)
         return self._a == other._a and self._b == other._b and self._q == other._q
@@ -156,12 +168,10 @@ def _normal(a, b, q):
     return z
 
 
-def _coerce(x):
-    if isinstance(x, GaussRat):
-        return x
-    if isinstance(x, (int, Fraction)):
-        return GaussRat(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} into Q(i)")
+# the operands other than GaussRat that arithmetic and == take; for any
+# other type they return NotImplemented, so a ScalarExpr answers GaussRat * t
+# and a float raises TypeError
+_RATIONALS = (int, Fraction)
 
 
 ZERO = GaussRat(0)

@@ -30,14 +30,11 @@ same scope banner as the cohomology reports.
 from __future__ import annotations
 
 from .gauss import ONE
+from .algebra import SymplecticError
 from .linalg import InternalError, OperatorCache, block, column_slice, mat_mul, solve, transpose
 from .deform import deformed_frame, sweep
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import closed_20_space, is_nondegenerate
-
-
-class StabilityInputError(ValueError):
-    """The family carries no distinguished (2,0)-form."""
 
 
 def check_stability_hypotheses(family, samples, task):
@@ -66,8 +63,8 @@ class StabilityCheck:
     """The stability criteria of one family, one sample at a time.
 
     The constructor checks that the family carries a distinguished form
-    (StabilityInputError; DeformationFamily already refuses one that is not
-    a parameter-free (2,0)-form, and a parametric base) and takes its
+    (SymplecticError; DeformationFamily already refuses one that is not a
+    parameter-free (2,0)-form, and a parametric base) and takes its
     verdicts on the undeformed structure; `sample` computes the verdicts of
     one assignment; `report` builds the report from the rows of a
     deform.sweep whose results are those verdicts.
@@ -76,7 +73,7 @@ class StabilityCheck:
     def __init__(self, family):
         omega = family.omega
         if omega is None:
-            raise StabilityInputError(
+            raise SymplecticError(
                 f"family '{family.name}' carries no distinguished (2,0)-form"
             )
         ops = OperatorCache(family.base)

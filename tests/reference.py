@@ -242,14 +242,13 @@ def real_frame_matrix(family, assign):
     e_j (dual basis) in the deformed real frame, which is what membership
     tests against the deformed structure constants need.
     """
-    A, B = family.matrices_at(assign)
-    n = len(A)
+    B = family.matrix_at(assign)
+    n = len(B)
     S = []
     for i in range(n):
         # eta^i = eps^{2i-1} + i eps^{2i}: rows 2i-1 and 2i of S
-        eta = BigradedElement.zero()
+        eta = BigradedElement.gen(i + 1)
         for k in range(n):
-            eta = eta + BigradedElement.gen(k + 1, coeff=A[i][k])
             eta = eta + BigradedElement.gen(k + 1, barred=True, coeff=B[i][k])
         for part in real_parts(eta, n):
             S.append([part.get((m,), Fraction(0)) for m in range(1, 2 * n + 1)])

@@ -131,7 +131,7 @@ def test_iwasawa_x_torus_corner_verdicts():
 
 def test_spectral_tower_and_degeneration_pages():
     cache = ops_for("frolicher_example")
-    dims = [spectral_page(cache, r).dims[(0, 2)] for r in (1, 2, 3, 4)]
+    dims = [spectral_page(cache, r)[(0, 2)] for r in (1, 2, 3, 4)]
     assert dims == [6, 4, 3, 3]
     cell2 = spectral_cell(cache, 2, 0, 2)
     assert cell2["boundaries"].dim == 0

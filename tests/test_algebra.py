@@ -169,7 +169,7 @@ def test_rho_traces_and_derived_algebra_at_paper_sample():
 
 def test_real_frame_matrix_is_the_real_form_of_the_combined_matrix():
     # Reference: eps = Q M P e.  P writes (phi, phibar) in the real coframe,
-    # phi^k = e^{2k-1} + i e^{2k}; M = combined_matrix(A, B) takes (phi,
+    # phi^k = e^{2k-1} + i e^{2k}; M = combined_matrix(B) takes (phi,
     # phibar) to (eta, etabar); Q takes (eta, etabar) to the deformed real
     # coframe, eps^{2k-1} = (eta^k + eta^kbar)/2, eps^{2k} = -(i/2)(eta^k - eta^kbar).
     half, i = GaussRat(Fraction(1, 2)), GaussRat(0, 1)
@@ -177,10 +177,10 @@ def test_real_frame_matrix_is_the_real_form_of_the_combined_matrix():
                     ("theorem51_family", "1/3-i/4")]:
         family = get(name).family
         assign = {"t": parse_gauss(t)}
-        A, B = family.matrices_at(assign)
-        n = len(A)
+        B = family.matrix_at(assign)
+        n = len(B)
         dim = 2 * n
-        M = [[row.get(c, GaussRat(0)) for c in range(dim)] for row in combined_matrix(A, B)]
+        M = [[row.get(c, GaussRat(0)) for c in range(dim)] for row in combined_matrix(B)]
         P = [[GaussRat(0)] * dim for _ in range(dim)]
         Q = [[GaussRat(0)] * dim for _ in range(dim)]
         for k in range(n):

@@ -604,6 +604,70 @@ def test_empty_option_text_is_refused():
         assert _exit_code(argv) == (2, f"nilcoh: {reason}\n"), argv
 
 
+def test_unreadable_and_unparsable_files_exit_2(tmp_path):
+    missing = tmp_path / "missing.txt"
+    rc, err = _exit_code(["validate", str(missing)])
+    assert rc == 2 and err.startswith(f"nilcoh: cannot read {missing}: "), err
+    bad = tmp_path / "div0.txt"
+    bad.write_text('algebra "z" dim 3\nd f3 = (1/0) * f1^f2\n')
+    assert _exit_code(["validate", str(bad)]) == (
+        2, f"nilcoh: {bad}: line 2, col 10: division by zero\n")
+
+
+@pytest.mark.parametrize("tasks, reason", [
+    ("cohomology", "cohomology task wants cohomology=<theory>:<degree>"),
+    ("cohomology=xx:2", "cohomology task wants <theory>:<degree> with theory in "
+                        "dr, dolbeault, del, bc, aeppli; got 'xx:2'"),
+    ("purefull=x", "purefull stage must be an integer, got 'x'"),
+    ("symplectic=1", "task symplectic takes no argument"),
+])
+def test_malformed_tasks_are_refused(tasks, reason):
+    argv = ["deform", "@example31", "--samples", "t=0", "--tasks", tasks]
+    assert _exit_code(argv) == (2, f"nilcoh: {reason}\n")
+
+
+def test_hypotheses_refuses_a_target_without_a_distinguished_form(tmp_path):
+    path = tmp_path / "iwasawa.txt"
+    path.write_text('algebra "iwasawa" dim 3\nd f3 = f1^f2\n')
+    for argv, reason in [
+        (["hypotheses", str(path)],
+         "hypotheses needs a catalog entry with a deformation family"),
+        (["hypotheses", "@nakamura_x_torus"],
+         "family 'nakamura_x_torus' carries no distinguished (2,0)-form"),
+    ]:
+        assert _exit_code(argv) == (2, f"nilcoh: {reason}\n"), argv
+
+
+def test_de_rham_without_a_degree_reports_every_degree():
+    groups = _main_json(["cohomology", "@iwasawa", "--theory", "dr"])["results"]["groups"]
+    assert [(g["theory"], g["degree"]) for g in groups] == [("de_rham", k) for k in range(7)]
+    assert [g["dim"] for g in groups] == [1, 4, 8, 10, 8, 4, 1]
+
+
+def test_symplectic_extras_on_an_odd_dimension_report_why_they_are_empty():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(["symplectic", "@iwasawa", "--suite61", "--betti-bounds"])
+    results = json.loads(out.getvalue())["results"]
+    assert rc == 1
+    assert results["symplectic"]["verdict"] == "odd_dimension"
+    assert results["wedge_class_suite"] == {
+        "skipped": "no witness available (verdict odd_dimension)"}
+    assert results["betti_bounds"] == {"error": "real dimension is not divisible by 4"}
+
+
+@pytest.mark.parametrize("error, message", [
+    (linalg.InternalError("pivot lost"), "internal inconsistency: pivot lost"),
+    (RuntimeError("boom"), "unexpected error: RuntimeError: boom"),
+])
+def test_main_maps_bugs_to_exit_3(monkeypatch, error, message):
+    def raising(args):
+        raise error
+
+    monkeypatch.setattr(cli, "_cmd_validate", raising)
+    assert _exit_code(["validate", "@torus2"]) == (3, f"nilcoh: {message}\n")
+
+
 @pytest.mark.parametrize("name", ["torus6.txt", "iwasawa_x_iwasawa.txt"])
 def test_symplectic_decides_the_six_dimensional_files(monkeypatch, name):
     # 15 and 10 closed (2,0)-forms: grids of 4^15 and 4^10 points that no

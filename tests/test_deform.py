@@ -3,17 +3,8 @@
 import pytest
 
 from nilcoh.catalog import catalog, get
-from nilcoh.cohomology import THEORIES, hodge_table
-from nilcoh.deform import (
-    DeformationError,
-    DeformationFamily,
-    concretize,
-    frame_change,
-    sweep,
-)
+from nilcoh.deform import DeformationError, concretize, frame_change, sweep
 from nilcoh.dsl import parse_gauss
-from nilcoh.linalg import OperatorCache
-from nilcoh.scalar import S_ONE, S_ZERO, ScalarExpr
 from reference import mono
 
 
@@ -60,46 +51,6 @@ def test_nakamura_frame_golden_at_i_half():
 def test_singular_frame_raises():
     with pytest.raises(DeformationError, match="singular at t=1"):
         frame_change(get("example31").family, {"t": parse_gauss("1")})
-
-
-def test_composition_of_holomorphic_frames():
-    # two A-only frames compose like their matrix product
-    base = get("section42_example").spec
-    n = base.n
-    a1 = [[S_ONE if i == j else S_ZERO for j in range(n)] for i in range(n)]
-    a2 = [[S_ONE if i == j else S_ZERO for j in range(n)] for i in range(n)]
-    a1[0][1] = ScalarExpr.const(parse_gauss("1/2"))
-    a1[2][3] = ScalarExpr.const(parse_gauss("i"))
-    a2[1][0] = ScalarExpr.const(parse_gauss("-1/3"))
-    a2[3][2] = ScalarExpr.const(parse_gauss("1+i"))
-    zeros = [[S_ZERO] * n for _ in range(n)]
-
-    f1 = DeformationFamily("f1", base, (), a1, zeros)
-    spec1 = frame_change(f1, {})
-    f2 = DeformationFamily("f2", spec1, (), a2, zeros)
-    spec21 = frame_change(f2, {})
-
-    prod = [
-        [sum((a2[i][k] * a1[k][j] for k in range(n)), S_ZERO) for j in range(n)]
-        for i in range(n)
-    ]
-    f21 = DeformationFamily("f21", base, (), prod, zeros)
-    direct = frame_change(f21, {})
-    assert _eqs(spec21) == _eqs(direct)
-
-
-def test_holomorphic_frames_preserve_hodge_tables():
-    # B = 0 keeps the complex structure; every theory's table is unchanged
-    base = get("example31").spec
-    n = base.n
-    a = [[S_ONE if i == j else S_ZERO for j in range(n)] for i in range(n)]
-    a[0][2] = ScalarExpr.const(parse_gauss("i/2"))
-    a[1][3] = ScalarExpr.const(parse_gauss("-2"))
-    zeros = [[S_ZERO] * n for _ in range(n)]
-    moved = frame_change(DeformationFamily("reframe", base, (), a, zeros), {})
-    ops0, ops1 = OperatorCache(base), OperatorCache(moved)
-    for theory in THEORIES[1:]:
-        assert hodge_table(ops0, theory) == hodge_table(ops1, theory)
 
 
 def test_sweep_rows_ordered_and_errors_recorded():

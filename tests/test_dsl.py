@@ -105,6 +105,11 @@ def test_errors_carry_position_and_reason(source, fragment):
     assert msg.startswith("line ")
 
 
+def test_a_wedge_with_a_repeated_generator_is_zero():
+    spec = parse('algebra "x" dim 3\nd f2 = f1^f1\nd f3 = f1^f1 + 2*F2^F2 - f1^f2\n')
+    assert [str(e) for e in spec.d_phi] == ["0", "0", "-f1^f2"]
+
+
 def test_parse_gauss_rejects_parameters():
     with pytest.raises(DslError):
         parse_gauss("t")

@@ -56,7 +56,7 @@ def _tables(ops):
     for theory in ("dolbeault", "del"):
         out[theory] = hodge_table(ops, theory)
     for r in PAGES:
-        out[f"E{r}"] = spectral_page(ops, r).dims
+        out[f"E{r}"] = spectral_page(ops, r)
     return out
 
 

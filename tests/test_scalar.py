@@ -1,6 +1,7 @@
 """Rational expressions in parameters and their independent conjugates."""
 
 import hashlib
+import operator
 import subprocess
 import sys
 from fractions import Fraction
@@ -217,6 +218,14 @@ def test_fraction_operands_are_accepted_as_by_gauss_rat():
         assert not ScalarExpr.const(half) == foreign
         with pytest.raises(TypeError):
             t + foreign
+    # a GaussRat operand on either side of + - * / leaves the answer to ScalarExpr
+    two, three = GaussRat(2), GaussRat(3)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert op(two, t).evaluate({"t": three}) == op(two, three)
+        assert op(t, two).evaluate({"t": three}) == op(three, two)
+        for pair in ((two, 0.5), (0.5, two)):
+            with pytest.raises(TypeError):
+                op(*pair)
 
 
 def test_program_failure_falls_back_to_expanded_fraction():
