@@ -300,6 +300,8 @@ def leibniz_rows(d_gen, n, k):
     rows = [{} for _ in dst]
     for c, toks in enumerate(src):
         for pos, tok in enumerate(toks):
+            if not d_gen[tok]:
+                continue
             rest = toks[:pos] + toks[pos + 1:]
             for pair, coeff in d_gen[tok]:
                 sign, merged = mono_wedge(pair, rest)

@@ -447,6 +447,20 @@ class ScalarExpr:
     def conj(self):
         return ScalarExpr(_p_conj(self.num), _p_conj(self.den), _node("conj", self))
 
+    def at(self, name, z):
+        """This polynomial with name set to z in Q(i), and no DAG node.  conj(name)
+        is not touched: the nondegeneracy polynomial P has no conjugate symbols."""
+        if self.den != _P_ONE:
+            raise InternalError(f"at() of the non-polynomial {self}")
+        shift = _m_symbol(name, 0).bit_length() - 1
+        out = defaultdict(lambda: _ZERO)
+        for k, v in self.num.items():
+            e = k >> shift & _MASK
+            for _ in range(e):
+                v = v * z
+            out[k - (e << shift)] += v
+        return ScalarExpr({k: v for k, v in out.items() if not v.is_zero()})
+
     def evaluate(self, assign) -> GaussRat:
         if self.node is not None:
             if self._program is None:

@@ -50,22 +50,6 @@ def is_nondegenerate(form, n):
     return not _top_coeff(form.wedge_power(n // 2), n).is_zero()
 
 
-def nondegeneracy_polynomial(ops, prefix=(), elems=None):
-    """P(a1..as): top-monomial coefficient of the m-th wedge power.
-
-    The basis combination is formed with polynomial coefficients and
-    expanded exactly; integers c_1..c_j in `prefix` give the specialisation
-    P(c_1..c_j, a_{j+1}..a_s).  `elems` is closed_20_elements(ops), passed by
-    a caller that holds it already.  Raises on odd complex dimension.
-    """
-    n = ops.n
-    if n % 2:
-        raise SymplecticError("no (2,0) volume pairing in odd complex dimension")
-    elems = closed_20_elements(ops) if elems is None else elems
-    params = [ScalarExpr.param(f"a{j}") for j in range(len(prefix) + 1, len(elems) + 1)]
-    return _top_coeff(_combination(elems, [*prefix, *params]).wedge_power(n // 2), n)
-
-
 class SymplecticReport:
     """Existence verdict with witness / grid certificate and scope notes.
 
@@ -82,7 +66,8 @@ class SymplecticReport:
         else:
             m = n // 2
             elems = closed_20_elements(ops)
-            self.poly = nondegeneracy_polynomial(ops, elems=elems)
+            params = [ScalarExpr.param(f"a{j}") for j in range(1, s + 1)]
+            self.poly = _top_coeff(_combination(elems, params).wedge_power(m), n)
             if self.poly.is_zero():
                 self.verdict = "none"
                 self.grid_points_checked = (m + 1) ** s
@@ -90,14 +75,13 @@ class SymplecticReport:
                     raise InternalError("P = 0, yet the all-ones form is non-degenerate")
             else:
                 self.verdict = "exists"
-                # P(point, a_j, ...) stays nonzero and has degree <= m in a_j,
-                # so if 0..m-1 all make it vanish, m does not
-                point = []
-                for _ in range(s):
-                    nonzero = (v for v in range(m)
-                               if not nondegeneracy_polynomial(ops, point + [v], elems).is_zero())
-                    point.append(next(nonzero, m))
-                self.witness_coeffs = [GaussRat(v) for v in point]
+                # rest = P(point, a_j, ...) stays nonzero and has degree <= m
+                # in a_j, so if 0..m-1 all make it vanish, m does not
+                rest, self.witness_coeffs = self.poly, []
+                for j in range(1, s + 1):
+                    v = next((v for v in range(m) if not rest.at(f"a{j}", v).is_zero()), m)
+                    rest = rest.at(f"a{j}", v)
+                    self.witness_coeffs.append(GaussRat(v))
                 self.witness = _combination(elems, self.witness_coeffs)
                 if not is_nondegenerate(self.witness, n):
                     raise InternalError("the witness found by descent is degenerate")

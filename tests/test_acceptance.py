@@ -32,7 +32,6 @@ from nilcoh.scalar import ScalarEvalError, ScalarExpr
 from nilcoh.symplectic import (
     closed_20_elements,
     find_symplectic,
-    nondegeneracy_polynomial,
     theorem61_suite,
 )
 
@@ -360,7 +359,7 @@ def test_property_suites_over_catalog():
             s = len(elems)
             if s <= 3:
                 grid_cases += 1
-                poly = nondegeneracy_polynomial(cache)
+                poly = find_symplectic(cache).poly
                 m = n // 2
                 values = [
                     poly.evaluate(

@@ -14,7 +14,7 @@ from nilcoh import dsl, scalar
 from nilcoh.catalog import get
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
-from nilcoh.gauss import GaussRat
+from nilcoh.gauss import GaussRat, InternalError
 from nilcoh.scalar import S_I, S_ONE, S_ZERO, ScalarEvalError, ScalarExpr
 
 
@@ -117,6 +117,33 @@ def test_evaluation_is_a_homomorphism(a, b):
 @given(_exprs())
 def test_conj_is_an_involution(a):
     assert a.conj().conj() == a
+
+
+@st.composite
+def _polynomials(draw, depth=0):
+    if depth >= 3 or draw(st.booleans()):
+        kind = draw(st.integers(0, 2))
+        return ScalarExpr.const(draw(_vals)) if kind == 0 else ScalarExpr.param("ts"[kind - 1])
+    a = draw(_polynomials(depth=depth + 1))
+    b = draw(_polynomials(depth=depth + 1))
+    op = draw(st.integers(0, 2))
+    return a + b if op == 0 else a - b if op == 1 else a * b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_polynomials(), _vals, _vals)
+def test_at_specialises_a_polynomial(e, z, w):
+    # the node-less specialisation against the program of e
+    at_t = e.at("t", z)
+    assert at_t.node is None
+    assert at_t.evaluate({"s": w}) == e.evaluate({"t": z, "s": w})
+    point = at_t.at("s", w)
+    assert point.is_const() and point.const_value() == e.evaluate({"t": z, "s": w})
+
+
+def test_at_refuses_a_fraction():
+    with pytest.raises(InternalError):
+        (S_ONE / _t()).at("t", 1)
 
 
 # -- straight-line programs against the expanded fraction ------------------

@@ -1,6 +1,7 @@
 """Existence decisions for closed non-degenerate (2,0)-forms."""
 
 import contextlib
+import hashlib
 import io
 import json
 
@@ -21,10 +22,11 @@ from nilcoh.symplectic import (
     closed_20_elements,
     closed_20_space,
     find_symplectic,
-    nondegeneracy_polynomial,
     theorem61_suite,
 )
+from conftest import n6_ops_for
 from reference import class_is_trivial, grid_walk, real_pair
+from test_frolicher import _stdout
 
 
 def g(i):
@@ -147,7 +149,7 @@ def test_grid_decision_matches_symbolic_polynomial(ops):
 
     for name, assign in cases:
         cache = ops(name, **assign)
-        poly = nondegeneracy_polynomial(cache)
+        poly = find_symplectic(cache).poly
         s = len(closed_20_elements(cache))
         m = cache.n // 2
         values = [
@@ -195,7 +197,7 @@ def test_the_one_point_check_fails_closed(ops, monkeypatch, assign):
 
 
 def test_report_converts_the_closed_basis_to_forms_once(monkeypatch):
-    # P, every specialisation of the descent and the witness read one list
+    # P and the witness read one list; the descent reads only P
     calls = []
     to_element = OperatorCache.to_element
 
@@ -208,6 +210,46 @@ def test_report_converts_the_closed_basis_to_forms_once(monkeypatch):
     with contextlib.redirect_stdout(out):
         assert cli.main(["symplectic", "@example31"]) == 0
     assert len(calls) == json.loads(out.getvalue())["results"]["symplectic"]["closed_20_dim"] == 4
+
+
+@pytest.mark.parametrize("target, verdict", [
+    ("torus6", "exists"), ("example31 at t = 1/2", "none")])
+def test_report_expands_the_wedge_power_twice(ops, monkeypatch, target, verdict):
+    # once for P and once for the one-point check: the descent reads every
+    # specialisation off P
+    cache = n6_ops_for("data/torus6.txt") if target == "torus6" else ops("example31", t="1/2")
+    calls = []
+    wedge_power = BigradedElement.wedge_power
+
+    def counting(self, k):
+        calls.append(k)
+        return wedge_power(self, k)
+
+    monkeypatch.setattr(BigradedElement, "wedge_power", counting)
+    assert find_symplectic(cache).verdict == verdict
+    assert len(calls) == 2
+
+
+# sha256 of the `symplectic` stdout on the structure files in tests/data,
+# run from the tests directory; T^8 and T^10 have s = 28 and 45 closed
+# (2,0)-forms, so the descent specialises P in 28 and 45 variables
+_SYMPLECTIC_SHA256 = {
+    "symplectic data/torus8.txt":
+        "09ebca072d4528c7fd007f9964babe674f20ab6e0a0eb788bb03b7d98b52ca92",
+    "symplectic data/torus10.txt":
+        "6c63606036bdac3819a60f5fb9e9ce4abd15e888c2b9dd8ec8862dd6101391ed",
+    "symplectic data/torus6.txt --suite61 --betti-bounds":
+        "b6a1dc0a1764d762cf3e3650cda004d05cdf221c246141a848ab3e57cf3ef4a2",
+    "symplectic data/iwasawa_x_iwasawa.txt --suite61 --betti-bounds":
+        "b8d90a647bbf70d1595af3310c59650dfe149c90c695b73ba0ed7dd18b264a02",
+}
+
+
+@pytest.mark.parametrize("command", list(_SYMPLECTIC_SHA256))
+def test_symplectic_report_goldens(command):
+    rc, out = _stdout(*command.split())
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _SYMPLECTIC_SHA256[command]
 
 
 def test_wedge_class_suite_example31(ops):
