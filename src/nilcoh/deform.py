@@ -82,14 +82,10 @@ def deformed_frame(family, assign):
             f"frame matrix is singular at {assignment_label(assign)}"
         )
 
-    # phi = inv . eta, so phi^j is row j of inv and phi^jbar is row n+j
-    sub = {}
-    for j in range(n):
-        for barred in (False, True):
-            out = BigradedElement.zero()
-            for c, x in inv[n + j if barred else j].items():
-                out = out + BigradedElement.gen(c % n + 1, barred=c >= n, coeff=x)
-            sub[(int(barred), j + 1)] = out
+    # phi = inv . eta: row r of inv is phi^(r+1) for r < n and phi^(r-n+1)bar
+    # after, and column c the same for the eta-generators
+    sub = {(r // n, r % n + 1): BigradedElement({((c // n, c % n + 1),): x for c, x in row.items()})
+           for r, row in enumerate(inv)}
 
     def to_eta(element):
         return substitute(element, sub)

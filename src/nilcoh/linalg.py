@@ -177,8 +177,9 @@ class Subspace:
         residue was nonzero, in order: the ones that raised the dimension.
 
         A residue is scaled to a leading 1, its pivot column is cleared from
-        the other rows, and it goes in at its pivot position.  Rows that
-        change are replaced, never edited.
+        the rows that pivot before it (a row pivoting after it is zero
+        there), and it goes in at its pivot position.  Rows that change are
+        replaced, never edited.
         """
         rows, pivots = self.rows, self.pivots
         raised = []
@@ -190,13 +191,13 @@ class Subspace:
             c = min(residue)
             inv = ONE / residue[c]
             new = {j: x * inv for j, x in residue.items()}
-            for i, row in enumerate(rows):
+            at = bisect(pivots, c)
+            for i, row in enumerate(rows[:at]):
                 f = row.get(c)
                 if f is not None:
                     row = dict(row)
                     _axpy(row, f, new)
                     rows[i] = row
-            at = bisect(pivots, c)
             rows.insert(at, new)
             pivots.insert(at, c)
         return raised

@@ -21,10 +21,10 @@ check_stability_hypotheses is the one sweep that pairs the criteria with
 deform.sweep: the `hypotheses` command and the hypotheses task of `deform`
 both call it, the first with a task that computes nothing, the second with
 its other tasks, which run on the operator cache the criteria use.
-StabilityCheck computes the criteria of one sample and builds the report
-from the sweep's rows; deform.sweep turns a failing sample into an "error"
-row.  Everything is invariant (Lie-algebra level); the report carries the
-same scope banner as the cohomology reports.
+_criteria computes the verdicts of one sample; deform.sweep turns a failing
+sample into an "error" row, kept as it is in both lists.  Everything is
+invariant (Lie-algebra level); the report carries the same scope banner as
+the cohomology reports.
 """
 
 from __future__ import annotations
@@ -46,89 +46,62 @@ def check_stability_hypotheses(family, samples, task):
     (singular frame, invalid deformed structure) gets the same "error" row
     in both lists.  Returns {"hypotheses": the report, with the per-sample
     rows and the cross-sample verdicts, "samples": the sweep rows of task}.
+    Raises SymplecticError when the family carries no distinguished form
+    (DeformationFamily already refuses one that is not a parameter-free
+    (2,0)-form, and a parametric base).
     """
-    check = StabilityCheck(family)
+    omega = family.omega
+    if omega is None:
+        raise SymplecticError(f"family '{family.name}' carries no distinguished (2,0)-form")
+    base = OperatorCache(family.base)
+    omega_closed = closed_20_space(base).contains(base.to_vec((2, 0), omega))
 
     def both(assign):
-        ops, verdicts = check.sample(assign)
-        return verdicts, task(ops)
-
-    rows = sweep(samples, both)
-    hyp, other = ([{**r, "result": r["result"][i]} if "result" in r else r for r in rows]
-                  for i in (0, 1))
-    return {"hypotheses": check.report(hyp), "samples": other}
-
-
-class StabilityCheck:
-    """The stability criteria of one family, one sample at a time.
-
-    The constructor checks that the family carries a distinguished form
-    (SymplecticError; DeformationFamily already refuses one that is not a
-    parameter-free (2,0)-form, and a parametric base) and takes its
-    verdicts on the undeformed structure; `sample` computes the verdicts of
-    one assignment; `report` builds the report from the rows of a
-    deform.sweep whose results are those verdicts.
-    """
-
-    def __init__(self, family):
-        omega = family.omega
-        if omega is None:
-            raise SymplecticError(
-                f"family '{family.name}' carries no distinguished (2,0)-form"
-            )
-        ops = OperatorCache(family.base)
-        self.family = family
-        self.omega = omega
-        self.omega_closed = closed_20_space(ops).contains(ops.to_vec((2, 0), omega))
-        self.omega_nondeg = is_nondegenerate(omega, ops.n)
-
-    def sample(self, assign):
-        """(operator cache of the deformed structure, verdicts) at one
-        assignment.  Raises DeformationError on a singular frame and
-        StructureError when the deformed structure is invalid."""
-        spec, to_eta = deformed_frame(self.family, assign)
+        spec, to_eta = deformed_frame(family, assign)
         ops = OperatorCache(spec)
-        omega_t = to_eta(self.omega)
+        return _criteria(ops, to_eta(omega)), task(ops)
 
-        row = {"h20_bott_chern": bott_chern(ops, 2, 0).dim}
+    hyp, other = [], []
+    for r in sweep(samples, both):
+        if "result" in r:
+            verdicts, result = r["result"]
+            hyp.append({"assign": r["assign"], **verdicts})
+            other.append({"assign": r["assign"], "result": result})
+        else:
+            hyp.append(r)
+            other.append(r)
+    h20_values = {r["h20_bott_chern"] for r in hyp if "error" not in r}
+    report = {
+        "family": family.name,
+        "omega": str(omega),
+        "omega_closed_at_zero": omega_closed,
+        "omega_nondegenerate_at_zero": is_nondegenerate(omega, base.n),
+        "h20_bott_chern_constant": len(h20_values) <= 1 if h20_values else None,
+        "samples": hyp,
+        "scope": invariant_level_banner(family.base),
+    }
+    return {"hypotheses": report, "samples": other}
 
-        dd10 = ops.deldelbar_pq(1, 0)
-        row["del_delbar_zero_on_one_zero_forms"] = not any(dd10)
 
-        pf = pure_full(ops, 2)
-        row["full_at_stage_2"] = pf.full
-
-        row["correction_system"] = _delta_feasibility(ops, omega_t)
-
-        dolb_sum = sum(
-            dolbeault(ops, p, 2 - p).dim
-            for p in range(min(2, ops.n), -1, -1)
-            if 0 <= 2 - p <= ops.n
-        )
-        identity = pf.betti == dolb_sum
-        row["degree2_decomposition_surrogate"] = {
+def _criteria(ops, omega_t):
+    """The verdicts of criteria (a)-(e) on the operator cache of a deformed
+    structure, omega_t being the distinguished form in its coframe."""
+    pf = pure_full(ops, 2)
+    dolb_sum = sum(dolbeault(ops, p, 2 - p).dim
+                   for p in range(min(2, ops.n), -1, -1) if 0 <= 2 - p <= ops.n)
+    identity = pf.betti == dolb_sum
+    return {
+        "h20_bott_chern": bott_chern(ops, 2, 0).dim,
+        "del_delbar_zero_on_one_zero_forms": not any(ops.deldelbar_pq(1, 0)),
+        "full_at_stage_2": pf.full,
+        "correction_system": _delta_feasibility(ops, omega_t),
+        "degree2_decomposition_surrogate": {
             "dimension_identity": identity,
             "pure_and_full_at_stage_2": pf.pure and pf.full,
             "passed": identity and pf.pure and pf.full,
             "label": "necessary-style check",
-        }
-        return ops, row
-
-    def report(self, rows):
-        """The report of the sweep rows: each verdict row flattened next to
-        its assignment, each error row as it is."""
-        samples = [{"assign": r["assign"], **r["result"]} if "result" in r else r
-                   for r in rows]
-        h20_values = [r["result"]["h20_bott_chern"] for r in rows if "result" in r]
-        return {
-            "family": self.family.name,
-            "omega": str(self.omega),
-            "omega_closed_at_zero": self.omega_closed,
-            "omega_nondegenerate_at_zero": self.omega_nondeg,
-            "h20_bott_chern_constant": len(set(h20_values)) <= 1 if h20_values else None,
-            "samples": samples,
-            "scope": invariant_level_banner(self.family.base),
-        }
+        },
+    }
 
 
 def _delta_feasibility(ops, omega_t):

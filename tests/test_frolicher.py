@@ -257,6 +257,8 @@ _N7_SHA256 = {
 _N8_SHA256 = {
     "cohomology data/probe8.txt":
         "ab4688784a9959774643082ec38b2d3bcb0f94ae7822d4eb1aee1bafbbd3b49d",
+    "frolicher data/probe8.txt --max-page 9":
+        "564404e0b35827e609181ae1e0d6ce31331245c856e20f2ec8014a162621d96d",
 }
 
 

@@ -1,7 +1,13 @@
 """Stability hypothesis checks along the catalog's deformation families."""
 
+import contextlib
+import hashlib
+import io
+import shlex
+
 import pytest
 
+from nilcoh import cli
 from nilcoh.algebra import SymplecticError
 from nilcoh.catalog import get
 from nilcoh.deform import DeformationFamily, frame_change, sweep
@@ -140,3 +146,28 @@ def test_override_form_is_used(ops):
     # closed but degenerate: (f1^f2)^2 = 0
     assert d["omega_closed_at_zero"] is True
     assert d["omega_nondegenerate_at_zero"] is False
+
+
+# sha256 of the stdout of whole reports; the frame of example31 and of
+# section42_example is singular at t = 1, so the deform report carries that
+# error row in its hypotheses and in each of its task lists
+_HYPOTHESES_SHA256 = {
+    'hypotheses @example31 --samples "t=0; t=1/2; t=i/2; t=1"':
+        "6aee788ac71a2dd0b651558b869546c5f7d4b6e093fec7b1f12b4a8ae66101ad",
+    'hypotheses @example45 --samples "t=0; t=1/2; t=-1/2"':
+        "10f45a0e5594a0cb41afb7c0f7e10ee1ec06e15bc3cd47561efe597ce1a0ea26",
+    'hypotheses @section42_example --samples "t=0; t=1/2; t=1/2+i/3; t=1"':
+        "31c0f500bc99345d7fc41350c41da78f99fa3627705766eebc327fa6517a58ac",
+    'deform @section42_example --samples "t=0; t=1/2; t=1" '
+    '--tasks "hypotheses; purefull=2; symplectic"':
+        "652c13d29719295051cb80eca38fd9c9e91bdfb5d7d28e4e92cfe725ea4ddffe",
+}
+
+
+@pytest.mark.parametrize("command", list(_HYPOTHESES_SHA256))
+def test_hypotheses_reports_are_pinned(command):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = cli.main(shlex.split(command))
+    assert rc == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == _HYPOTHESES_SHA256[command]
