@@ -390,6 +390,22 @@ def test_table_format():
     assert any(line.startswith("results.entries[0].name = torus2") for line in lines)
 
 
+# Nothing in nilcoh reads NILCOH_THREADS, but bench/run.py still sets it: the
+# report must not depend on it.
+@pytest.mark.parametrize("threads", ["1", "8"])
+def test_byte_determinism_across_thread_caps(threads):
+    args = (
+        "deform", "@example31",
+        "--samples", "t=0; t=1/2; t=i/2",
+        "--tasks", "validate; symplectic",
+    )
+    a = run(*args, env_extra={"NILCOH_THREADS": threads})
+    b = run(*args, env_extra={"NILCOH_THREADS": "3"})
+    assert a.returncode == b.returncode == 0
+    assert a.stdout == b.stdout
+    assert a.stdout.endswith("\n")
+
+
 # Two processes with different hash seeds give the same bytes: no report
 # depends on set or dict order of hashed keys.  nilcoh reads no
 # NILCOH_THREADS; bench/run.py sets it, so the two runs differ there too.
