@@ -112,9 +112,6 @@ class AlgebraSpec:
 
     def evaluate(self, assign):
         """Concrete AlgebraSpec with all parameters replaced by Q(i) values."""
-        missing = [p for p in self.params if p not in assign]
-        if missing:
-            raise ScalarEvalError(f"unassigned parameters: {', '.join(missing)}")
         d_phi = tuple(el.evaluate(assign) for el in self.d_phi)
         return AlgebraSpec(
             self.name,
@@ -132,18 +129,19 @@ class AlgebraSpec:
         Integrability is checked symbolically, d^2 = 0 on d_rows.  Parametric data is
         checked at every point of the cartesian grid DEFAULT_SAMPLES^params;
         sample points where a denominator vanishes are recorded and skipped.
-        The report is computed once and kept: the spec is immutable.
+        The report is the dict the validate command prints, computed once and
+        kept (the spec is immutable), so callers must not mutate it.
         """
         if self._validation is None:
             object.__setattr__(self, "_validation", self._validate())
         return self._validation
 
     def _validate(self):
-        report = ValidationReport(self.name)
-        for i, el in enumerate(self.d_phi, start=1):
-            bad = el.project(0, 2)
-            if not bad.is_zero():
-                report.integrability_failures.append((i, str(bad)))
+        integrability = [{"generator": f"f{i}", "degree_0_2_part": str(bad)}
+                         for i, el in enumerate(self.d_phi, start=1)
+                         if not (bad := el.project(0, 2)).is_zero()]
+        report = {"name": self.name, "integrability_failures": integrability,
+                  "d2_failures": [], "samples_checked": [], "skipped_samples": []}
         if not self.params:
             self._check_d2(report, label="")
         else:
@@ -153,26 +151,27 @@ class AlgebraSpec:
                 try:
                     self.evaluate(assign)._check_d2(report, label=label)
                 except ScalarEvalError as e:
-                    report.skipped_samples.append((label, str(e)))
-                report.samples_checked.append(label)
+                    report["skipped_samples"].append({"sample": label, "reason": str(e)})
+                report["samples_checked"].append(label)
+        report["ok"] = not integrability and not report["d2_failures"]
         return report
 
     def check(self):
         """Raise StructureError naming the first failing generator, if any."""
         report = self.validate()
-        if report.integrability_failures:
-            i, part = report.integrability_failures[0]
-            raise StructureError(
-                f"structure '{self.name}' is not integrable: d f{i} has the "
-                f"(0,2) part {part}"
-            )
-        if report.d2_failures:
-            g, _, dd = report.d2_failures[0]
-            raise StructureError(f"structure '{self.name}' has d^2 != 0: d(d {g}) = {dd}")
+        if report["integrability_failures"]:
+            bad = report["integrability_failures"][0]
+            raise StructureError(f"structure '{self.name}' is not integrable: d {bad['generator']} "
+                                 f"has the (0,2) part {bad['degree_0_2_part']}")
+        if report["d2_failures"]:
+            bad = report["d2_failures"][0]
+            raise StructureError(f"structure '{self.name}' has d^2 != 0: "
+                                 f"d(d {bad['generator']}) = {bad['d2']}")
 
     def _check_d2(self, report, label):
         """d^2 on the generators: the columns of the product of the assembled
-        d on Lambda^2 and on Lambda^1, in the order f1, F1, f2, F2, ..."""
+        d on Lambda^2 and on Lambda^1, in the order f1, F1, f2, F2, ...,
+        appended to report's d2_failures."""
         _, index = basis(self.n, 1)
         columns = transpose(mat_mul(self.d_rows(2), self.d_rows(1)), len(index))
         basis3, _ = basis(self.n, 3)
@@ -181,36 +180,4 @@ class AlgebraSpec:
                 dd = columns[index[m]]
                 if dd:
                     dd = BigradedElement({basis3[r]: x for r, x in dd.items()})
-                    report.d2_failures.append((g, label, str(dd)))
-
-
-class ValidationReport:
-    """Outcome of AlgebraSpec.validate()."""
-
-    def __init__(self, name):
-        self.name = name
-        self.integrability_failures = []
-        self.d2_failures = []
-        self.samples_checked = []
-        self.skipped_samples = []
-
-    @property
-    def ok(self):
-        return not self.integrability_failures and not self.d2_failures
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "integrability_failures": [
-                {"generator": f"f{i}", "degree_0_2_part": s}
-                for i, s in self.integrability_failures
-            ],
-            "d2_failures": [
-                {"generator": g, "where": w, "d2": s} for g, w, s in self.d2_failures
-            ],
-            "samples_checked": self.samples_checked,
-            "skipped_samples": [
-                {"sample": s, "reason": r} for s, r in self.skipped_samples
-            ],
-        }
+                    report["d2_failures"].append({"generator": g, "where": label, "d2": str(dd)})

@@ -262,18 +262,12 @@ def _cmd_validate(args):
     spec, target = _load_target(args.target)
     assign = _parse_assignment("--assign", args.assign or ())
     digest = _digest(spec, target, assign)
-    if assign:
-        try:
-            concrete = _concretize(spec, target, assign)
-        except (DeformationError, ScalarEvalError) as e:
-            results = {"ok": False, "error": str(e)}
-            return _emit(_report("validate", args.target, digest, assign, results), args.format, 1)
-        report = concrete.validate()
-    else:
-        report = spec.validate()
-    results = report.as_dict()
-    return _emit(_report("validate", args.target, digest, assign, results), args.format,
-                 0 if report.ok else 1)
+    try:
+        report = (_concretize(spec, target, assign) if assign else spec).validate()
+    except (DeformationError, ScalarEvalError) as e:
+        report = {"ok": False, "error": str(e)}
+    return _emit(_report("validate", args.target, digest, assign, report), args.format,
+                 0 if report["ok"] else 1)
 
 
 def _parse_degree(text, theory):
@@ -441,7 +435,7 @@ def _run_tasks(tasks, spec, ops=None):
     for task in tasks:
         kind = task[0]
         if kind == "validate":
-            out["validate"] = spec.validate().as_dict()
+            out["validate"] = spec.validate()
             continue
         if ops is None:
             ops = OperatorCache(spec)

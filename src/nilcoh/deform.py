@@ -45,9 +45,6 @@ class DeformationFamily:
 
     def matrix_at(self, assign):
         """Evaluate B to a GaussRat matrix at a parameter assignment."""
-        missing = [p for p in self.params if p not in assign]
-        if missing:
-            raise ScalarEvalError(f"unassigned parameters: {', '.join(missing)}")
         try:
             return [[x.evaluate(assign) for x in row] for row in self.B]
         except ScalarEvalError as e:

@@ -43,6 +43,7 @@ _TOKEN = re.compile(
     r"""
     (?P<WS>[ \t]+)
   | (?P<STRING>"[^"\n]*")
+  | (?P<COMMENT>\#.*)
   | (?P<IMAG>\d+i(?![A-Za-z0-9_]))
   | (?P<NUMBER>\d+)
   | (?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
@@ -69,9 +70,6 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 
 def _tokenize_line(text, lineno):
     text = text.replace("−", "-")
-    hashpos = _unquoted_hash(text)
-    if hashpos is not None:
-        text = text[:hashpos]
     tokens = []
     pos = 0
     while pos < len(text):
@@ -79,22 +77,14 @@ def _tokenize_line(text, lineno):
         if m is None:
             raise DslError(f"unexpected character {text[pos]!r}", lineno, pos + 1)
         kind = m.lastgroup
+        if kind == "COMMENT":
+            break
         if kind in ("NUMBER", "IMAG") and m.end() - pos > _MAX_DIGITS:
             raise DslError(f"number longer than {_MAX_DIGITS} digits", lineno, pos + 1)
         if kind != "WS":
             tokens.append((kind, m.group(), lineno, pos + 1))
         pos = m.end()
     return tokens
-
-
-def _unquoted_hash(text):
-    in_str = False
-    for i, ch in enumerate(text):
-        if ch == '"':
-            in_str = not in_str
-        elif ch == "#" and not in_str:
-            return i
-    return None
 
 
 class _Parser:
@@ -337,7 +327,9 @@ class _Parser:
 
     def _apply(self, op, a, b):
         """a op b for the operator token op, refused before it runs when it
-        would cost more than _MAX_WORK (ScalarExpr.work)."""
+        would cost more than _MAX_WORK (ScalarExpr.work), and after it runs
+        when it raises the exponent of a parameter or of its conjugate above
+        _MAX_EXPONENT: squaring through let names passes both other bounds."""
         _, sym, line, col = op
         work = a.work(sym, b)
         if work > _MAX_WORK:
@@ -347,9 +339,13 @@ class _Parser:
                 col,
             )
         try:
-            return _ARITH[sym](a, b)
+            v = _ARITH[sym](a, b)
         except ZeroDivisionError:
             raise DslError("division by zero", line, col) from None
+        over = v.exponent_over(_MAX_EXPONENT)
+        if over:
+            raise DslError(f"exponent {over[1]} of {over[0]} exceeds {_MAX_EXPONENT}", line, col)
+        return v
 
     def _scalar_atom(self, t):
         tok = t.take()
@@ -479,10 +475,7 @@ def parse_form(text, n):
 
 def parse_gauss(text):
     """Parse a Q(i) literal such as 1/2, -i, 1/3+2i, i/2 (for CLI assignments)."""
-    v = parse_scalar(text)
-    if not v.is_const():
-        raise DslError("value must be a constant", 1, 1)
-    return v.const_value()
+    return parse_scalar(text).const_value()
 
 
 def pretty(spec):

@@ -6,7 +6,7 @@ and subspaces are stored in reduced row echelon form, so equal subspaces have
 byte-identical representations.  Determinism is preferred over speed; the
 tests pin n=6 structures, whose middle degree is 924-dimensional.
 
-This module owns the coordinate layout of forms (basis, block, holo_range).
+This module owns the coordinate layout of forms (basis, block).
 A basis lists monomials in the one format of exterior, sorted generator
 token tuples, which the Leibniz assembly reads directly.
 Lambda^k lists its (p,q) blocks in descending p, so every F^p is a column
@@ -277,13 +277,6 @@ def block(n, p, q):
     return slice(start, start + len(basis(n, (p, q))[0]))
 
 
-def holo_range(n, k, lo, hi):
-    """The columns of Lambda^k in holomorphic degrees lo..hi, for lo <= hi + 1,
-    clipped to the degrees Lambda^k has: one slice, empty when nothing is
-    left (block(...).start counts the columns of higher degree)."""
-    return slice(block(n, hi, k - hi).start, block(n, lo, k - lo).stop)
-
-
 def column_slice(rows, cols):
     """The matrix rows restricted to the columns in the slice cols,
     renumbered from 0."""
@@ -428,7 +421,7 @@ class OperatorCache:
             d, state = self.d_total(k), Subspace(self.dims(k))
             table = [()]
             for c in range(self.n + 1):
-                state.extend(d[holo_range(self.n, k + 1, c, c)])
+                state.extend(d[block(self.n, c, k + 1 - c)])
                 table.append(tuple(state.pivots))
             return table
 

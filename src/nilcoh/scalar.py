@@ -384,6 +384,15 @@ class ScalarExpr:
     def params(self):
         return _p_params(self.num) | _p_params(self.den)
 
+    def exponent_over(self, bound):
+        """The first symbol (t or conj(t)) whose exponent in num or den
+        exceeds bound, with that exponent; None when there is none."""
+        for m in (*self.num, *self.den):
+            for (name, bar), e in _decode(m):
+                if e > bound:
+                    return (f"conj({name})" if bar else name), e
+        return None
+
     def work(self, op, other):
         """What self op other costs, for op one of + - * /: the polynomial
         products it multiplies out, each as the product of the operands'

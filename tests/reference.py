@@ -6,7 +6,8 @@ convention is J e_{2j-1} = -e_{2j}, J e_{2j} = e_{2j-1}.  Through that
 coframe come the real structure equations (`realify`), the rho-traces
 tr(J o ad e_j) and the derived algebra (the Nakamura obstruction),
 unimodularity, the real pair of a (2,0)-form and the real frame matrix of a
-deformation.  Besides: whether a class is trivial, decided by solving for a
+deformation.  Besides: whether the structure equations show the Lie algebra
+nilpotent, whether a class is trivial, decided by solving for a
 primitive (the route the wedge-class suite is checked against), the rank of
 a matrix, whether a de Rham class lies in the pure-type sum, whether one
 subspace contains another and the dimension of their quotient, |z|^2 of a
@@ -312,6 +313,20 @@ def class_in_pure_sum(ops, k, element):
     classes = [c for _, c in _pure_type_classes(ops, k).values()]
     sum_space = reduce(Subspace.add, classes, Subspace(ops.dims(k)))
     return sum_space.contains(ops.image("d", k - 1).reduce(vec))
+
+
+def shown_nilpotent(spec):
+    """Whether the tokens f_i, F_i have an order in which each d lies in the
+    exterior algebra of the tokens before it, which makes the Lie algebra
+    nilpotent.  False does not rule nilpotency out in another coframe."""
+    tokens = {(b, i) for i in range(1, spec.n + 1) for b in (0, 1)}
+    placed = set()
+    while True:
+        ready = {(b, i) for b, i in tokens - placed
+                 if all(set(m) <= placed for m in spec.d_gen(i, b).coeffs)}
+        if not ready:
+            return placed == tokens
+        placed |= ready
 
 
 def rank_of(op_rows):

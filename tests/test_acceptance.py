@@ -14,7 +14,7 @@ from itertools import product
 import pytest
 
 from conftest import n6_ops_for, ops_for, validation_for
-from reference import class_in_pure_sum, mono, rank_of, real_frame_matrix, realify
+from reference import class_in_pure_sum, mono, rank_of, real_frame_matrix, realify, shown_nilpotent
 from zigzag import spectral_cell
 from nilcoh.catalog import catalog, get
 from nilcoh.cohomology import betti as betti_number, bott_chern, hodge_table, pure_full
@@ -270,6 +270,28 @@ def _duality_defects(n, betti, dol):
                if dol[(p, q)] != dol[(n - p, n - q)]])
 
 
+def _literature_defects(spec, betti, bc, ae):
+    """Where three identities break on an algebra shown nilpotent, given its
+    Betti numbers by degree and its Bott-Chern and Aeppli tables: Dixmier's
+    b_k >= 2 for 0 < k < 2n (Acta Sci. Math. Szeged 16, 1955), Salamon's
+    h_BC^{1,0} >= 1 (J. Pure Appl. Algebra 157, 2001), and the
+    Angella-Tomassini equality sum (h_BC + h_A) = 2 b_k in every degree,
+    which holds exactly when every d f_k is 0 (Invent. Math. 192, 2013: it is
+    the ddbar-lemma, which makes the algebra formal, and a formal nilpotent
+    Lie algebra is abelian)."""
+    if not shown_nilpotent(spec):
+        return []
+    n = spec.n
+    out = [f"b{k}" for k in range(1, 2 * n) if betti[k] < 2]
+    if bc[(1, 0)] < 1:
+        out.append("h_BC1,0")
+    equal = all(sum(bc[(p, k - p)] + ae[(p, k - p)] for p in range(max(0, k - n), min(k, n) + 1))
+                == 2 * betti[k] for k in range(2 * n + 1))
+    if equal != all(el.is_zero() for el in spec.d_phi):
+        out.append("Angella-Tomassini")
+    return out
+
+
 def test_property_suites_over_catalog():
     structures, skipped = _structures()
     # the only irregular joint samples are the two the validator also skips
@@ -279,9 +301,9 @@ def test_property_suites_over_catalog():
     ]
     assert len(structures) >= 25
     for entry in catalog():
-        assert validation_for(entry.name).ok, entry.name
+        assert validation_for(entry.name)["ok"], entry.name
 
-    grid_cases = unimodular_cases = 0
+    grid_cases = unimodular_cases = nilpotent_cases = 0
     for label, cache in structures:
         n = cache.n
 
@@ -333,6 +355,8 @@ def test_property_suites_over_catalog():
             cells = [(p, k - p) for p in range(n + 1) if 0 <= k - p <= n]
             assert sum(dol[c] for c in cells) >= betti[k], (label, k)
             assert sum(bc[c] + ae[c] for c in cells) >= 2 * betti[k], (label, k)
+        nilpotent_cases += shown_nilpotent(cache.spec)
+        assert _literature_defects(cache.spec, betti, bc, ae) == [], label
         if realify(cache.spec).unimodular():
             unimodular_cases += 1
             for p in range(n + 1):
@@ -372,6 +396,26 @@ def test_property_suites_over_catalog():
                 assert verdict == ("none" if poly.is_zero() else "exists"), label
     assert grid_cases >= 5
     assert unimodular_cases >= 25
+    # only the Nakamura rows are not shown nilpotent: that algebra is solvable
+    assert nilpotent_cases == len(structures) - 5
+    assert not shown_nilpotent(get("nakamura_x_torus").spec)
+
+    # the identities on the n = 6 and n = 7 files; the n = 8 probe and T^10
+    # cost seconds each and are left out
+    tables = {}
+    for path in ("data/iwasawa_x_iwasawa.txt", "data/torus6.txt", "data/probe7.txt"):
+        cache = n6_ops_for(path)
+        betti = [betti_number(cache, k) for k in range(2 * cache.n + 1)]
+        tables[path] = (cache.spec, betti, hodge_table(cache, "bott_chern"),
+                        hodge_table(cache, "aeppli"))
+        assert _literature_defects(*tables[path]) == [], path
+    # each identity sees a table corrupted by hand
+    spec, betti, bc, ae = tables["data/iwasawa_x_iwasawa.txt"]
+    assert _literature_defects(spec, [*betti[:3], 1, *betti[4:]], bc, ae) == ["b3"]
+    assert _literature_defects(spec, betti, {**bc, (1, 0): 0}, ae) == ["h_BC1,0"]
+    spec, betti, bc, ae = tables["data/torus6.txt"]
+    assert _literature_defects(spec, betti, bc, {**ae, (3, 2): ae[(3, 2)] + 1}) == [
+        "Angella-Tomassini"]
 
     # frame change at the identity sample reproduces the base equations
     for entry in catalog():

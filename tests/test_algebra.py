@@ -15,9 +15,8 @@ from reference import real_frame_matrix, realify
 
 
 def test_validate_symbolic_ok():
-    rep = get("example31").spec.validate()
-    d = rep.as_dict()
-    assert rep.ok and d["ok"]
+    d = get("example31").spec.validate()
+    assert d["ok"]
     assert d["integrability_failures"] == []
     assert d["d2_failures"] == []
 
@@ -26,24 +25,23 @@ def test_validate_catches_non_integrable():
     # d f1 = F1^F2 has a (0,2) component
     spec = parse('algebra "bad" dim 2\nd f1 = F1^F2')
     rep = spec.validate()
-    assert not rep.ok
-    assert rep.as_dict()["integrability_failures"]
+    assert not rep["ok"]
+    assert rep["integrability_failures"]
 
 
 def test_validate_catches_d_squared():
     # d f2 = f1^F1, d f1 = f2^F2: d^2 f2 has no reason to vanish
     spec = parse('algebra "bad" dim 2\nd f1 = f1^F2\nd f2 = f1^F1')
     rep = spec.validate()
-    assert not rep.ok
-    assert rep.as_dict()["d2_failures"]
+    assert not rep["ok"]
+    assert rep["d2_failures"]
 
 
 def test_validate_parametric_grid_records_singular_samples():
     from conftest import validation_for
 
-    rep = validation_for("iwasawa_sigma_family")
-    d = rep.as_dict()
-    assert rep.ok
+    d = validation_for("iwasawa_sigma_family")
+    assert d["ok"]
     assert len(d["samples_checked"]) == 256  # four parameters, four values each
     skipped = [s["sample"] for s in d["skipped_samples"]]
     assert skipped == [

@@ -74,9 +74,9 @@ def test_get_builds_only_the_named_entry(monkeypatch):
 def test_every_entry_validates():
     for e in catalog():
         report = validation_for(e.name)
-        assert report.ok, e.name
-        assert not report.integrability_failures
-        assert not report.d2_failures
+        assert report["ok"], e.name
+        assert not report["integrability_failures"]
+        assert not report["d2_failures"]
 
 
 def test_source_round_trips():

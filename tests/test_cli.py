@@ -775,15 +775,15 @@ def test_assign_refuses_a_repeated_name():
 
 @pytest.fixture
 def validation_calls(monkeypatch):
-    """ValidationReport constructions, d^2 checks and AlgebraSpec.d calls,
+    """Validation reports built, d^2 checks and AlgebraSpec.d calls,
     counted."""
     calls = {"reports": 0, "d2_checks": 0, "d": 0}
-    init, check_d2 = algebra.ValidationReport.__init__, algebra.AlgebraSpec._check_d2
+    validate, check_d2 = algebra.AlgebraSpec._validate, algebra.AlgebraSpec._check_d2
     d = algebra.AlgebraSpec.d
 
-    def counting_init(self, name):
+    def counting_validate(self):
         calls["reports"] += 1
-        init(self, name)
+        return validate(self)
 
     def counting_check_d2(self, report, label):
         calls["d2_checks"] += 1
@@ -793,7 +793,7 @@ def validation_calls(monkeypatch):
         calls["d"] += 1
         return d(self, element)
 
-    monkeypatch.setattr(algebra.ValidationReport, "__init__", counting_init)
+    monkeypatch.setattr(algebra.AlgebraSpec, "_validate", counting_validate)
     monkeypatch.setattr(algebra.AlgebraSpec, "_check_d2", counting_check_d2)
     monkeypatch.setattr(algebra.AlgebraSpec, "d", counting_d)
     return calls

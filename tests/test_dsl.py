@@ -149,6 +149,18 @@ def test_comments_and_blank_lines_ignored():
     assert not spec.d_gen(2, False).is_zero()
 
 
+def test_a_comment_starts_at_a_hash_outside_a_string():
+    # a string is read whole, so a '#' inside it is text; past a comment's
+    # '#', quotes and stray characters are comment text too
+    spec = parse('algebra "a#b" dim 3  # x "y\nd f3 = f1^f2 # "unterminated $ \u00e9\n')
+    assert spec.name == "a#b"
+    assert spec.d_gen(3, False) == parse('algebra "c" dim 3\nd f3 = f1^f2').d_gen(3, False)
+    with pytest.raises(DslError, match="^line 1, col 9: unexpected character '\"'$"):
+        parse('algebra "a # dim 3')
+    with pytest.raises(DslError, match="^line 2, col 14: unexpected character '\\$'$"):
+        parse('algebra "a" dim 3\nd f3 = f1^f2 $ # y')
+
+
 _HEADER = 'algebra "x" dim 3\nparam t\n'
 _TOKENS = [
     "algebra", '"x"', "dim", "0", "1", "2", "3", "12", "2i", "i", "param", "t",
@@ -278,10 +290,10 @@ def _cli_rc_err_seconds(argv):
     return rc, err.getvalue(), time.perf_counter() - t0
 
 
-def _squarings(first):
+def _squarings(first, count=40):
     lines = ['algebra "sq" dim 3', "param t", f"let a0 = {first}"]
-    lines += [f"let a{k} = a{k - 1}*a{k - 1}" for k in range(1, 41)]
-    return "\n".join(lines + ["d f3 = a40 * f1^f2", ""])
+    lines += [f"let a{k} = a{k - 1}*a{k - 1}" for k in range(1, count + 1)]
+    return "\n".join(lines + [f"d f3 = a{count} * f1^f2", ""])
 
 
 @pytest.mark.parametrize("argv, text, message", [
@@ -293,10 +305,14 @@ def _squarings(first):
      "line 9, col 12: operands of '*' too large: the step costs 314722, more than 262144"),
     (["validate"], _squarings("2^100"),
      "line 13, col 13: operands of '*' too large: the step costs 641602, more than 262144"),
+    # t^(2^40) overflows an exponent slot, t^(2^20) evaluates for many seconds:
+    # each squaring costs little, so the exponent bound refuses the step
+    (["validate"], _squarings("t"), "line 10, col 12: exponent 128 of t exceeds 100"),
+    (["validate"], _squarings("t", 20), "line 10, col 12: exponent 128 of t exceeds 100"),
 ])
 def test_oversized_input_exits_2_before_the_work(tmp_path, argv, text, message):
     # nested powers and squaring through let names multiply past any one
-    # exponent bound; each step is refused before it runs, not after
+    # exponent bound; each step is refused before its cost is paid
     if text is not None:
         path = tmp_path / "big.txt"
         path.write_text(text)

@@ -359,7 +359,7 @@ d f2 = (-1/2)*f1^F1
 
 def test_betti_bound_obstruction_fires_in_dim_two():
     spec = parse(OBSTRUCTED_SRC)
-    assert spec.validate().ok
+    assert spec.validate()["ok"]
     cache = OperatorCache(spec)
     assert {k: betti(cache, k) for k in range(5)} == {0: 1, 1: 1, 2: 0, 3: 1, 4: 1}
     out = betti_bounds(cache)
