@@ -200,8 +200,9 @@ def _report(command, name, digest, assign, results):
     }
 
 
-def _pq_str(p, q):
-    return f"{p},{q}"
+def _degree_str(degree):
+    """A table key: the total degree k, or the bidegree as "p,q"."""
+    return str(degree) if isinstance(degree, int) else f"{degree[0]},{degree[1]}"
 
 
 # -- sample-list parsing -----------------------------------------------------
@@ -271,8 +272,6 @@ def _cmd_validate(args):
 
 
 def _parse_degree(text, theory):
-    if text is None:
-        return None
     parts = text.split(",")
     try:
         nums = [int(x) for x in parts]
@@ -302,32 +301,19 @@ def _cmd_cohomology(args):
 
     digest, assign, ops = _target_ops(args)
     results = {"scope": cohomology.invariant_level_banner(ops.spec)}
-    n = ops.n
     if args.theory == "all":
         if args.degree is not None:
             raise UsageError("--degree needs a single --theory")
-        results["de_rham"] = {str(k): cohomology.betti(ops, k) for k in range(2 * n + 1)}
         for theory in THEORY_KEYS.values():
-            if theory == "de_rham":
-                continue
             table = cohomology.hodge_table(ops, theory)
-            results[theory] = {_pq_str(p, q): d for (p, q), d in sorted(table.items())}
+            results[theory] = {_degree_str(d): dim for d, dim in sorted(table.items())}
         return _emit(_report("cohomology", args.target, digest, assign, results), args.format)
     theory = THEORY_KEYS[args.theory]
-    degree = _parse_degree(args.degree, theory)
-    if degree is None:
-        if theory == "de_rham":
-            groups = [cohomology.de_rham(ops, k) for k in range(2 * n + 1)]
-        else:
-            groups = [
-                cohomology.group(ops, theory, (p, q))
-                for p in range(n + 1)
-                for q in range(n + 1)
-            ]
-    else:
-        _check_degree(f"--degree {args.degree}", degree, n)
-        groups = [cohomology.group(ops, theory, degree)]
-    results["groups"] = [g.as_dict() for g in groups]
+    degrees = cohomology.degrees(theory, ops.n)
+    if args.degree is not None:
+        degrees = [_parse_degree(args.degree, theory)]
+        _check_degree(f"--degree {args.degree}", degrees[0], ops.n)
+    results["groups"] = [cohomology.group(ops, theory, d).as_dict() for d in degrees]
     return _emit(_report("cohomology", args.target, digest, assign, results), args.format)
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import cached_property, reduce
 
-from .linalg import Subspace, block, quotient_representatives
+from .linalg import Subspace, block, cells, quotient_representatives
 
 # theory -> (operator whose kernel is the numerator, the (operator,
 #            source-degree shift) pairs whose images span the denominator).
@@ -103,34 +103,37 @@ def aeppli(ops, p, q):
 
 
 def group(ops, theory, degree):
+    """The group of theory in degree: a total degree k for de Rham, a
+    bidegree (p, q) for the other four theories."""
+    if theory not in THEORY_TABLE:
+        raise ValueError(f"unknown theory {theory!r}")
     if theory == "de_rham":
         if not isinstance(degree, int):
             raise ValueError("de Rham cohomology takes a total degree k")
-        return de_rham(ops, degree)
-    p, q = degree
-    if theory == "dolbeault":
-        return dolbeault(ops, p, q)
-    if theory == "del":
-        return del_cohomology(ops, p, q)
-    if theory == "bott_chern":
-        return bott_chern(ops, p, q)
-    if theory == "aeppli":
-        return aeppli(ops, p, q)
-    raise ValueError(f"unknown theory {theory!r}")
+        degree = (degree,)
+    elif not isinstance(degree, (tuple, list)) or len(degree) != 2:
+        raise ValueError(f"{theory} cohomology takes a bidegree (p, q), not {degree!r}")
+    # built at each call, so a function rebound on the module (bench/trace.py
+    # wraps all five) is the one called
+    return {"de_rham": de_rham, "dolbeault": dolbeault, "del": del_cohomology,
+            "bott_chern": bott_chern, "aeppli": aeppli}[theory](ops, *degree)
 
 
 def betti(ops, k):
     return de_rham(ops, k).dim
 
 
+def degrees(theory, n):
+    """The degrees a table of theory spans on n generators: k = 0..2n for de
+    Rham, the bidegrees (p, q) of the square 0..n x 0..n otherwise."""
+    if theory == "de_rham":
+        return list(range(2 * n + 1))
+    return [(p, q) for p in range(n + 1) for q in range(n + 1)]
+
+
 def hodge_table(ops, theory):
-    """{(p,q): dim} over the full bidegree square."""
-    n = ops.n
-    return {
-        (p, q): group(ops, theory, (p, q)).dim
-        for p in range(n + 1)
-        for q in range(n + 1)
-    }
+    """{degree: dim} over degrees(theory, n)."""
+    return {d: group(ops, theory, d).dim for d in degrees(theory, ops.n)}
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +215,12 @@ def _pure_type_classes(ops, k):
     """
     img = ops.image("d", k - 1)
     out = {}
-    for p in range(min(k, ops.n), max(0, k - ops.n) - 1, -1):
-        start = block(ops.n, p, k - p).start
+    for cell in cells(ops.n, k):
+        start = block(ops.n, *cell).start
         closed = [{start + j: x for j, x in v.items()}
-                  for v in ops.kernel_vectors("d", (p, k - p))]
+                  for v in ops.kernel_vectors("d", cell)]
         classes = Subspace.span(ops.dims(k), [img.reduce(w) for w in closed])
-        out[(p, k - p)] = (closed, classes)
+        out[cell] = (closed, classes)
     return out
 
 

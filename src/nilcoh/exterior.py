@@ -11,6 +11,7 @@ coefficients absent, so structural equality is exact equality of forms.
 
 from __future__ import annotations
 
+from .gauss import term_sum
 from .scalar import ScalarExpr, S_ONE, S_ZERO
 
 
@@ -75,10 +76,6 @@ class BigradedElement:
     @classmethod
     def zero(cls):
         return cls({})
-
-    @classmethod
-    def gen(cls, index, barred=False, coeff=S_ONE):
-        return cls({((int(barred), index),): coeff})
 
     @classmethod
     def one(cls):
@@ -185,28 +182,14 @@ class BigradedElement:
         return hash(tuple((m, c) for m, c in self.items()))
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
+        terms = []
         for m, c in self.items():
             # a constant prints bare, so that a complex one is wrapped once
             cs = str(c.const_value() if c.is_const() else c)
-            ms = mono_str(m)
-            if ms == "1":
-                term = cs
-            elif cs == "1":
-                term = ms
-            elif cs == "-1":
-                term = f"-{ms}"
-            else:
-                if ("+" in cs[1:]) or ("-" in cs[1:]) or "/" in cs:
-                    cs = f"({cs})"
-                term = f"{cs}*{ms}"
-            parts.append(term)
-        out = parts[0]
-        for p in parts[1:]:
-            out += p if p.startswith("-") else "+" + p
-        return out
+            if m and (("+" in cs[1:]) or ("-" in cs[1:]) or "/" in cs):
+                cs = f"({cs})"
+            terms.append((cs, mono_str(m) if m else ""))
+        return term_sum(terms)
 
     def __repr__(self):
         return f"<form {self}>"

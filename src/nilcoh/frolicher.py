@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 
-from .cohomology import betti
-from .linalg import InternalError, block, reverse_columns, rref
+from .cohomology import degrees, hodge_table
+from .linalg import InternalError, block, cells, reverse_columns, rref
 
 
 def _nullity(ops, k, m, c):
@@ -34,15 +34,15 @@ def _nullity(ops, k, m, c):
 
 
 def spectral_page(ops, r):
-    """Page r as {(p, q): dim}, each cell from four filtered nullities of d."""
+    """Page r as {(p, q): dim} over the Dolbeault degrees, page 1 being
+    Dolbeault cohomology; each cell from four filtered nullities of d."""
     if r < 1:
         raise InternalError(f"spectral sequence pages start at 1, not {r}")
-    n = ops.n
     return {
         (p, q): (_nullity(ops, p + q, p, p + r) - _nullity(ops, p + q, p + 1, p + r)
                  - _nullity(ops, p + q - 1, p - r + 1, p)
                  + _nullity(ops, p + q - 1, p - r + 1, p + 1))
-        for p in range(n + 1) for q in range(n + 1)}
+        for p, q in degrees("dolbeault", ops.n)}
 
 
 def e_infinity(ops):
@@ -57,20 +57,16 @@ def e_infinity(ops):
     """
     n = ops.n
     dims = {}
-    for k in range(2 * n + 1):
+    for k in degrees("de_rham", n):
         amb = ops.dims(k)
         lasts = [amb - 1 - c for c in rref(reverse_columns(ops.image("d", k - 1).rows, amb))[1]]
         prev = 0
-        for p in range(min(k, n), max(0, k - n) - 1, -1):
-            w = block(n, p, k - p).stop
+        for p, q in cells(n, k):
+            w = block(n, p, q).stop
             cur = _nullity(ops, k, p, n + 1) - sum(c < w for c in lasts)
-            dims[(p, k - p)] = cur - prev
+            dims[(p, q)] = cur - prev
             prev = cur
     return dims
-
-
-def betti_numbers(ops):
-    return {k: betti(ops, k) for k in range(2 * ops.n + 1)}
 
 
 def degeneration_page(ops):
@@ -79,13 +75,13 @@ def degeneration_page(ops):
     Differentials on page r move by (r, 1-r), so every page beyond n+1 is
     already stable.  Fails closed: every cell must be nonnegative and no
     larger than on the page before, and the page that meets the Betti
-    numbers (cohomology.betti, an elimination apart from the pivot table)
-    must equal e_infinity cell by cell.  Returns (r, certificate dict); the
+    numbers (the de Rham hodge_table, an elimination apart from the pivot
+    table) must equal e_infinity cell by cell.  Returns (r, certificate dict); the
     certificate's "pages" lists the pages 1..r it built, page r at index
     r-1.
     """
     n = ops.n
-    target = betti_numbers(ops)
+    target = hodge_table(ops, "de_rham")
     pages = []
     for r in range(1, n + 2):
         page = spectral_page(ops, r)

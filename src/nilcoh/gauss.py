@@ -131,27 +131,33 @@ class GaussRat:
 
     def __str__(self):
         """Canonical form: "0", "a/b", "c/d*i" (with "i"/"-i" for unit), "a/b+c/d*i"."""
-        if self.is_zero():
-            return "0"
-        parts = []
+        terms = []
         if self._a:
-            parts.append(str(self.re))
+            terms.append((str(self.re), ""))
         if self._b:
-            im = self.im
-            if im == 1:
-                im_s = "i"
-            elif im == -1:
-                im_s = "-i"
-            else:
-                im_s = f"{im}*i"
-            if parts and not im_s.startswith("-"):
-                parts.append("+" + im_s)
-            else:
-                parts.append(im_s)
-        return "".join(parts)
+            terms.append((str(self.im), "i"))
+        return term_sum(terms)
 
     def __repr__(self):
         return f"GaussRat({self})"
+
+
+def term_sum(terms):
+    """The one printer of a signed sum of (coefficient, factor) texts, each
+    coefficient wrapped by its caller where it needs it: no factor prints the
+    coefficient alone, 1 and -1 before a factor are elided, no terms is "0"."""
+    parts = []
+    for cs, fs in terms:
+        if not fs:
+            term = cs
+        elif cs == "1":
+            term = fs
+        elif cs == "-1":
+            term = "-" + fs
+        else:
+            term = f"{cs}*{fs}"
+        parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts) or "0"
 
 
 _new = object.__new__

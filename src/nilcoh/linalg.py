@@ -6,7 +6,7 @@ and subspaces are stored in reduced row echelon form, so equal subspaces have
 byte-identical representations.  Determinism is preferred over speed; the
 tests pin n=6 structures, whose middle degree is 924-dimensional.
 
-This module owns the coordinate layout of forms (basis, block).
+This module owns the coordinate layout of forms (cells, basis, block).
 A basis lists monomials in the one format of exterior, sorted generator
 token tuples, which the Leibniz assembly reads directly.
 Lambda^k lists its (p,q) blocks in descending p, so every F^p is a column
@@ -249,6 +249,12 @@ def quotient_representatives(vectors, den):
 # graded bases and operator matrices
 
 
+def cells(n, k):
+    """The bidegrees (p, k - p) of Lambda^k on n generators in block order,
+    descending p; none outside 0 <= k <= 2n."""
+    return [(p, k - p) for p in range(min(k, n), max(0, k - n) - 1, -1)]
+
+
 @cache
 def basis(n, key):
     """(monomials, {monomial: index}) of Lambda^{p,q} for key (p, q), or of
@@ -257,7 +263,7 @@ def basis(n, key):
     descending p.  Built once per (n, key) and shared by every structure, so
     read-only."""
     if isinstance(key, int):
-        mons = tuple(m for p in range(min(key, n), -1, -1) for m in basis(n, (p, key - p))[0])
+        mons = tuple(m for c in cells(n, key) for m in basis(n, c)[0])
     elif min(key) < 0 or max(key) > n:
         mons = ()
     else:
@@ -273,7 +279,7 @@ def block(n, p, q):
     """The columns of Lambda^{p,q} in Lambda^{p+q}, as a slice: it starts
     after the columns of higher holomorphic degree, and is empty when the
     bidegree has no monomials."""
-    start = sum(len(basis(n, (r, p + q - r))[0]) for r in range(min(p + q, n), p, -1))
+    start = sum(len(basis(n, c)[0]) for c in cells(n, p + q) if c[0] > p)
     return slice(start, start + len(basis(n, (p, q))[0]))
 
 

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .gauss import GaussRat, InternalError, _normal
+from .gauss import GaussRat, InternalError, _normal, term_sum
 
 # A polynomial is a dict {monomial: GaussRat} of nonzero coefficients.  A
 # monomial is an int exponent vector: each symbol (name, barred) owns a
@@ -220,9 +220,7 @@ def _p_size(a):
 
 
 def _p_str(a):
-    if not a:
-        return "0"
-    parts = []
+    terms = []
     for k in sorted(a, key=_decode):
         c = a[k]
         if c._q == 1 and not c._b:  # an integer prints as itself
@@ -231,17 +229,8 @@ def _p_str(a):
             cs = str(c)
             if ("+" in cs[1:]) or ("-" in cs[1:]):
                 cs = f"({cs})"
-        syms = _m_str(k)
-        if not syms:
-            term = cs
-        elif cs == "1":
-            term = syms
-        elif cs == "-1":
-            term = "-" + syms
-        else:
-            term = f"{cs}*{syms}"
-        parts.append(term if not parts or term.startswith("-") else "+" + term)
-    return "".join(parts)
+        terms.append((cs, _m_str(k)))
+    return term_sum(terms)
 
 
 class ScalarEvalError(ArithmeticError):

@@ -31,7 +31,8 @@ from __future__ import annotations
 
 from .gauss import ONE
 from .algebra import SymplecticError
-from .linalg import InternalError, OperatorCache, block, column_slice, mat_mul, solve, transpose
+from .linalg import (InternalError, OperatorCache, block, cells, column_slice, mat_mul, solve,
+                     transpose)
 from .deform import deformed_frame, sweep
 from .cohomology import bott_chern, dolbeault, invariant_level_banner, pure_full
 from .symplectic import closed_20_space, is_nondegenerate
@@ -87,8 +88,7 @@ def _criteria(ops, omega_t):
     """The verdicts of criteria (a)-(e) on the operator cache of a deformed
     structure, omega_t being the distinguished form in its coframe."""
     pf = pure_full(ops, 2)
-    dolb_sum = sum(dolbeault(ops, p, 2 - p).dim
-                   for p in range(min(2, ops.n), -1, -1) if 0 <= 2 - p <= ops.n)
+    dolb_sum = sum(dolbeault(ops, *cell).dim for cell in cells(ops.n, 2))
     identity = pf.betti == dolb_sum
     return {
         "h20_bott_chern": bott_chern(ops, 2, 0).dim,

@@ -15,7 +15,9 @@ Gaussian rational, the rows of a block matrix over consecutive column
 blocks with the split of a vector back into those blocks, the structure
 equations of the product of two structures, and the exhaustive walk of the
 symplectic witness grid, against which the descent of `find_symplectic` is
-checked.
+checked.  Also the 1-form of one generator (`gen`), and the three printers
+of a sum of terms that `gauss.term_sum` replaced, which the printing tests
+compare `str` against.
 """
 
 import re
@@ -27,10 +29,10 @@ from itertools import product as cartesian
 from nilcoh.algebra import StructureError, SymplecticError
 from nilcoh.cohomology import THEORY_TABLE, CohomologyGroup, _pure_type_classes, _shift
 from nilcoh.dsl import parse, pretty
-from nilcoh.exterior import BigradedElement, substitute
+from nilcoh.exterior import BigradedElement, mono_str, substitute
 from nilcoh.gauss import GaussRat, InternalError
 from nilcoh.linalg import Subspace, mat_mul, rref, solve, transpose
-from nilcoh.scalar import S_I, ScalarExpr
+from nilcoh.scalar import _P_ONE, S_I, S_ONE, ScalarExpr, _decode, _m_str
 from nilcoh.symplectic import closed_20_elements, is_nondegenerate
 
 
@@ -38,6 +40,11 @@ def mono(holo, anti):
     """The monomial f{holo}^F{anti} as nilcoh spells it: its sorted
     generator tokens, (0, i) for f_i and (1, i) for F_i."""
     return tuple((0, i) for i in holo) + tuple((1, i) for i in anti)
+
+
+def gen(index, barred=False, coeff=S_ONE):
+    """The 1-form coeff*f_index, or coeff*F_index when barred."""
+    return BigradedElement({((int(barred), index),): coeff})
 
 
 def realify(spec):
@@ -67,7 +74,7 @@ def _real_coframe(n):
     e^k the k-th unbarred generator of a 2n-generator algebra."""
     coframe = {}
     for j in range(1, n + 1):
-        re, im = BigradedElement.gen(2 * j - 1), BigradedElement.gen(2 * j, coeff=S_I)
+        re, im = gen(2 * j - 1), gen(2 * j, coeff=S_I)
         coframe[(0, j)] = re + im
         coframe[(1, j)] = re - im
     return coframe
@@ -248,9 +255,9 @@ def real_frame_matrix(family, assign):
     S = []
     for i in range(n):
         # eta^i = eps^{2i-1} + i eps^{2i}: rows 2i-1 and 2i of S
-        eta = BigradedElement.gen(i + 1)
+        eta = gen(i + 1)
         for k in range(n):
-            eta = eta + BigradedElement.gen(k + 1, barred=True, coeff=B[i][k])
+            eta = eta + gen(k + 1, barred=True, coeff=B[i][k])
         for part in real_parts(eta, n):
             S.append([part.get((m,), Fraction(0)) for m in range(1, 2 * n + 1)])
     return S
@@ -422,3 +429,91 @@ def grid_walk(ops):
         if is_nondegenerate(comb, n):
             return [GaussRat(aj) for aj in point], comb, checked
     return None, None, checked
+
+
+# ---------------------------------------------------------------------------
+# the three printers of a signed sum of terms as they stood before
+# gauss.term_sum: str of GaussRat, of ScalarExpr and of BigradedElement
+
+
+def gauss_str(z):
+    """Canonical form: "0", "a/b", "c/d*i" (with "i"/"-i" for unit), "a/b+c/d*i"."""
+    if z.is_zero():
+        return "0"
+    parts = []
+    if z.re:
+        parts.append(str(z.re))
+    if z.im:
+        im = z.im
+        if im == 1:
+            im_s = "i"
+        elif im == -1:
+            im_s = "-i"
+        else:
+            im_s = f"{im}*i"
+        if parts and not im_s.startswith("-"):
+            parts.append("+" + im_s)
+        else:
+            parts.append(im_s)
+    return "".join(parts)
+
+
+def _polynomial_str(a):
+    if not a:
+        return "0"
+    parts = []
+    for k in sorted(a, key=_decode):
+        c = a[k]
+        if c.im == 0 and c.re.denominator == 1:  # an integer prints as itself
+            cs = str(c.re.numerator)
+        else:
+            cs = gauss_str(c)
+            if ("+" in cs[1:]) or ("-" in cs[1:]):
+                cs = f"({cs})"
+        syms = _m_str(k)
+        if not syms:
+            term = cs
+        elif cs == "1":
+            term = syms
+        elif cs == "-1":
+            term = "-" + syms
+        else:
+            term = f"{cs}*{syms}"
+        parts.append(term if not parts or term.startswith("-") else "+" + term)
+    return "".join(parts)
+
+
+def scalar_str(e):
+    """num or (num)/(den), each an expanded polynomial."""
+    ns = _polynomial_str(e.num)
+    if e.den == _P_ONE:
+        return ns
+    ds = _polynomial_str(e.den)
+    if len(e.num) > 1 or ns.startswith("-"):
+        ns = f"({ns})"
+    return f"{ns}/({ds})"
+
+
+def form_str(element):
+    if not element.coeffs:
+        return "0"
+    parts = []
+    for m, c in element.items():
+        # a constant prints bare, so that a complex one is wrapped once
+        cs = gauss_str(c.const_value()) if c.is_const() else scalar_str(c)
+        ms = mono_str(m)
+        if ms == "1":
+            term = cs
+        elif cs == "1":
+            term = ms
+        elif cs == "-1":
+            term = f"-{ms}"
+        else:
+            if ("+" in cs[1:]) or ("-" in cs[1:]) or "/" in cs:
+                cs = f"({cs})"
+            term = f"{cs}*{ms}"
+        parts.append(term)
+    out = parts[0]
+    for p in parts[1:]:
+        out += p if p.startswith("-") else "+" + p
+    return out

@@ -14,13 +14,13 @@ from itertools import product
 import pytest
 
 from conftest import n6_ops_for, ops_for, validation_for
-from reference import class_in_pure_sum, mono, rank_of, real_frame_matrix, realify, shown_nilpotent
+from reference import (class_in_pure_sum, gen, mono, rank_of, real_frame_matrix, realify,
+                       shown_nilpotent)
 from zigzag import spectral_cell
 from nilcoh.catalog import catalog, get
 from nilcoh.cohomology import betti as betti_number, bott_chern, hodge_table, pure_full
 from nilcoh.deform import DeformationError, frame_change
 from nilcoh.dsl import parse_gauss
-from nilcoh.exterior import BigradedElement
 from nilcoh.frolicher import degeneration_page, e_infinity, spectral_page
 from nilcoh.gauss import GaussRat, ZERO
 from nilcoh.linalg import (
@@ -37,11 +37,11 @@ from nilcoh.symplectic import (
 
 
 def g(i):
-    return BigradedElement.gen(i)
+    return gen(i)
 
 
 def gb(i):
-    return BigradedElement.gen(i, barred=True)
+    return gen(i, barred=True)
 
 
 def _const(text):

@@ -11,7 +11,7 @@ from nilcoh.dsl import parse, parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat
 from nilcoh.scalar import S_ONE, ScalarExpr
-from reference import real_frame_matrix, realify
+from reference import gen, real_frame_matrix, realify
 
 
 def test_validate_symbolic_ok():
@@ -100,7 +100,7 @@ def complexify(real):
 
     def coframe(a):
         j = (a + 1) // 2
-        f, fbar = BigradedElement.gen(j), BigradedElement.gen(j, barred=True)
+        f, fbar = gen(j), gen(j, barred=True)
         if a % 2:  # e^{2j-1}
             return (f + fbar).scale(ScalarExpr.const(GaussRat(Fraction(1, 2))))
         return (f - fbar).scale(ScalarExpr.const(GaussRat(0, Fraction(-1, 2))))
@@ -212,8 +212,8 @@ def test_rho_invariant_under_consistent_relabeling():
     perm = {1: 3, 2: 1, 3: 4, 4: 2}
     mapping = {}
     for j in perm:
-        mapping[(False, j)] = BigradedElement.gen(perm[j])
-        mapping[(True, j)] = BigradedElement.gen(perm[j], barred=True)
+        mapping[(False, j)] = gen(perm[j])
+        mapping[(True, j)] = gen(perm[j], barred=True)
     d_phi = [None] * 4
     for j in perm:
         d_phi[perm[j] - 1] = substitute(spec.d_phi[j - 1], mapping)

@@ -873,7 +873,8 @@ def test_readme_library_use_prints_its_comments():
     block = block.split("```python\n", 1)[1].split("```", 1)[0]
     want = [line.partition("# ")[2].strip()
             for line in block.splitlines() if line.startswith("print(")]
-    assert want == ["4", "f1^f3+f2^f4", "3"]
+    assert want == ["4", "{0: 1, 1: 5, 2: 15, 3: 27, 4: 32, 5: 27, 6: 15, 7: 5, 8: 1}",
+                    "f1^f3+f2^f4", "3"]
     proc = subprocess.run([sys.executable, "-c", block], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == want

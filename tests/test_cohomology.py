@@ -14,6 +14,7 @@ from nilcoh.catalog import catalog, get
 from nilcoh.cohomology import (
     THEORIES,
     betti,
+    degrees,
     group,
     hodge_table,
     invariant_level_banner,
@@ -23,25 +24,31 @@ from nilcoh.dsl import parse, parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.scalar import ScalarExpr
 from conftest import n6_ops_for
-from reference import NotInNumerator, class_in_pure_sum, class_is_trivial
+from reference import NotInNumerator, class_in_pure_sum, class_is_trivial, gen
 
 
 def g(i):
-    return BigradedElement.gen(i)
+    return gen(i)
 
 
 def gb(i):
-    return BigradedElement.gen(i, barred=True)
+    return gen(i, barred=True)
 
 
 def test_torus4_tables_are_binomial(ops):
     cache = ops("torus4")
+    square = [(p, q) for p in range(5) for q in range(5)]
+    for theory in THEORIES:
+        # a table spans the degrees of its theory, in their order
+        assert list(hodge_table(cache, theory)) == degrees(theory, 4) == (
+            list(range(9)) if theory == "de_rham" else square)
     for theory in THEORIES[1:]:
         tab = hodge_table(cache, theory)
         assert tab == {
             (p, q): comb(4, p) * comb(4, q) for p in range(5) for q in range(5)
         }
     assert [betti(cache, k) for k in range(9)] == [comb(8, k) for k in range(9)]
+    assert list(hodge_table(cache, "de_rham").values()) == [betti(cache, k) for k in range(9)]
 
 
 IWASAWA_TABLES = {
@@ -207,10 +214,14 @@ def test_group_dispatcher_and_as_dict(ops):
     }
     gdr = group(cache, "de_rham", 1)
     assert gdr.as_dict()["degree"] == 1 and gdr.dim == 8
-    with pytest.raises(ValueError, match="unknown theory"):
-        group(cache, "hodge", (1, 0))
+    for degree in ((1, 0), 1):
+        with pytest.raises(ValueError, match="unknown theory"):
+            group(cache, "hodge", degree)
     with pytest.raises(ValueError, match="total degree"):
         group(cache, "de_rham", (1, 0))
+    for theory, degree in (("bott_chern", 2), ("dolbeault", (1, 2, 3)), ("del", "1,1")):
+        with pytest.raises(ValueError, match=f"{theory} cohomology takes a bidegree"):
+            group(cache, theory, degree)
 
 
 def test_class_is_trivial_certificates(ops):
@@ -433,11 +444,8 @@ def test_rank_dimension_equals_the_number_of_representatives(ops, name, assign):
     on the images (dim, what the tables print) and the greedy quotient
     representatives (what a printed group counts)."""
     cache = ops(name, **assign)
-    n = cache.n
     for theory in THEORIES:
-        degrees = range(2 * n + 1) if theory == "de_rham" else [
-            (p, q) for p in range(n + 1) for q in range(n + 1)]
-        for degree in degrees:
+        for degree in degrees(theory, cache.n):
             assert group(cache, theory, degree).dim == len(group(cache, theory, degree).reps), (
                 theory, degree)
 

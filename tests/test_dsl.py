@@ -11,9 +11,8 @@ from hypothesis import strategies as st
 from nilcoh import cli, dsl
 from nilcoh.catalog import catalog
 from nilcoh.dsl import DslError, FLAG_NAME, parse, parse_form, parse_gauss, parse_scalar, pretty
-from nilcoh.exterior import BigradedElement
 from nilcoh.scalar import S_I, ScalarExpr
-from reference import mono
+from reference import gen, mono
 
 BASIC = """\
 algebra "demo" dim 4
@@ -121,8 +120,8 @@ def test_parse_scalar_and_parse_form_read_one_line():
     t = ScalarExpr.param("t")
     assert parse_scalar("-i*t", ("t",)) == -(S_I * t)
     assert parse_scalar("1/(1-t*conj(t))", ("t",)) == 1 / (1 - t * t.conj())
-    f1, f2, g1 = (BigradedElement.gen(1), BigradedElement.gen(2),
-                  BigradedElement.gen(1, barred=True))
+    f1, f2, g1 = (gen(1), gen(2),
+                  gen(1, barred=True))
     assert parse_form("f1^f2 - 2i * f2^F1", 2) == f1.wedge(f2) - f2.wedge(g1).scale(2 * S_I)
     assert parse_form("0", 2).is_zero()
 

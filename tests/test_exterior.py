@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement, mono_bidegree, mono_conj, mono_str, mono_wedge
 from nilcoh.scalar import S_ONE, ScalarExpr
-from reference import mono
+from reference import gen, mono
 
 
 def g(i):
-    return BigradedElement.gen(i)
+    return gen(i)
 
 
 def gb(i):
-    return BigradedElement.gen(i, barred=True)
+    return gen(i, barred=True)
 
 
 def test_monomial_helpers():

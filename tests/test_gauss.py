@@ -12,7 +12,7 @@ from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat, I, ONE, ZERO
 from nilcoh.scalar import ScalarExpr
-from reference import norm2
+from reference import gen, norm2
 
 
 def test_constructor_and_accessors():
@@ -53,7 +53,7 @@ def test_constructor_refuses_inexact_parts(inexact):
     with pytest.raises(TypeError):
         BigradedElement({((0, 1),): inexact})
     with pytest.raises(TypeError):
-        BigradedElement.gen(1).scale(inexact)
+        gen(1).scale(inexact)
 
 
 def test_conjugation_and_i():

@@ -313,11 +313,13 @@ def test_layout_blocks_partition_each_degree(n):
         mons, index = linalg.basis(n, k)
         assert len(mons) == (comb(2 * n, k) if k >= 0 else 0)
         assert index == {m: i for i, m in enumerate(mons)}
+        cells = [(p, k - p) for p in range(min(k, n), max(0, k - n) - 1, -1)]
+        assert linalg.cells(n, k) == cells
         stop = 0
-        for p in range(min(k, n), max(0, k - n) - 1, -1):
-            cols = linalg.block(n, p, k - p)
+        for p, q in cells:
+            cols = linalg.block(n, p, q)
             assert cols.start == stop
-            assert mons[cols] == linalg.basis(n, (p, k - p))[0]
+            assert mons[cols] == linalg.basis(n, (p, q))[0]
             stop = cols.stop
         assert stop == len(mons)
         # every holomorphic degree, also one Lambda^k lacks, is one column range

@@ -1,8 +1,10 @@
 """Every public function, class and method of the package has a user.
 
-A definition counts as used when its name appears in the package's code
-(other than in its own `def` or `class` line), in the README's "Library
-use" example, or in bench/trace.py, which wraps nilcoh functions by name.
+A definition counts as used when its name appears in the README's "Library
+use" example or in bench/trace.py, which wraps nilcoh functions by name, or
+in the package's code (other than in its own `def` or `class` line): as any
+name for a module-level function or class, as an attribute (`x.name`) for a
+method, so that a local variable of the same name does not count.
 Code that only tests call lives in tests/reference.py, not in the package.
 """
 
@@ -54,17 +56,19 @@ def orphans(src):
     """Qualified names of the public definitions in the package at `src`
     that nothing names."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
-    named = set().union(*map(_code_names, trees.values()))
-    named |= set(re.findall(r"\w+", _library_block()))
+    outside = set(re.findall(r"\w+", _library_block()))
     trace = ast.parse((ROOT / "bench" / "trace.py").read_text())
     # bench/trace.py wraps by name: getattr(module, "frame_change") and the like
-    named |= _code_names(trace) | {node.value for node in ast.walk(trace)
-                                   if isinstance(node, ast.Constant)
-                                   and isinstance(node.value, str)}
+    outside |= _code_names(trace) | {node.value for node in ast.walk(trace)
+                                     if isinstance(node, ast.Constant)
+                                     and isinstance(node.value, str)}
+    named = outside.union(*map(_code_names, trees.values()))
+    attributes = outside | {node.attr for tree in trees.values() for node in ast.walk(tree)
+                            if isinstance(node, ast.Attribute)}
     return [f"{module}.{qualified}"
             for module, tree in trees.items()
             for qualified, name in _public_definitions(tree)
-            if name not in named]
+            if name not in (attributes if "." in qualified else named)]
 
 
 def test_every_public_definition_has_a_user():
@@ -75,8 +79,11 @@ def test_orphan_guard_lists_a_planted_unused_function(tmp_path):
     src = tmp_path / "nilcoh"
     shutil.copytree(SRC, src)
     with open(src / "linalg.py", "a") as f:
-        f.write("\n\ndef planted_unused_helper(rows):\n    return len(rows)\n")
+        # a local variable named like a method is no use of the method
+        f.write("\n\ndef planted_unused_helper(rows):\n    shadowed = len(rows)\n"
+                "    return shadowed\n")
     with open(src / "gauss.py", "a") as f:
-        f.write("\n\nclass Planted:\n    def unused_method(self):\n        return 0\n")
+        f.write("\n\nclass Planted:\n    def unused_method(self):\n        return 0\n\n"
+                "    def shadowed(self):\n        return 0\n")
     assert orphans(src) == ["gauss.Planted", "gauss.Planted.unused_method",
-                            "linalg.planted_unused_helper"]
+                            "gauss.Planted.shadowed", "linalg.planted_unused_helper"]

@@ -16,6 +16,7 @@ from nilcoh.dsl import parse_gauss
 from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import GaussRat, InternalError
 from nilcoh.scalar import S_I, S_ONE, S_ZERO, ScalarEvalError, ScalarExpr
+from reference import form_str, gauss_str, gen, scalar_str
 
 
 def _t():
@@ -193,6 +194,33 @@ def test_program_agrees_with_expanded_fraction(e, t, s, s_assigned):
     assert _outcome(e, assign) == _outcome(_expanded(e), assign)
 
 
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=7)
+_gauss = st.one_of(st.sampled_from([GaussRat(0), GaussRat(1), GaussRat(-1), GaussRat(0, 1),
+                                    GaussRat(0, -1)]),
+                   st.builds(GaussRat, st.just(0), _fractions),
+                   st.builds(GaussRat, _fractions, _fractions))
+
+
+@st.composite
+def _forms(draw):
+    """A form over up to four random monomials in f1..f3, F1..F3, the empty
+    one among them, each coefficient a Gaussian constant or an expression."""
+    tokens = [(b, i) for b in (0, 1) for i in (1, 2, 3)]
+    coeffs = {}
+    for _ in range(draw(st.integers(0, 4))):
+        m = tuple(sorted(draw(st.sets(st.sampled_from(tokens), max_size=3))))
+        coeffs[m] = draw(st.one_of(_gauss, _rational_exprs()))
+    return BigradedElement(coeffs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gauss, _rational_exprs(), _forms())
+def test_printers_agree_with_the_reference_printers(z, e, form):
+    assert str(z) == gauss_str(z)
+    assert str(e) == scalar_str(e)
+    assert str(form) == form_str(form)
+
+
 def _hash_or_none(e):
     try:
         return hash(e)
@@ -226,7 +254,7 @@ def test_fractions_equal_in_other_shapes_are_not_hashed_apart():
     with pytest.raises(TypeError):
         {pairs[1][0], pairs[1][1]}
     with pytest.raises(TypeError):
-        {BigradedElement.gen(1, coeff=pairs[1][0]), BigradedElement.gen(1, coeff=pairs[1][1])}
+        {gen(1, coeff=pairs[1][0]), gen(1, coeff=pairs[1][1])}
     # constants keep their hash, that of the GaussRat they equal
     assert hash(ScalarExpr.const(GaussRat(Fraction(1, 2)))) == hash(GaussRat(Fraction(1, 2)))
 

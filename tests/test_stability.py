@@ -12,11 +12,11 @@ from nilcoh.algebra import SymplecticError
 from nilcoh.catalog import get
 from nilcoh.deform import DeformationFamily, frame_change, sweep
 from nilcoh.dsl import parse_gauss
-from nilcoh.exterior import BigradedElement
 from nilcoh.gauss import InternalError
 from nilcoh.linalg import OperatorCache
 from nilcoh.scalar import S_ZERO, ScalarExpr
 from nilcoh.stability import check_stability_hypotheses
+from reference import gen
 
 
 def _samples(*texts):
@@ -131,16 +131,16 @@ def test_missing_or_bad_distinguished_form():
     # a parametric or mixed-type form never reaches the checks: the family
     # refuses it
     fam = get("example31").family
-    g1, g2 = BigradedElement.gen(1), BigradedElement.gen(2)
+    g1, g2 = gen(1), gen(2)
     for omega in (g1.wedge(g2).scale(ScalarExpr.param("t")),
-                  g1.wedge(BigradedElement.gen(1, barred=True))):
+                  g1.wedge(gen(1, barred=True))):
         with pytest.raises(InternalError, match=r"parameter-free \(2,0\)-form"):
             _with_form(fam, omega)
 
 
 def test_override_form_is_used(ops):
     fam = get("section42_example").family
-    omega = BigradedElement.gen(1).wedge(BigradedElement.gen(2))
+    omega = gen(1).wedge(gen(2))
     d = check_stability_hypotheses(_with_form(fam, omega), _samples("0"), _no_task)["hypotheses"]
     assert d["omega"] == "f1^f2"
     # closed but degenerate: (f1^f2)^2 = 0

@@ -25,12 +25,12 @@ from nilcoh.symplectic import (
     theorem61_suite,
 )
 from conftest import n6_ops_for
-from reference import class_is_trivial, grid_walk, real_pair
+from reference import class_is_trivial, gen, grid_walk, real_pair
 from test_frolicher import _stdout
 
 
 def g(i):
-    return BigradedElement.gen(i)
+    return gen(i)
 
 
 def _witness_is_valid(cache, rep):
@@ -330,7 +330,7 @@ def test_wedge_class_suite_rejects_bad_witnesses(ops):
     with pytest.raises(SymplecticError, match="not d-closed"):
         theorem61_suite(cache, g(3).wedge(g(4)))
     with pytest.raises(SymplecticError, match=r"\(2,0\)-form"):
-        theorem61_suite(cache, g(1).wedge(BigradedElement.gen(1, barred=True)))
+        theorem61_suite(cache, g(1).wedge(gen(1, barred=True)))
     with pytest.raises(SymplecticError, match="odd complex dimension"):
         theorem61_suite(ops("iwasawa"), g(1).wedge(g(2)))
 
@@ -393,7 +393,7 @@ def test_real_pair_torus2():
     assert scaled["im"] == {"e1^e3": "1", "e2^e4": "-1"}
     assert scaled["compatibility_verified"] is True
     with pytest.raises(SymplecticError, match=r"\(2,0\)-forms"):
-        real_pair(spec, g(1).wedge(BigradedElement.gen(2, barred=True)))
+        real_pair(spec, g(1).wedge(gen(2, barred=True)))
 
 
 def test_closed_20_space_is_the_bott_chern_numerator(ops):
